@@ -3,8 +3,9 @@
 Provides the machinery every homology computation in the toolkit runs on:
 sparse integer matrices, Smith normal form with optional unimodular
 transforms, chain complexes with integral homology (ranks, torsion and
-generator lifts), mapping cones, and an exact rational simplex used for
-convex separation certificates.
+generator lifts), mapping cones, and an exact rational simplex tableau
+that runs phase 1 once and warm-starts every objective from its feasible
+basis, used for convex separation and summand certificates.
 
 No floating point enters this module; torsion results are exact and the
 LP certificates can be re-verified by direct substitution.
@@ -73,13 +74,6 @@ class SparseIntMatrix:
     @property
     def nnz(self) -> int:
         return sum(len(row) for row in self._rows)
-
-    def transpose(self) -> "SparseIntMatrix":
-        rows = [dict() for _ in range(self.ncols)]
-        for r, row in enumerate(self._rows):
-            for c, v in row.items():
-                rows[c][r] = v
-        return SparseIntMatrix._from_rows(self.ncols, self.nrows, rows)
 
     def __matmul__(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.ncols != other.nrows:
@@ -524,10 +518,6 @@ def snf_diagonal(matrix: SparseIntMatrix) -> list:
     return smith_normal_form(matrix, transforms=False).diag
 
 
-def rank(matrix: SparseIntMatrix) -> int:
-    return len(snf_diagonal(matrix))
-
-
 # ---------------------------------------------------------------------------
 # chain complexes
 
@@ -825,81 +815,121 @@ class SeparationResult:
     delta: Fraction | None = None
 
 
-def _simplex_phase1(columns, rhs):
-    """Find lam >= 0 with sum lam_j col_j = rhs, or a Farkas certificate.
+class SimplexTableau:
+    """Dense Fraction simplex tableau over { lam >= 0 : sum lam_j col_j = rhs }.
 
-    Returns ("feasible", lam) or ("infeasible", y) where y satisfies
-    y . col_j <= 0 for every column and y . rhs > 0.  Dense tableau with
-    Bland's rule; all arithmetic in Fraction.
+    Construction runs phase 1 once, with one artificial column per row and
+    Bland's rule, and sets status to "feasible" or "infeasible".  When
+    infeasible, farkas holds y with y . col_j <= 0 for every column and
+    y . rhs > 0, read from the prices of the artificial columns.  When
+    feasible, the artificials are driven out of the basis, rows left
+    without a pivot are dropped as redundant, and each optimize() call
+    warm-starts phase 2 from the current feasible basis.  Every
+    certificate is re-checked against the original columns before it is
+    handed out.
     """
-    m = len(rhs)
-    n = len(columns)
-    for col in columns:
-        if len(col) != m:
-            raise DimensionMismatch("column length mismatch")
-    flip = [-1 if rhs[i] < 0 else 1 for i in range(m)]
-    # rows of the tableau: n real columns, m artificial columns, rhs
-    T = []
-    for i in range(m):
-        row = [Fraction(columns[j][i] * flip[i]) for j in range(n)]
-        row += [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-        row.append(Fraction(rhs[i] * flip[i]))
-        T.append(row)
-    basis = [n + i for i in range(m)]
-    ncols = n + m
 
-    def zeta():
-        # price vector: sum of rows whose basic variable costs 1
-        z = [Fraction(0)] * (ncols + 1)
+    def __init__(self, columns, rhs):
+        m, n = len(rhs), len(columns)
+        for col in columns:
+            if len(col) != m:
+                raise DimensionMismatch("column length mismatch")
+        self.columns, self.rhs = columns, rhs
+        flip = [-1 if rhs[i] < 0 else 1 for i in range(m)]
+        # rows of the tableau: n real columns, m artificial columns, rhs
+        self.T = []
         for i in range(m):
-            if basis[i] >= n:
-                row = T[i]
-                for j in range(ncols + 1):
-                    if row[j]:
-                        z[j] += row[j]
-        return z
-
-    while True:
-        z = zeta()
-        enter = -1
-        for j in range(ncols):
-            cost = Fraction(0) if j < n else Fraction(1)
-            if cost - z[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave, best = -1, None
+            row = [Fraction(columns[j][i] * flip[i]) for j in range(n)]
+            row += [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+            row.append(Fraction(rhs[i] * flip[i]))
+            self.T.append(row)
+        self.basis = [n + i for i in range(m)]
+        cost = [0] * n + [1] * m
+        bounded = self._solve(cost)
+        assert bounded, "phase-1 objective is bounded below"
+        if any(row[-1] for b, row in zip(self.basis, self.T) if b >= n):
+            self.status = "infeasible"
+            y = [self._price(cost, n + i) * flip[i] for i in range(m)]
+            for col in columns:
+                assert sum(y[i] * col[i] for i in range(m)) <= 0
+            assert sum(y[i] * rhs[i] for i in range(m)) > 0
+            self.farkas = y
+            return
+        self.status = "feasible"
+        # artificials never re-enter, so their columns are dropped
+        self.T = [row[:n] + row[-1:] for row in self.T]
+        keep = []
         for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][ncols] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
-        assert leave >= 0, "phase-1 objective is bounded below"
-        _pivot(T, basis, leave, enter)
+            if self.basis[i] >= n:
+                pivot_col = next((j for j in range(n) if self.T[i][j] != 0), None)
+                if pivot_col is None:
+                    continue
+                self._pivot(i, pivot_col)
+            keep.append(i)
+        self.T = [self.T[i] for i in keep]
+        self.basis = [self.basis[i] for i in keep]
 
-    z = zeta()
-    value = sum(T[i][ncols] for i in range(m) if basis[i] >= n)
-    if value == 0:
-        lam = [Fraction(0)] * n
-        for i in range(m):
-            if basis[i] < n:
-                lam[basis[i]] = T[i][ncols]
-        return "feasible", lam
-    y = [z[n + i] * flip[i] for i in range(m)]
-    return "infeasible", y
+    def _price(self, cost, j):
+        """z_j = sum_i cost[basis[i]] * T[i][j]."""
+        return sum(cost[b] * row[j] for b, row in zip(self.basis, self.T) if cost[b])
 
+    def _solve(self, cost) -> bool:
+        """Pivot by Bland's rule to a basis minimizing cost; False if unbounded."""
+        T, basis = self.T, self.basis
+        while True:
+            enter = next((j for j in range(len(cost))
+                          if cost[j] < self._price(cost, j)), -1)
+            if enter < 0:
+                return True
+            leave, best = -1, None
+            for i in range(len(T)):
+                if T[i][enter] > 0:
+                    ratio = T[i][-1] / T[i][enter]
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        leave, best = i, ratio
+            if leave < 0:
+                return False
+            self._pivot(leave, enter)
 
-def _pivot(T, basis, leave, enter):
-    ncols = len(T[0]) - 1
-    piv = T[leave][enter]
-    T[leave] = [v / piv for v in T[leave]]
-    for i in range(len(T)):
-        if i != leave and T[i][enter]:
-            f = T[i][enter]
-            row, prow = T[i], T[leave]
-            T[i] = [row[j] - f * prow[j] for j in range(ncols + 1)]
-    basis[leave] = enter
+    def _pivot(self, leave, enter):
+        T = self.T
+        piv = T[leave][enter]
+        prow = T[leave] = [v / piv for v in T[leave]]
+        for i, row in enumerate(T):
+            f = row[enter]
+            if i != leave and f:
+                T[i] = [a - f * b for a, b in zip(row, prow)]
+        self.basis[leave] = enter
+
+    def solution(self) -> list:
+        """The current basic solution lam, re-checked against the columns."""
+        assert self.status == "feasible"
+        lam = [Fraction(0)] * len(self.columns)
+        for b, row in zip(self.basis, self.T):
+            lam[b] = row[-1]
+        assert all(v >= 0 for v in lam)
+        used = [(v, col) for v, col in zip(lam, self.columns) if v]
+        for i, r in enumerate(self.rhs):
+            assert sum(v * col[i] for v, col in used) == r
+        return lam
+
+    def optimize(self, objective, maximize=False):
+        """Optimize objective . lam from the current feasible basis.
+
+        Returns ("optimal", value, lam) or ("unbounded", None, None); the
+        basis stays where phase 2 stopped, so the next call starts there.
+        """
+        if len(objective) != len(self.columns):
+            raise DimensionMismatch("objective length mismatch")
+        objective = list(map(Fraction, objective))
+        cost = [-c for c in objective] if maximize else objective
+        if not self._solve(cost):
+            return "unbounded", None, None
+        lam = self.solution()
+        value = sum(o * v for o, v in zip(objective, lam))
+        tableau_value = sum(cost[b] * row[-1] for b, row in zip(self.basis, self.T))
+        assert value == (-tableau_value if maximize else tableau_value)
+        return "optimal", value, lam
 
 
 def feasibility_certificate(columns, rhs):
@@ -909,19 +939,10 @@ def feasibility_certificate(columns, rhs):
     with an exact Farkas functional: y . col_j <= 0 for all j, y . rhs > 0.
     Both certificates are re-verified before returning.
     """
-    status, data = _simplex_phase1(columns, rhs)
-    m = len(rhs)
-    if status == "feasible":
-        lam = data
-        assert all(v >= 0 for v in lam)
-        for i in range(m):
-            assert sum(lam[j] * columns[j][i] for j in range(len(columns))) == rhs[i]
-        return status, lam
-    y = data
-    for col in columns:
-        assert sum(y[i] * col[i] for i in range(m)) <= 0
-    assert sum(y[i] * rhs[i] for i in range(m)) > 0
-    return status, y
+    tab = SimplexTableau(columns, rhs)
+    if tab.status == "infeasible":
+        return "infeasible", tab.farkas
+    return "feasible", tab.solution()
 
 
 def lp_separate(points, target) -> SeparationResult:
@@ -964,77 +985,7 @@ def lp_optimize(columns, rhs, objective, maximize=False):
     Returns ("optimal", value, lam), ("infeasible", None, None) or
     ("unbounded", None, None).  Exact rational arithmetic throughout.
     """
-    m, n = len(rhs), len(columns)
-    status, data = _simplex_phase1(columns, rhs)
-    if status == "infeasible":
+    tab = SimplexTableau(columns, rhs)
+    if tab.status == "infeasible":
         return "infeasible", None, None
-    # rebuild a tableau from scratch at the feasible basis is fiddly; run
-    # phase 1 again keeping the tableau, then drive artificials out
-    flip = [-1 if rhs[i] < 0 else 1 for i in range(m)]
-    T = []
-    for i in range(m):
-        row = [Fraction(columns[j][i] * flip[i]) for j in range(n)]
-        row += [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-        row.append(Fraction(rhs[i] * flip[i]))
-        T.append(row)
-    basis = [n + i for i in range(m)]
-    ncols = n + m
-    cost1 = [Fraction(0)] * n + [Fraction(1)] * m
-    while True:
-        enter = -1
-        for j in range(ncols):
-            # reduced cost c_j - z_j with z_j = sum_i cost1[basis[i]] * T[i][j]
-            zj = sum(cost1[basis[i]] * T[i][j] for i in range(m))
-            if cost1[j] - zj < 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave, best = -1, None
-        for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][ncols] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
-        assert leave >= 0
-        _pivot(T, basis, leave, enter)
-    drop_rows = []
-    for i in range(m):
-        if basis[i] >= n:
-            assert T[i][ncols] == 0, "phase 1 said feasible"
-            pivot_col = next((j for j in range(n) if T[i][j] != 0), None)
-            if pivot_col is None:
-                drop_rows.append(i)
-            else:
-                _pivot(T, basis, i, pivot_col)
-    keep = [i for i in range(m) if i not in drop_rows]
-    T = [T[i] for i in keep]
-    basis = [basis[i] for i in keep]
-    mm = len(T)
-    cost2 = list(map(Fraction, objective)) + [Fraction(0)] * m
-    if maximize:
-        cost2 = [-c for c in cost2]
-    while True:
-        enter = -1
-        for j in range(n):  # artificials never re-enter
-            zj = sum(cost2[basis[i]] * T[i][j] for i in range(mm))
-            if cost2[j] - zj < 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave, best = -1, None
-        for i in range(mm):
-            if T[i][enter] > 0:
-                ratio = T[i][ncols] / T[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    leave, best = i, ratio
-        if leave < 0:
-            return "unbounded", None, None
-        _pivot(T, basis, leave, enter)
-    lam = [Fraction(0)] * n
-    for i in range(mm):
-        if basis[i] < n:
-            lam[basis[i]] = T[i][ncols]
-    value = sum(Fraction(objective[j]) * lam[j] for j in range(n))
-    return "optimal", value, lam
+    return tab.optimize(objective, maximize)

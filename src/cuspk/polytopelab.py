@@ -3,12 +3,20 @@
 The vertex data of every polytope here is exact integer combinatorics:
 residues e mod m standing for the point (zeta_m^(e*n))_n indexed by the
 weight set.  Geometry appears only in the convexity tests.  The origin
-check finds a candidate separating functional by exact LP over dyadic
-midpoint approximations of the vertices and then certifies it with
-interval enclosures of the root-of-unity coordinates.  The divisor
-summand checks need exact answers on the feasible side, so they run the
-LP in the rational coordinates of the cyclotomic field instead of using
-intervals; their verdicts carry precision_bits 0, meaning exact.
+check (c1) finds a candidate separating functional by exact LP over
+dyadic midpoint approximations of the vertices and then certifies it with
+interval enclosures of the root-of-unity coordinates.
+
+The divisor summand checks (c2/c3) run an exact LP in the power-basis
+coordinates of Q(zeta_m) and report precision_bits 0.  Asking every
+power-basis coordinate outside the summand to vanish asks all Galois
+conjugates of those coordinates to vanish together.  A point with
+rational weights does that automatically, but the real polytopes also
+have points with irrational weights, so the LP decides a stronger,
+cyclotomic form of the statement: a feasible LP exhibits real
+intersection points, while an infeasible one does not by itself prove
+that the real polytope misses the summand.  Whether the two forms agree
+is open.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from itertools import combinations
 import mpmath
 
 from .errors import PreconditionViolation, WeightOutOfRange
-from .homlinalg import feasibility_certificate, lp_optimize, lp_separate
+from .homlinalg import SimplexTableau, lp_optimize, lp_separate
 from .semigroup import Params, bezout, is_member, weights
 
 HOLDS = "HOLDS"
@@ -389,14 +397,14 @@ def _divisor_statement(p: Params, m: int, div: int):
             col.append(1)
             columns.append([Fraction(v) for v in col])
         rhs = [Fraction(0)] * (deg * len(others)) + [Fraction(1)]
-        status, _ = feasibility_certificate(columns, rhs)
-        if status == "infeasible":
+        tab = SimplexTableau(columns, rhs)
+        if tab.status == "infeasible":
             continue
         point = []
         for k in range(deg):
             objective = [Fraction(table[(e * n0) % m][k]) for e in exps]
-            s_hi, hi, _ = lp_optimize(columns, rhs, objective, maximize=True)
-            s_lo, lo, _ = lp_optimize(columns, rhs, objective, maximize=False)
+            s_hi, hi, _ = tab.optimize(objective, maximize=True)
+            s_lo, lo, _ = tab.optimize(objective, maximize=False)
             assert s_hi == s_lo == "optimal"
             if hi != lo:
                 return FAILS_CANDIDATE, {
@@ -420,13 +428,19 @@ def _divisor_statement(p: Params, m: int, div: int):
                    "intersections": {str(k): found[k] for k in sorted(found)}}
 
 
-def check_c2_c3(p: Params, m: int, precision: int = 0) -> Verdict:
+def check_c2_c3(p: Params, m: int) -> Verdict:
     """Statements two and three, whichever divisibilities apply.
 
-    Exact over the cyclotomic field, so the precision argument is kept
-    only for interface parity and the verdict reports precision_bits 0.
+    For each of a and b that divides m, decides whether the union meets
+    that divisor summand exactly in its roots of unity: every polytope
+    whose LP is feasible pins a single point that is a root, and every
+    root is reached.  The LP works in power-basis coordinates of
+    Q(zeta_m), so it asks all Galois conjugates of the coordinates
+    outside the summand to vanish together; its equivalence with the
+    statement about the real polytopes is open.  Exact, so the verdict
+    reports precision_bits 0; the witness holds one entry per divisor,
+    "a" and/or "b", each with its own status.
     """
-    del precision
     parts = {}
     if m % p.a == 0:
         parts["a"] = _divisor_statement(p, m, p.a)
@@ -483,12 +497,12 @@ def run_conjecture_checks(p: Params, m: int,
                           cap: int = MAX_PRECISION) -> dict:
     """All statements applicable at this weight, keyed c1 through c4."""
     out = {"c1": escalate(check_c1, p, m, start=precision, cap=cap)}
-    if m % p.a == 0:
-        status, detail = _divisor_statement(p, m, p.a)
-        out["c2"] = Verdict(status, 0, witness=detail)
-    if m % p.b == 0:
-        status, detail = _divisor_statement(p, m, p.b)
-        out["c3"] = Verdict(status, 0, witness=detail)
     if m % p.a and m % p.b:
         out["c4"] = check_c4(p, m)
+        return out
+    parts = check_c2_c3(p, m).witness
+    for key, stmt in (("a", "c2"), ("b", "c3")):
+        if key in parts:
+            detail = dict(parts[key])
+            out[stmt] = Verdict(detail.pop("status"), 0, witness=detail)
     return out

@@ -19,6 +19,7 @@ from cuspk.homlinalg import (
     ChainMap,
     HomologyEngine,
     HomologySummary,
+    SimplexTableau,
     SparseIntMatrix,
     feasibility_certificate,
     homology,
@@ -304,3 +305,51 @@ class TestLinearProgramming:
                                          [0, 1, 1], maximize=True)
         assert status == "optimal"
         assert value == 1
+
+    def test_lp_optimize_unbounded(self):
+        # lam1 - lam2 = 0 lets lam1 grow without bound
+        cols = [[1], [-1]]
+        assert lp_optimize(cols, [0], [1, 0], maximize=True) == ("unbounded", None, None)
+        tab = SimplexTableau(cols, [0])
+        assert tab.optimize([1, 0], maximize=True) == ("unbounded", None, None)
+        # the basis stays feasible, so the next objective still solves
+        status, value, lam = tab.optimize([1, 0])
+        assert (status, value, lam) == ("optimal", 0, [0, 0])
+
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=7),
+           st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_hull_optimum_is_extreme_point(self, values, copies):
+        # barycentric weights on points with coordinate c_j; the equality
+        # sum lam_j = 1 is repeated so that redundant rows get dropped
+        cols = [[k for k in range(1, copies + 1)] for _ in values]
+        rhs = list(range(1, copies + 1))
+        tab = SimplexTableau(cols, rhs)
+        assert tab.status == "feasible"
+        assert tab.optimize(values, maximize=True)[1] == max(values)
+        assert tab.optimize(values, maximize=False)[1] == min(values)
+        assert lp_optimize(cols, rhs, values, maximize=True)[1] == max(values)
+        assert lp_optimize(cols, rhs, values)[1] == min(values)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_warm_start_matches_fresh_tableau(self, data):
+        rows = data.draw(st.integers(1, 3))
+        ncols = data.draw(st.integers(1, 5))
+        entry = st.integers(-3, 3)
+        cols = data.draw(st.lists(st.lists(entry, min_size=rows, max_size=rows),
+                                  min_size=ncols, max_size=ncols))
+        # rhs from a non-negative combination, so the LP is feasible
+        weights = data.draw(st.lists(st.integers(0, 2), min_size=ncols,
+                                     max_size=ncols))
+        rhs = [sum(w * col[i] for w, col in zip(weights, cols)) for i in range(rows)]
+        objectives = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                                        min_size=1, max_size=3))
+        queries = data.draw(st.permutations(
+            [(k, sense) for k in range(len(objectives)) for sense in (True, False)]))
+        tab = SimplexTableau(cols, rhs)
+        assert tab.status == "feasible"
+        for k, maximize in queries:
+            fresh = SimplexTableau(cols, rhs).optimize(objectives[k], maximize)
+            warm = tab.optimize(objectives[k], maximize)
+            assert warm[:2] == fresh[:2]

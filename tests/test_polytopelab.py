@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from cuspk import polytopelab
 from cuspk.errors import PreconditionViolation, WeightOutOfRange
 from cuspk.polytopelab import (FAILS_CANDIDATE, HOLDS, UNDECIDED, UNSUPPORTED,
                                ExponentPolytope, IndexFunction, Verdict,
@@ -189,3 +190,18 @@ class TestDriver:
         v = escalate(check_c1, P23, 5, start=64, cap=128)
         assert v.status == HOLDS
         assert v.precision_bits in (64, 128)
+
+    def test_summand_rows_carry_the_bare_detail(self, monkeypatch):
+        # c2/c3 verdicts come from check_c2_c3; the per-divisor status is
+        # lifted out of the witness, not repeated inside it
+        def fake(p, m, div):
+            if div == p.a:
+                return FAILS_CANDIDATE, {"missing_roots": [1], "reason": "r"}
+            return HOLDS, {"summand_weight": 1, "intersections": {}}
+
+        monkeypatch.setattr(polytopelab, "_divisor_statement", fake)
+        out = run_conjecture_checks(P23, 6)
+        assert out["c2"] == Verdict(FAILS_CANDIDATE, 0,
+                                    witness={"missing_roots": [1], "reason": "r"})
+        assert out["c3"] == Verdict(HOLDS, 0,
+                                    witness={"summand_weight": 1, "intersections": {}})
