@@ -3,7 +3,9 @@ deterministic JSON-lines and CSV reports.
 
 Exit codes: 0 all hard assertions pass, 1 theorem-level violation,
 2 undecided interval verdicts remain at maximum precision, 3 usage or
-parse errors.  Reports are byte-deterministic for a fixed configuration:
+parse errors, 4 some statements were skipped (a cell hit a resource
+limit or another toolkit error) and every other row passed.
+Reports are byte-deterministic for a fixed configuration:
 rows are sorted, JSON keys are sorted, and randomized batteries run from
 fixed seeds.
 """
@@ -18,6 +20,7 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import isqrt
 
 from .cyclicbar import connes_factor_bar, connes_factor_small, ty_agreement_check
 from .errors import CuspkError, TheoremViolation
@@ -34,6 +37,7 @@ SCHEMA = "cuspk.report/1"
 SUITES = ("semigroup", "witt", "kgroups", "prop51", "conjB", "conjC", "all")
 DEFAULT_PAIRS = ((2, 3), (2, 5), (3, 4), (3, 5))
 ROW_FIELDS = ("suite", "a", "b", "m", "p", "q", "statement", "result")
+SKIPPED = "skipped"
 
 
 @dataclass(frozen=True)
@@ -169,50 +173,57 @@ def _cell_kgroups(a, b, prime, r_max):
     return rows
 
 
+def _attempt(rows, suite, statement, compute, **coords):
+    """Append the row of one statement; compute returns (result, details).
+
+    A proved statement that fails is a "fail" row.  Any other toolkit
+    error, such as a resource limit, becomes a "skipped" row carrying
+    the reason, so one cell never ends the sweep.
+    """
+    try:
+        result, details = compute()
+    except TheoremViolation as exc:
+        result, details = "fail", {"error": str(exc)}
+    except CuspkError as exc:
+        result, details = SKIPPED, {"error": type(exc).__name__,
+                                    "reason": str(exc)}
+    rows.append(_row(suite, statement, result, details=details, **coords))
+
+
 def _cell_prop51(a, b, m):
     pr = Params(a, b)
     rows = []
-    try:
-        agreed = ty_agreement_check(pr, m)
-        rows.append(_row("prop51", "triple-agreement", "pass", a=a, b=b, m=m,
-                         details={"homology": str(agreed)}))
-    except TheoremViolation as exc:
-        rows.append(_row("prop51", "triple-agreement", "fail", a=a, b=b, m=m,
-                         details={"error": str(exc)}))
+    at = {"a": a, "b": b, "m": m}
+    _attempt(rows, "prop51", "triple-agreement",
+             lambda: ("pass", {"homology": str(ty_agreement_check(pr, m))}),
+             **at)
     if m % a and m % b:
-        try:
-            factors = {"bar": connes_factor_bar(pr, m),
-                       "small": connes_factor_small(pr, m)}
-            rows.append(_row("prop51", "connes-factor", "pass", a=a, b=b, m=m,
-                             details=factors))
-        except TheoremViolation as exc:
-            rows.append(_row("prop51", "connes-factor", "fail", a=a, b=b, m=m,
-                             details={"error": str(exc)}))
+        _attempt(rows, "prop51", "connes-factor",
+                 lambda: ("pass", {"bar": connes_factor_bar(pr, m),
+                                   "small": connes_factor_small(pr, m)}),
+                 **at)
     return rows
 
 
 def _cell_conjb(a, b, m, budget):
     pr = Params(a, b)
     rows = []
-    try:
+    at = {"a": a, "b": b, "m": m}
+
+    def evidence():
         rep = conjecture_b_homology_check(pr, m, budget)
-        rows.append(_row("conjB", "homology-evidence",
-                         "agree" if rep.agree else "MISMATCH", a=a, b=b, m=m,
-                         details={"x": str(rep.x_summary),
-                                  "y": str(rep.y_summary)}))
-    except TheoremViolation as exc:
-        rows.append(_row("conjB", "homology-evidence", "fail", a=a, b=b, m=m,
-                         details={"error": str(exc)}))
+        return ("agree" if rep.agree else "MISMATCH",
+                {"x": str(rep.x_summary), "y": str(rep.y_summary)})
+
+    def fixed_points(s):
+        fixed_point_check(pr, m, s, budget)
+        return "pass", None
+
+    _attempt(rows, "conjB", "homology-evidence", evidence, **at)
     for s in range(1, m + 1):
-        if m % s:
-            continue
-        try:
-            fixed_point_check(pr, m, s, budget)
-            rows.append(_row("conjB", f"fixed-points/s={s}", "pass",
-                             a=a, b=b, m=m))
-        except TheoremViolation as exc:
-            rows.append(_row("conjB", f"fixed-points/s={s}", "fail",
-                             a=a, b=b, m=m, details={"error": str(exc)}))
+        if m % s == 0:
+            _attempt(rows, "conjB", f"fixed-points/s={s}",
+                     lambda: fixed_points(s), **at)
     return rows
 
 
@@ -246,11 +257,14 @@ def _run_cell(task):
 
 
 def _build_tasks(suite, cfg: SuiteConfig):
+    def m_max(default):
+        return default if cfg.m_max is None else cfg.m_max
+
     tasks = []
     if suite in ("semigroup", "all"):
         for a, b in cfg.pairs:
             tasks.append(("semigroup", {"a": a, "b": b,
-                                        "m_max": cfg.m_max or 5 * a * b,
+                                        "m_max": m_max(5 * a * b),
                                         "r_max": cfg.r_max}))
     if suite in ("witt", "all"):
         tasks.append(("ghost", {"cases": 40}))
@@ -261,16 +275,16 @@ def _build_tasks(suite, cfg: SuiteConfig):
                                           "r_max": cfg.r_max}))
     if suite in ("prop51", "all"):
         for a, b in cfg.pairs:
-            for m in range(1, (cfg.m_max or 12) + 1):
+            for m in range(1, m_max(12) + 1):
                 tasks.append(("prop51", {"a": a, "b": b, "m": m}))
     if suite in ("conjB", "all"):
         for a, b in cfg.pairs:
-            for m in range(1, (cfg.m_max or 12) + 1):
+            for m in range(1, m_max(12) + 1):
                 tasks.append(("conjb", {"a": a, "b": b, "m": m,
                                         "budget": cfg.budget}))
     if suite in ("conjC", "all"):
         for a, b in cfg.pairs:
-            for m in range(1, (cfg.m_max or 2 * a * b) + 1):
+            for m in range(1, m_max(2 * a * b) + 1):
                 tasks.append(("conjc", {"a": a, "b": b, "m": m,
                                         "precision": cfg.precision_bits}))
     return tasks
@@ -302,6 +316,8 @@ def _aggregate_exit(rows):
         return 1
     if any(r["result"] == UNDECIDED for r in rows):
         return 2
+    if any(r["result"] == SKIPPED for r in rows):
+        return 4
     return 0
 
 
@@ -326,7 +342,8 @@ def cmd_verify(suite, cfg: SuiteConfig) -> int:
     for row in rows:
         bucket = {"fail": "fail", "MISMATCH": "mismatch",
                   UNDECIDED: "undecided",
-                  FAILS_CANDIDATE: "candidate"}.get(row["result"], "ok")
+                  FAILS_CANDIDATE: "candidate",
+                  SKIPPED: "skipped"}.get(row["result"], "ok")
         counts[bucket] = counts.get(bucket, 0) + 1
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"{suite}: {len(rows)} rows ({summary}) -> {jsonl}, {digest}")
@@ -428,7 +445,12 @@ def _config_from_args(parser, args) -> SuiteConfig:
         parser.error("--budget must be positive")
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
+    if args.m_max is not None and args.m_max < 1:
+        parser.error("--m-max must be at least 1")
     primes = tuple(args.p) if args.p else (2, 3, 5, 7)
+    for prime in primes:
+        if prime < 2 or any(prime % d == 0 for d in range(2, isqrt(prime) + 1)):
+            parser.error(f"--p {prime} is not a prime")
     return SuiteConfig(pairs=pairs, m_max=args.m_max, primes=primes,
                        r_max=r_max, precision_bits=args.precision,
                        budget=args.budget, out=args.out, jobs=args.jobs)

@@ -7,6 +7,21 @@ check (c1) finds a candidate separating functional by exact LP over
 dyadic midpoint approximations of the vertices and then certifies it with
 interval enclosures of the root-of-unity coordinates.
 
+Both checks certify one polytope per orbit of the dihedral group of Z/m,
+which acts on exponents by e -> s*e + g with s = +-1 and maps the
+polytopes of q_union onto each other.  The translation e -> e + g
+multiplies coordinate n by zeta_m^(g*n), a rotation in each coordinate
+plane, and the reflection e -> -e is complex conjugation.  Both are real
+linear isometries that fix the origin, so the origin lies in one member
+of an orbit exactly when it lies in all of them.  Both are also Q-linear
+automorphisms of Q(zeta_m) (multiplication by a root of unity, and the
+Galois automorphism zeta -> zeta^-1), so they carry the power-basis LP of
+one member onto that of another.  The unit action e -> u*e for other
+units u is not used: it is a Galois automorphism but no isometry, and it
+does not preserve real convex geometry.  conv{1, zeta_5^2, zeta_5^3}
+contains the origin, while its image under u = 2, conv{1, zeta_5^4,
+zeta_5}, does not.
+
 The divisor summand checks (c2/c3) run an exact LP in the power-basis
 coordinates of Q(zeta_m) and report precision_bits 0.  Asking every
 power-basis coordinate outside the summand to vanish asks all Galois
@@ -149,6 +164,34 @@ def q_union(p: Params, m: int) -> list:
     return sorted(seen.values(), key=lambda q: q.vertex_exponents)
 
 
+def _orbits(polys: list, m: int) -> list:
+    """Group q_union output into orbits of the dihedral group of Z/m.
+
+    Returns one list per orbit of (index, s, g) triples, one per member,
+    such that the member polys[index] has the exponents s*e + g (mod m)
+    for e in the representative's.  Orbits come in the order of their
+    representatives, and each representative is its orbit's first member
+    in the order of polys, listed first with s = 1, g = 0.
+    """
+    where = {Q.vertex_exponents: i for i, Q in enumerate(polys)}
+    placed = set()
+    out = []
+    for i, rep in enumerate(polys):
+        if i in placed:
+            continue
+        orbit = []
+        for s in (1, -1):
+            for g in range(m):
+                image = tuple(sorted((s * e + g) % m for e in rep.vertex_exponents))
+                j = where.get(image)
+                assert j is not None, "q_union is closed under the dihedral group"
+                if j not in placed:
+                    placed.add(j)
+                    orbit.append((j, s, g))
+        out.append(sorted(orbit))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # interval geometry
 
@@ -288,17 +331,40 @@ def check_c1(p: Params, m: int, precision: int = DEFAULT_PRECISION) -> Verdict:
     """Statement one: the union polytope avoids the origin.
 
     Vacuous for non-representable m, where the union is empty.  Runs one
-    certification pass per polytope at the given precision; see escalate
-    for the doubling driver.
+    certification pass per dihedral orbit at the given precision; see
+    escalate for the doubling driver.  The orbit maps are real isometries
+    fixing the origin, so a certified separator of the representative
+    decides its whole orbit: every other member gets the witness entry
+    {"vertices", "representative", "translate", "reflect"}, meaning
+    vertices = {s*e + translate : e in representative} (mod m) with
+    s = -1 exactly when reflect, and the witness keeps one entry per
+    polytope in q_union order.  Where the representative is not
+    certified, each member is checked on its own, because interval
+    outcomes depend on the dyadic data of each polytope; the first
+    candidate in q_union order, or else every unresolved polytope, is
+    reported.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if not is_member(p, m):
         return Verdict(HOLDS, 0, witness={"vacuous": "m is not representable"})
+    polys = q_union(p, m)
+    outcomes = [None] * len(polys)
+    for orbit in _orbits(polys, m):
+        rep = polys[orbit[0][0]]
+        state, detail = _separate_origin(rep, precision)
+        outcomes[orbit[0][0]] = state, detail
+        for j, s, g in orbit[1:]:
+            if state == "holds":
+                outcomes[j] = state, {
+                    "vertices": list(polys[j].vertex_exponents),
+                    "representative": list(rep.vertex_exponents),
+                    "translate": g, "reflect": s < 0}
+            else:
+                outcomes[j] = _separate_origin(polys[j], precision)
     separators = []
     undecided = []
-    for Q in q_union(p, m):
-        state, detail = _separate_origin(Q, precision)
+    for state, detail in outcomes:
         if state == "candidate":
             return Verdict(FAILS_CANDIDATE, precision, witness=detail)
         if state == "undecided":
@@ -367,6 +433,74 @@ def _zeta_powers(m: int) -> tuple:
     return tuple(rows)
 
 
+def _summand_hit(exps, m: int, others: list, n0: int, roots: dict):
+    """The summand LP of one polytope.
+
+    Returns (None, None) when no point of the polytope has vanishing
+    coordinates outside the summand, (je, None) when those points pin
+    the summand coordinate to the root zeta_m^je, and (None, witness)
+    when they do not pin it to a root.
+    """
+    table = _zeta_powers(m)
+    deg = len(table[0])
+    columns = []
+    for e in exps:
+        col = []
+        for n in others:
+            col.extend(table[(e * n) % m])
+        col.append(1)
+        columns.append([Fraction(v) for v in col])
+    rhs = [Fraction(0)] * (deg * len(others)) + [Fraction(1)]
+    tab = SimplexTableau(columns, rhs)
+    if tab.status == "infeasible":
+        return None, None
+    point = []
+    for k in range(deg):
+        objective = [Fraction(table[(e * n0) % m][k]) for e in exps]
+        s_hi, hi, _ = tab.optimize(objective, maximize=True)
+        s_lo, lo, _ = tab.optimize(objective, maximize=False)
+        assert s_hi == s_lo == "optimal"
+        if hi != lo:
+            return None, {
+                "vertices": list(exps), "coordinate": k,
+                "spread": [str(lo), str(hi)],
+                "reason": "intersection with the summand is not a point"}
+        point.append(hi)
+    hit = next((je for je in roots
+                if all(Fraction(table[je][k]) == point[k] for k in range(deg))),
+               None)
+    if hit is None:
+        return None, {
+            "vertices": list(exps), "point": [str(v) for v in point],
+            "reason": "intersection point is not a root of the summand"}
+    return hit, None
+
+
+def _summand_hits(polys: list, m: int, others: list, n0: int, roots: dict):
+    """The summand LP of every polytope, solved once per dihedral orbit.
+
+    The member s*e + g of an orbit has the representative's LP up to a
+    Q-linear automorphism of Q(zeta_m), which maps a pinned root
+    zeta_m^je to zeta_m^(s*je + g*n0).  Returns (hits, None), where
+    hits[i] is the root exponent that the LP of polys[i] pins or None
+    where it is infeasible, or (None, witness) for the first
+    representative whose LP does not pin a root.  That representative is
+    its orbit's first member in the order of polys, and every member of
+    an orbit fails with it, so its witness is the one a check of every
+    polytope in that order reports.
+    """
+    hits = [None] * len(polys)
+    for orbit in _orbits(polys, m):
+        rep = polys[orbit[0][0]]
+        je, failure = _summand_hit(rep.vertex_exponents, m, others, n0, roots)
+        if failure is not None:
+            return None, failure
+        if je is not None:
+            for j, s, g in orbit:
+                hits[j] = (s * je + g * n0) % m
+    return hits, None
+
+
 def _divisor_statement(p: Params, m: int, div: int):
     """Exact check that the union meets one divisor summand in its roots.
 
@@ -374,7 +508,8 @@ def _divisor_statement(p: Params, m: int, div: int):
     polytope the points with vanishing coordinates outside the summand
     form a rational LP; when feasible, the image in the summand is pinned
     coordinate by coordinate and compared exactly against the div-th
-    roots of unity.  Returns a status and a witness dictionary.
+    roots of unity.  The LP runs once per dihedral orbit (_summand_hits).
+    Returns a status and a witness dictionary.
     """
     a, b = p.a, p.b
     bz = bezout(p)
@@ -382,44 +517,16 @@ def _divisor_statement(p: Params, m: int, div: int):
     data = weights(p, m)
     J = data.closed_weights
     assert n0 in data.entries
-    table = _zeta_powers(m)
-    deg = len(table[0])
     others = [n for n in J if n != n0]
     roots = {(k * (m // div)) % m: k for k in range(div)}
+    polys = q_union(p, m)
+    hits, failure = _summand_hits(polys, m, others, n0, roots)
+    if failure is not None:
+        return FAILS_CANDIDATE, failure
     found = {}
-    for Q in q_union(p, m):
-        exps = Q.vertex_exponents
-        columns = []
-        for e in exps:
-            col = []
-            for n in others:
-                col.extend(table[(e * n) % m])
-            col.append(1)
-            columns.append([Fraction(v) for v in col])
-        rhs = [Fraction(0)] * (deg * len(others)) + [Fraction(1)]
-        tab = SimplexTableau(columns, rhs)
-        if tab.status == "infeasible":
-            continue
-        point = []
-        for k in range(deg):
-            objective = [Fraction(table[(e * n0) % m][k]) for e in exps]
-            s_hi, hi, _ = tab.optimize(objective, maximize=True)
-            s_lo, lo, _ = tab.optimize(objective, maximize=False)
-            assert s_hi == s_lo == "optimal"
-            if hi != lo:
-                return FAILS_CANDIDATE, {
-                    "vertices": list(exps), "coordinate": k,
-                    "spread": [str(lo), str(hi)],
-                    "reason": "intersection with the summand is not a point"}
-            point.append(hi)
-        hit = next((je for je in roots
-                    if all(Fraction(table[je][k]) == point[k] for k in range(deg))),
-                   None)
-        if hit is None:
-            return FAILS_CANDIDATE, {
-                "vertices": list(exps), "point": [str(v) for v in point],
-                "reason": "intersection point is not a root of the summand"}
-        found.setdefault(roots[hit], list(exps))
+    for Q, je in zip(polys, hits):
+        if je is not None:
+            found.setdefault(roots[je], list(Q.vertex_exponents))
     missing = sorted(set(roots.values()) - set(found))
     if missing:
         return FAILS_CANDIDATE, {"missing_roots": missing,
@@ -437,7 +544,14 @@ def check_c2_c3(p: Params, m: int) -> Verdict:
     root is reached.  The LP works in power-basis coordinates of
     Q(zeta_m), so it asks all Galois conjugates of the coordinates
     outside the summand to vanish together; its equivalence with the
-    statement about the real polytopes is open.  Exact, so the verdict
+    statement about the real polytopes is open.  One LP per dihedral
+    orbit decides the orbit exactly: the member s*e + g has the
+    representative's LP transformed by multiplication with powers of
+    zeta_m and, for s = -1, by the automorphism zeta -> zeta^-1, and both
+    are Q-linear bijections of Q(zeta_m), so feasibility and pinning
+    carry over and the pinned root moves by e -> s*e + g*n0.  The unit
+    action is not used, because c1 and the real form of this statement
+    need isometries (see the module docstring).  Exact, so the verdict
     reports precision_bits 0; the witness holds one entry per divisor,
     "a" and/or "b", each with its own status.
     """

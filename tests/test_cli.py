@@ -2,10 +2,13 @@
 determinism, and the merge tool."""
 
 import json
+import tempfile
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import cuspk.cli as cli
+from cuspk.errors import ResourceBound
 from cuspk.homlinalg import HomologySummary
 from cuspk.polytopelab import UNDECIDED, Verdict
 from cuspk.simplicialx import ConjectureBReport
@@ -97,6 +100,14 @@ class TestVerify:
         assert (seq / "report.jsonl").read_bytes() == \
             (par / "report.jsonl").read_bytes()
 
+    def test_m_max_zero_is_not_the_default(self):
+        cfg = cli.SuiteConfig(pairs=((2, 3),), m_max=0, primes=(2,), r_max=0,
+                              precision_bits=128, budget=64, out=".", jobs=1)
+        tasks = cli._build_tasks("all", cfg)
+        assert sorted(name for name, _ in tasks) == ["ghost", "kgroups",
+                                                    "semigroup"]
+        assert [kw["m_max"] for name, kw in tasks if name == "semigroup"] == [0]
+
     def test_witt_battery(self, tmp_path):
         code, out = run(tmp_path, "verify", "witt")
         assert code == 0
@@ -115,6 +126,10 @@ class TestExitCodes:
                      ["verify", "semigroup", "--a", "2", "--b", "4"],
                      ["verify", "conjC", "--precision", "4"],
                      ["verify", "kgroups", "--q-max", "-1"],
+                     ["verify", "kgroups", "--p", "4"],
+                     ["verify", "kgroups", "--p", "1"],
+                     ["verify", "conjC", "--m-max", "0"],
+                     ["verify", "conjC", "--m-max", "-1"],
                      ["report"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv + ["--out", str(tmp_path)])
@@ -139,6 +154,59 @@ class TestExitCodes:
         code, out = run(tmp_path, "verify", "conjC", "--a", "2", "--b", "3",
                         "--m-max", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("suite,target,statement,skipped", [
+        ("prop51", "ty_agreement_check", "triple-agreement", 3),
+        ("conjB", "fixed_point_check", "fixed-points/", 5)])
+    def test_resource_limit_skips_the_statement(self, tmp_path, monkeypatch,
+                                                capsys, suite, target,
+                                                statement, skipped):
+        def limited(*args):
+            raise ResourceBound("forced limit of 16")
+
+        monkeypatch.setattr(cli, target, limited)
+        code, out = run(tmp_path, "verify", suite, "--a", "2", "--b", "3",
+                        "--m-max", "3")
+        assert code == 4
+        rows = rows_of(out)
+        hit = [r for r in rows if r["statement"].startswith(statement)]
+        assert {r["m"] for r in hit} == {1, 2, 3}
+        assert all(r["result"] == "skipped" for r in hit)
+        assert all(r["details"] == {"error": "ResourceBound",
+                                    "reason": "forced limit of 16"}
+                   for r in hit)
+        assert all(r["result"] != "skipped" for r in rows if r not in hit)
+        assert f"skipped={skipped}" in capsys.readouterr().out
+
+    @given(suite=st.sampled_from(["semigroup", "witt", "kgroups", "prop51",
+                                  "conjB", "conjC"]),
+           pair=st.sampled_from([None, (2, 3), (3, 4), (2, 5), (2, 4)]),
+           m_max=st.sampled_from([3, 1, 5, 0]),
+           primes=st.lists(st.sampled_from([2, 3, 5, 4]), max_size=1),
+           r_max=st.integers(-1, 2),
+           q_max=st.one_of(st.none(), st.integers(-1, 4)),
+           precision=st.sampled_from([8, 16, 64, 4]),
+           budget=st.sampled_from([8, 16, 4096, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_small_arguments_never_raise(self, suite, pair, m_max, primes,
+                                         r_max, q_max, precision, budget):
+        argv = ["verify", suite, "--m-max", str(m_max), "--r-max", str(r_max),
+                "--precision", str(precision), "--budget", str(budget),
+                "--jobs", "1"]
+        if pair is not None:
+            argv += ["--a", str(pair[0]), "--b", str(pair[1])]
+        for prime in primes:
+            argv += ["--p", str(prime)]
+        if q_max is not None:
+            argv += ["--q-max", str(q_max)]
+        with tempfile.TemporaryDirectory() as out:
+            try:
+                code = cli.main(argv + ["--out", out])
+            except SystemExit as exc:
+                code = exc.code
+                assert code == 3
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3, 4)
 
     def test_mismatch_is_finding_not_failure(self, tmp_path, monkeypatch,
                                              capsys):

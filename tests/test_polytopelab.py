@@ -1,16 +1,20 @@
 import json
+from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspk import polytopelab
 from cuspk.errors import PreconditionViolation, WeightOutOfRange
 from cuspk.polytopelab import (FAILS_CANDIDATE, HOLDS, UNDECIDED, UNSUPPORTED,
                                ExponentPolytope, IndexFunction, Verdict,
-                               _cyclotomic, _zeta_powers, check_c1,
-                               check_c2_c3, check_c4, escalate,
+                               _cyclotomic, _interval_prec, _separate_origin,
+                               _summand_hit, _summand_hits, _zeta_powers,
+                               check_c1, check_c2_c3, check_c4, escalate,
                                index_functions, q_union, run_conjecture_checks)
-from cuspk.semigroup import Params, weights
+from cuspk.semigroup import Params, bezout, weights
 
 P23 = Params(2, 3)
 P25 = Params(2, 5)
@@ -66,6 +70,122 @@ class TestQUnion:
         assert [q.vertex_exponents for q in polys] == [
             (0, 2, 4), (0, 3), (1, 3, 5), (1, 4), (2, 5)]
         assert all(q.weights == (3, 4) for q in polys)
+
+
+@st.composite
+def pair_and_weight(draw):
+    a = draw(st.integers(2, 6))
+    b = draw(st.integers(a + 1, 9).filter(lambda b: gcd(a, b) == 1))
+    return Params(a, b), draw(st.integers(1, 20))
+
+
+def _direct_status(outcomes):
+    # the verdict of certifying every polytope on its own, in q_union order
+    states = [state for state, _ in outcomes]
+    if "candidate" in states:
+        return FAILS_CANDIDATE
+    return UNDECIDED if "undecided" in states else HOLDS
+
+
+class TestDihedralOrbits:
+    @given(pair_and_weight())
+    @settings(max_examples=60, deadline=None)
+    def test_q_union_is_closed(self, pm):
+        p, m = pm
+        sets = {frozenset(Q.vertex_exponents) for Q in q_union(p, m)}
+        for S in sets:
+            for s in (1, -1):
+                for g in range(m):
+                    assert frozenset((s * e + g) % m for e in S) in sets
+
+    @pytest.mark.parametrize("p", [P23, P34])
+    def test_orbit_verdicts_match_every_polytope(self, p):
+        for m in range(1, 13):
+            polys = q_union(p, m)
+            direct = [_separate_origin(Q, 128) for Q in polys]
+            v = check_c1(p, m, precision=128)
+            assert v.status == _direct_status(direct), m
+            if polys and v.status == HOLDS:
+                got = v.witness["separators"]
+                assert len(got) == len(polys)
+                for entry, (_, detail) in zip(got, direct):
+                    if "functional" in entry:
+                        assert entry == detail
+            if m % p.a and m % p.b:
+                continue
+            parts = check_c2_c3(p, m).witness
+            bz = bezout(p)
+            for key, div, n0 in (("a", p.a, bz.c * m // p.a),
+                                 ("b", p.b, bz.d * m // p.b)):
+                if m % div:
+                    continue
+                others = [n for n in weights(p, m).closed_weights if n != n0]
+                roots = {(k * (m // div)) % m: k for k in range(div)}
+                direct = []
+                found = {}
+                for Q in polys:
+                    je, failure = _summand_hit(Q.vertex_exponents, m, others,
+                                               n0, roots)
+                    assert failure is None, (m, key, Q)
+                    direct.append(je)
+                    if je is not None:
+                        found.setdefault(str(roots[je]), list(Q.vertex_exponents))
+                assert _summand_hits(polys, m, others, n0, roots) == (direct, None)
+                assert parts[key]["status"] == HOLDS
+                assert parts[key]["intersections"] == dict(sorted(found.items()))
+
+    def test_summand_hits_follow_the_reflection(self, monkeypatch):
+        # no summand LP on the conjC grid pins a root moved by e -> -e, so
+        # stand in a chiral orbit in Z/7 whose "LP" pins the centroid
+        # 3^-1 * sum(E): it moves under e -> s*e + g as a root with n0 = 1
+        m, n0 = 7, 1
+        sets = {tuple(sorted((s * e + g) % m for e in (0, 1, 3)))
+                for s in (1, -1) for g in range(m)}
+        polys = [ExponentPolytope(m=m, weights=(n0,), vertex_exponents=E)
+                 for E in sorted(sets)]
+        assert len(polys) == 2 * m
+
+        def centroid(exps, *args):
+            return 5 * sum(exps) % m, None
+
+        monkeypatch.setattr(polytopelab, "_summand_hit", centroid)
+        roots = {j: j for j in range(m)}
+        hits, failure = _summand_hits(polys, m, [], n0, roots)
+        assert failure is None
+        assert hits == [centroid(Q.vertex_exponents)[0] for Q in polys]
+
+    @pytest.mark.parametrize("p,m", [(P23, 5), (P23, 12), (P25, 14), (P34, 12)])
+    def test_transferred_witnesses_map_representatives(self, p, m):
+        v = check_c1(p, m)
+        assert v.status == HOLDS
+        entries = v.witness["separators"]
+        assert [e["vertices"] for e in entries] == \
+            [list(Q.vertex_exponents) for Q in q_union(p, m)]
+        certified = [e for e in entries if "functional" in e]
+        reps = {tuple(e["vertices"]) for e in certified}
+        assert len(certified) < len(entries)
+        for e in entries:
+            if "functional" in e:
+                continue
+            assert tuple(e["representative"]) in reps
+            s = -1 if e["reflect"] else 1
+            image = sorted((s * x + e["translate"]) % m
+                           for x in e["representative"])
+            assert image == e["vertices"]
+        # each representative's functional is positive on its vertices
+        ws = weights(p, m).closed_weights
+        iv = mpmath.iv
+        with _interval_prec(128):
+            for e in certified:
+                h = [iv.mpf(f.numerator) / iv.mpf(f.denominator)
+                     for f in map(Fraction, e["functional"])]
+                for x in e["vertices"]:
+                    dot = iv.mpf(0)
+                    for k, n in enumerate(ws):
+                        angle = 2 * iv.pi * ((x * n) % m) / m
+                        dot += h[2 * k] * iv.cos(angle)
+                        dot += h[2 * k + 1] * iv.sin(angle)
+                    assert dot.a > 0
 
 
 class TestOriginCheck:
