@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import os
-import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,12 +25,10 @@ from .cyclicbar import connes_factor_bar, connes_factor_small, ty_agreement_chec
 from .errors import CuspkError, TheoremViolation
 from .polytopelab import (DEFAULT_PRECISION, FAILS_CANDIDATE, HOLDS,
                           MAX_PRECISION, UNDECIDED, run_conjecture_checks)
-from .semigroup import (Params, TruncationSet, divide_set, ell, is_member,
-                        truncation_S)
+from .semigroup import Params, divide_set, ell, is_member, truncation_S
 from .simplicialx import (DEFAULT_BUDGET, conjecture_b_homology_check,
                           fixed_point_check)
-from .wittlab import (GhostWittElement, ghost, relative_k_group, unghost,
-                      witt_F, witt_V, witt_mul)
+from .wittlab import identity_failures, relative_k_group
 
 SCHEMA = "cuspk.report/1"
 SUITES = ("semigroup", "witt", "kgroups", "prop51", "conjB", "conjC", "all")
@@ -106,71 +103,11 @@ def _cell_semigroup(a, b, m_max, r_max):
     return rows
 
 
-def _divisors_set(n):
-    return TruncationSet(d for d in range(1, n + 1) if n % d == 0)
-
-
-def _witt_scale(k, x):
-    return unghost(x.S, {n: k * v for n, v in ghost(x).items()})
-
-
-def _rand_elt(rng, S):
-    return GhostWittElement.of(S, {n: rng.randint(-3, 3) for n in S})
-
-
 def _cell_ghost_identities(cases):
-    rng = random.Random(20240811)
-    S = _divisors_set(24)
-    half = {n: divide_set(S, n) for n in (2, 3, 4, 6, 8, 12, 24)}
-    failures = {key: 0 for key in
-                ("frobenius-composition", "verschiebung-composition",
-                 "frobenius-verschiebung", "coprime-commutation",
-                 "projection-formula")}
-    pairs = [(2, 3), (2, 2), (3, 4), (2, 12), (4, 6), (2, 4)]
-    for _ in range(cases):
-        for nm in pairs:
-            n, m = nm
-            x = _rand_elt(rng, S)
-            if witt_F(half[n], m, witt_F(S, n, x)) != witt_F(S, n * m, x):
-                failures["frobenius-composition"] += 1
-            y = _rand_elt(rng, half[n * m])
-            lhs = witt_V(S, n, witt_V(half[n], m, y))
-            if lhs != witt_V(S, n * m, y):
-                failures["verschiebung-composition"] += 1
-        n = rng.choice([2, 3, 4, 6, 8, 12])
-        y = _rand_elt(rng, half[n])
-        if witt_F(S, n, witt_V(S, n, y)) != _witt_scale(n, y):
-            failures["frobenius-verschiebung"] += 1
-        z = _rand_elt(rng, half[3])
-        one_way = witt_F(S, 2, witt_V(S, 3, z))
-        other = witt_V(half[2], 3, witt_F(half[3], 2, z))
-        if one_way != other:
-            failures["coprime-commutation"] += 1
-        n = rng.choice([2, 3, 4, 6])
-        x, y = _rand_elt(rng, S), _rand_elt(rng, half[n])
-        if witt_mul(x, witt_V(S, n, y)) != witt_V(S, n, witt_mul(witt_F(S, n, x), y)):
-            failures["projection-formula"] += 1
+    failures = identity_failures(cases, seed=20240811)
     return [_row("witt", stmt, "pass" if bad == 0 else "fail",
                  details={"cases": cases, "failures": bad})
             for stmt, bad in sorted(failures.items())]
-
-
-def _cell_kgroups(a, b, prime, r_max):
-    rows = []
-    for r in range(r_max + 1):
-        q = 2 * r
-        try:
-            res = relative_k_group(Params(a, b), prime, q)
-        except (TheoremViolation, CuspkError) as exc:
-            rows.append(_row("kgroups", "k-group", "fail", a=a, b=b, p=prime,
-                             q=q, details={"error": str(exc)}))
-            continue
-        factors = ",".join(str(v) for v in res.invariant_factors) or "0"
-        rows.append(_row("kgroups", "k-group", factors, a=a, b=b, p=prime, q=q,
-                         details={"length": res.length,
-                                  "expected_length": res.expected_length,
-                                  "perfect_field_only": res.perfect_field_only}))
-    return rows
 
 
 def _attempt(rows, suite, statement, compute, **coords):
@@ -188,6 +125,24 @@ def _attempt(rows, suite, statement, compute, **coords):
         result, details = SKIPPED, {"error": type(exc).__name__,
                                     "reason": str(exc)}
     rows.append(_row(suite, statement, result, details=details, **coords))
+
+
+def _cell_kgroups(a, b, prime, r_max):
+    pr = Params(a, b)
+    rows = []
+
+    def kgroup(q):
+        res = relative_k_group(pr, prime, q)
+        factors = ",".join(str(v) for v in res.invariant_factors) or "0"
+        return factors, {"length": res.length,
+                         "expected_length": res.expected_length,
+                         "perfect_field_only": res.perfect_field_only}
+
+    for r in range(r_max + 1):
+        q = 2 * r
+        _attempt(rows, "kgroups", "k-group", lambda: kgroup(q),
+                 a=a, b=b, p=prime, q=q)
+    return rows
 
 
 def _cell_prop51(a, b, m):

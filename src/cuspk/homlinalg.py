@@ -7,6 +7,11 @@ generator lifts), mapping cones, and an exact rational simplex tableau
 that runs phase 1 once and warm-starts every objective from its feasible
 basis, used for convex separation and summand certificates.
 
+The Smith form needs no divisibility repair: the elimination extracts
+its pivots in an order where each divides the next (unit pivots first,
+then each non-unit pivot only once it divides everything left), and
+that order is the returned diagonal.
+
 No floating point enters this module; torsion results are exact and the
 LP certificates can be re-verified by direct substitution.
 """
@@ -14,10 +19,8 @@ LP certificates can be re-verified by direct substitution.
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from cuspk.errors import ComplexInvalid, DimensionMismatch, NotAChainMap
 
@@ -139,9 +142,6 @@ class SNFResult:
     @property
     def D(self) -> SparseIntMatrix:
         return SparseIntMatrix.diagonal(self.diag, self.nrows, self.ncols)
-
-    def __iter__(self):
-        return iter((self.U, self.D, self.V))
 
 
 class _SnfWork:
@@ -308,55 +308,30 @@ def _snf_work_run(work: _SnfWork):
             pivots.append((r0, c0, abs(v)))
             push(r0)
             continue
-        # no unit entries anywhere: general phase on smallest-magnitude entry
-        r0, c0, v0 = None, None, None
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                if v0 is None or abs(v) < v0:
-                    r0, c0, v0 = r, c, abs(v)
+        # no unit entries anywhere: general phase on the smallest-magnitude
+        # entry, rescanned after every step because a remainder may undercut it
         while True:
-            if eliminate(r0, c0):
-                # pivot isolated; enforce divisibility into the rest
-                v = abs(rows[r0][c0])
-                offender = None
-                for r, row in enumerate(rows):
-                    if r == r0:
-                        continue
-                    for c, w in row.items():
-                        if w % v:
-                            offender = r
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    pivots.append((r0, c0, v))
-                    del rows[r0][c0]
-                    cols[c0].discard(r0)
-                    break
-                work.row_add(r0, offender, 1)
-            # pivot position may no longer hold the smallest entry; rescan
             r0, c0, v0 = None, None, None
             for r, row in enumerate(rows):
                 for c, v in row.items():
                     if v0 is None or abs(v) < v0:
                         r0, c0, v0 = r, c, abs(v)
+            if not eliminate(r0, c0):
+                continue
+            # pivot isolated, so its row holds only v; extract it only once
+            # it divides every remaining entry
+            v = abs(rows[r0][c0])
+            offender = next((r for r, row in enumerate(rows)
+                             for w in row.values() if w % v), None)
+            if offender is None:
+                pivots.append((r0, c0, v))
+                del rows[r0][c0]
+                cols[c0].discard(r0)
+                break
+            work.row_add(r0, offender, 1)
         heap = [(len(row), r) for r, row in enumerate(rows) if row]
         heapq.heapify(heap)
     return pivots
-
-
-def _pairwise_normalize(diag: list) -> list:
-    d = [abs(x) for x in diag]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if d[j] % d[i]:
-                    g = gcd(d[i], d[j])
-                    d[i], d[j] = g, d[i] // g * d[j]
-                    changed = True
-    return sorted(d)
 
 
 def smith_normal_form(matrix: SparseIntMatrix, transforms: bool = False) -> SNFResult:
@@ -366,151 +341,38 @@ def smith_normal_form(matrix: SparseIntMatrix, transforms: bool = False) -> SNFR
     U, V unimodular, and carries the inverses as well.  Factor-only mode
     skips all transform bookkeeping and is considerably faster; it returns
     the same invariant factors.
+
+    Both modes return the pivots in the order the elimination extracts
+    them, and that order already satisfies d_1 | d_2 | ...: every unit
+    pivot is extracted before any other, and the general phase extracts a
+    non-unit pivot v only once v divides every remaining entry.  Later row
+    and column operations are integer combinations, so the remaining
+    entries stay multiples of v and each later pivot is one of them.  No
+    gcd/lcm repair of the diagonal is needed; the chain is asserted.
     """
     work = _SnfWork(matrix, transforms)
     pivots = _snf_work_run(work)
-    if not transforms:
-        return SNFResult(diag=_pairwise_normalize([v for _, _, v in pivots]),
-                         nrows=matrix.nrows, ncols=matrix.ncols)
-
-    # permute pivots to the leading diagonal, non-unit values last so the
-    # divisibility fixes stay among trailing entries
-    pivots.sort(key=lambda p: p[2])
-    m, n = work.m, work.n
-    row_perm = {}
-    col_perm = {}
-    k = 0
-    for r, c, v in pivots:
-        row_perm[r] = k
-        col_perm[c] = k
-        k += 1
-    rest = k
-    for r in range(m):
-        if r not in row_perm:
-            row_perm[r] = rest
-            rest += 1
-    rest = k
-    for c in range(n):
-        if c not in col_perm:
-            col_perm[c] = rest
-            rest += 1
-
     diag = [v for _, _, v in pivots]
-    U = [work.U[r] for r in sorted(range(m), key=lambda r: row_perm[r])]
-    Uic_cols = [work.Uic[r] for r in sorted(range(m), key=lambda r: row_perm[r])]
-    Vc_cols = [work.Vc[c] for c in sorted(range(n), key=lambda c: col_perm[c])]
-    Vir = [work.Vir[c] for c in sorted(range(n), key=lambda c: col_perm[c])]
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:])), diag
+    if not transforms:
+        return SNFResult(diag=diag, nrows=matrix.nrows, ncols=matrix.ncols)
 
-    Umat = SparseIntMatrix(m, m, {(i, c): v for i, row in enumerate(U)
-                                  for c, v in row.items()})
-    Uinv = SparseIntMatrix(m, m, {(r, j): v for j, col in enumerate(Uic_cols)
-                                  for r, v in col.items()})
-    Vmat = SparseIntMatrix(n, n, {(r, j): v for j, col in enumerate(Vc_cols)
-                                  for r, v in col.items()})
-    Vinv = SparseIntMatrix(n, n, {(i, c): v for i, row in enumerate(Vir)
-                                  for c, v in row.items()})
-
-    res = SNFResult(diag=diag, nrows=m, ncols=n,
-                    U=Umat, Uinv=Uinv, V=Vmat, Vinv=Vinv)
-    _fix_divisibility(res)
-    return res
-
-
-def _fix_divisibility(res: SNFResult) -> None:
-    """Restore d_i | d_{i+1} among the pivot diagonal, updating transforms."""
-    diag = res.diag
-    k = len(diag)
-    if k < 2:
-        return
-    # operate on the k x k leading block with fresh dense work; sizes here
-    # are the pivot count, and the block is diagonal so ops stay local
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k):
-            for j in range(i + 1, k):
-                if diag[j] % diag[i]:
-                    _fix_pair(res, i, j)
-                    changed = True
-
-
-def _fix_pair(res: SNFResult, i: int, j: int) -> None:
-    # replace diag positions (p, q) by (gcd, lcm) via unimodular ops
-    p, q = res.diag[i], res.diag[j]
-    g = gcd(p, q)
-    # extended gcd: alpha*p + beta*q = g
-    alpha, beta = _bezout_coeffs(p, q)
-    lcm = p // g * q
-    # 2x2 transformation: [[alpha, beta], [-q/g, p/g]] @ diag(p, q) @
-    #   [[1, -beta*q/g], [1, alpha*p/g]] = diag(g, lcm)
-    L = [[alpha, beta], [-(q // g), p // g]]
-    R = [[1, -beta * (q // g)], [1, alpha * (p // g)]]
-    assert L[0][0] * L[1][1] - L[0][1] * L[1][0] == 1
-    assert R[0][0] * R[1][1] - R[0][1] * R[1][0] == 1
-    # check the product is the target diagonal
-    M = [[L[0][0] * p * R[0][0] + L[0][1] * q * R[1][0],
-          L[0][0] * p * R[0][1] + L[0][1] * q * R[1][1]],
-         [L[1][0] * p * R[0][0] + L[1][1] * q * R[1][0],
-          L[1][0] * p * R[0][1] + L[1][1] * q * R[1][1]]]
-    assert M == [[g, 0], [0, lcm]], M
-    res.diag[i], res.diag[j] = g, lcm
-    _apply_two_by_two(res, i, j, L, R)
-
-
-def _bezout_coeffs(p: int, q: int) -> tuple:
-    old_r, r = p, q
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    assert old_r == gcd(p, q)
-    return old_s, old_t
-
-
-def _apply_two_by_two(res: SNFResult, i: int, j: int, L, R) -> None:
-    # U <- L' U (rows i, j), Uinv <- Uinv L'^{-1} (cols), V <- V R (cols),
-    # Vinv <- R^{-1} Vinv (rows); inverses of unimodular 2x2 are adjugates.
-    def rows_combine(mat: SparseIntMatrix, i, j, T):
-        ri = dict(mat._rows[i])
-        rj = dict(mat._rows[j])
-        new_i: dict[int, int] = {}
-        new_j: dict[int, int] = {}
-        for c in set(ri) | set(rj):
-            a, b = ri.get(c, 0), rj.get(c, 0)
-            vi = T[0][0] * a + T[0][1] * b
-            vj = T[1][0] * a + T[1][1] * b
-            if vi:
-                new_i[c] = vi
-            if vj:
-                new_j[c] = vj
-        mat._rows[i] = new_i
-        mat._rows[j] = new_j
-
-    def cols_combine(mat: SparseIntMatrix, i, j, T):
-        # columns i, j <- (col_i, col_j) @ T
-        rows = mat._rows
-        for r in range(mat.nrows):
-            a = rows[r].get(i, 0)
-            b = rows[r].get(j, 0)
-            if a == 0 and b == 0:
-                continue
-            vi = a * T[0][0] + b * T[1][0]
-            vj = a * T[0][1] + b * T[1][1]
-            for c, v in ((i, vi), (j, vj)):
-                if v:
-                    rows[r][c] = v
-                elif c in rows[r]:
-                    del rows[r][c]
-
-    Linv = [[L[1][1], -L[0][1]], [-L[1][0], L[0][0]]]
-    Rinv = [[R[1][1], -R[0][1]], [-R[1][0], R[0][0]]]
-    rows_combine(res.U, i, j, L)
-    cols_combine(res.Uinv, i, j, Linv)
-    cols_combine(res.V, i, j, R)
-    rows_combine(res.Vinv, i, j, Rinv)
+    # move the pivots to the leading diagonal in extraction order
+    m, n = work.m, work.n
+    pivot_rows = {r for r, _, _ in pivots}
+    pivot_cols = {c for _, c, _ in pivots}
+    row_order = [r for r, _, _ in pivots] + \
+        [r for r in range(m) if r not in pivot_rows]
+    col_order = [c for _, c, _ in pivots] + \
+        [c for c in range(n) if c not in pivot_cols]
+    Umat = SparseIntMatrix._from_rows(m, m, [work.U[r] for r in row_order])
+    Vinv = SparseIntMatrix._from_rows(n, n, [work.Vir[c] for c in col_order])
+    Uinv = SparseIntMatrix(m, m, {(r, j): v for j, i in enumerate(row_order)
+                                  for r, v in work.Uic[i].items()})
+    Vmat = SparseIntMatrix(n, n, {(r, j): v for j, c in enumerate(col_order)
+                                  for r, v in work.Vc[c].items()})
+    return SNFResult(diag=diag, nrows=m, ncols=n,
+                     U=Umat, Uinv=Uinv, V=Vmat, Vinv=Vinv)
 
 
 def snf_diagonal(matrix: SparseIntMatrix) -> list:
@@ -659,20 +521,12 @@ class HomologyEngine:
         k = C.dim(q) - r  # kernel rank
         # kernel basis: columns r.. of V
         kernel_cols = [lower.V.column_vector(r + i) for i in range(k)]
-        # image of d_{q+1} in kernel coordinates
-        upper = C.boundary(q + 1)
-        rel_entries = {}
-        for jcol in range(upper.ncols):
-            col = upper.column_vector(jcol)
-            coords = lower.Vinv.matvec(col)
-            # d_q о d_{q+1} = 0 forces the non-kernel coordinates to vanish
-            if any(coords[i] for i in range(r)):
-                raise ComplexInvalid("boundary image is not a cycle")
-            for i in range(k):
-                v = coords[r + i]
-                if v:
-                    rel_entries[(i, jcol)] = v
-        B = SparseIntMatrix(k, upper.ncols, rel_entries)
+        # image of d_{q+1} in the coordinates of V; d_q о d_{q+1} = 0 forces
+        # rows ..r-1 to vanish, and rows r.. are the relations on the kernel
+        image = lower.Vinv @ C.boundary(q + 1)
+        if any(image.row(i) for i in range(r)):
+            raise ComplexInvalid("boundary image is not a cycle")
+        B = SparseIntMatrix._from_rows(k, image.ncols, image._rows[r:])
         rel = smith_normal_form(B, transforms=True)
         gens = []
         for i in range(k):

@@ -12,13 +12,15 @@ form.
 Over the integers, Witt vectors are handled through ghost coordinates
 w_n(x) = sum_{d | n} d * x_d^{n/d}; sums and products are computed
 ghostwise and pulled back, with every inverse step checked for exact
-divisibility.
+divisibility.  identity_failures checks the Frobenius/Verschiebung
+identities on random vectors; the `witt` suite and the acceptance tests
+both run it.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from math import gcd
 
 from cuspk.errors import IntegralityViolation, TheoremViolation
 from cuspk.homlinalg import HomologySummary, SparseIntMatrix, snf_diagonal
@@ -272,12 +274,6 @@ class GhostWittElement:
         coords = tuple((n, int(mapping.get(n, 0))) for n in S)
         return cls(S=S, coords=coords)
 
-    def coord(self, n: int) -> int:
-        for m, v in self.coords:
-            if m == n:
-                return v
-        raise KeyError(n)
-
     def as_dict(self) -> dict:
         return dict(self.coords)
 
@@ -357,3 +353,55 @@ def witt_restrict(T: TruncationSet, x: GhostWittElement) -> GhostWittElement:
         raise ValueError("T must be contained in the truncation set of x")
     xd = x.as_dict()
     return GhostWittElement.of(T, {n: xd[n] for n in T})
+
+
+# ---------------------------------------------------------------------------
+# randomized identity battery
+
+IDENTITY_PAIRS = ((2, 3), (2, 2), (3, 4), (2, 12), (4, 6), (2, 4), (3, 8),
+                  (6, 4))
+IDENTITIES = ("coprime-commutation", "frobenius-composition",
+              "frobenius-verschiebung", "projection-formula",
+              "verschiebung-composition")
+
+
+def identity_failures(cases: int, seed: int) -> dict:
+    """Failure count of each Witt identity over random vectors on S = {d | 24}.
+
+    Each case checks F_m F_n = F_nm and V_n V_m = V_nm for every pair in
+    IDENTITY_PAIRS, then F_k V_k y = k y, F_2 V_3 = V_3 F_2 and the projection
+    formula x * V_k y = V_k(F_k x * y) once each, so it checks
+    2 * len(IDENTITY_PAIRS) + 3 identity instances.  Witt coordinates are
+    drawn from [-4, 4] by random.Random(seed).
+    """
+    rng = random.Random(seed)
+    S = TruncationSet(d for d in range(1, 25) if 24 % d == 0)
+    sub = {n: divide_set(S, n) for n in (2, 3, 4, 6, 8, 12, 24)}
+    failures = dict.fromkeys(IDENTITIES, 0)
+
+    def rand(T):
+        return GhostWittElement.of(T, {n: rng.randint(-4, 4) for n in T})
+
+    def check(name, holds):
+        if not holds:
+            failures[name] += 1
+
+    for _ in range(cases):
+        for n, m in IDENTITY_PAIRS:
+            x = rand(S)
+            check("frobenius-composition",
+                  witt_F(sub[n], m, witt_F(S, n, x)) == witt_F(S, n * m, x))
+            y = rand(sub[n * m])
+            check("verschiebung-composition",
+                  witt_V(S, n, witt_V(sub[n], m, y)) == witt_V(S, n * m, y))
+        k = rng.choice([2, 3, 4, 6, 8, 12])
+        z = rand(sub[k])
+        scaled = unghost(z.S, {n: k * v for n, v in ghost(z).items()})
+        check("frobenius-verschiebung", witt_F(S, k, witt_V(S, k, z)) == scaled)
+        w = rand(sub[3])
+        check("coprime-commutation", witt_F(S, 2, witt_V(S, 3, w)) ==
+              witt_V(sub[2], 3, witt_F(sub[3], 2, w)))
+        u, v = rand(S), rand(sub[k])
+        check("projection-formula", witt_mul(u, witt_V(S, k, v)) ==
+              witt_V(S, k, witt_mul(witt_F(S, k, u), v)))
+    return failures

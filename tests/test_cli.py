@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import cuspk.cli as cli
-from cuspk.errors import ResourceBound
+from cuspk.errors import ResourceBound, TheoremViolation
 from cuspk.homlinalg import HomologySummary
 from cuspk.polytopelab import UNDECIDED, Verdict
 from cuspk.simplicialx import ConjectureBReport
@@ -177,6 +177,24 @@ class TestExitCodes:
                    for r in hit)
         assert all(r["result"] != "skipped" for r in rows if r not in hit)
         assert f"skipped={skipped}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("error,result,exit_code,details", [
+        (TheoremViolation("forced"), "fail", 1, {"error": "forced"}),
+        (ResourceBound("forced limit of 16"), "skipped", 4,
+         {"error": "ResourceBound", "reason": "forced limit of 16"})])
+    def test_kgroup_errors_become_rows(self, tmp_path, monkeypatch, error,
+                                       result, exit_code, details):
+        def broken(p, prime, q):
+            raise error
+
+        monkeypatch.setattr(cli, "relative_k_group", broken)
+        code, out = run(tmp_path, "verify", "kgroups", "--a", "2", "--b", "3",
+                        "--p", "5", "--r-max", "2")
+        assert code == exit_code
+        rows = rows_of(out)
+        assert [r["q"] for r in rows] == [0, 2, 4]
+        assert all(r["result"] == result for r in rows)
+        assert all(r["details"] == details for r in rows)
 
     @given(suite=st.sampled_from(["semigroup", "witt", "kgroups", "prop51",
                                   "conjB", "conjC"]),

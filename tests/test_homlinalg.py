@@ -64,13 +64,16 @@ def invariant_factors_oracle(dense):
     return factors
 
 
-def dense_matrices(max_dim=4, max_entry=6):
+def dense_matrices(max_dim=4, entries=st.integers(min_value=-6, max_value=6)):
     return st.integers(min_value=1, max_value=max_dim).flatmap(
         lambda m: st.integers(min_value=1, max_value=max_dim).flatmap(
-            lambda n: st.lists(
-                st.lists(st.integers(min_value=-max_entry, max_value=max_entry),
-                         min_size=n, max_size=n),
-                min_size=m, max_size=m)))
+            lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=m, max_size=m)))
+
+
+# no unit entries: the first pivot, and every pivot above 1, comes from the
+# general phase of the elimination rather than the unit phase
+NON_UNIT = st.sampled_from([0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9])
 
 
 class TestSmithNormalForm:
@@ -82,14 +85,14 @@ class TestSmithNormalForm:
         assert snf_diagonal(SparseIntMatrix(3, 2)) == []
         assert snf_diagonal(SparseIntMatrix.identity(4)) == [1, 1, 1, 1]
 
-    @given(dense_matrices())
-    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(dense_matrices(), dense_matrices(entries=NON_UNIT)))
+    @settings(max_examples=400, deadline=None)
     def test_matches_determinant_divisors(self, dense):
         M = SparseIntMatrix.from_dense(dense)
         assert snf_diagonal(M) == invariant_factors_oracle(dense)
 
-    @given(dense_matrices())
-    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(dense_matrices(), dense_matrices(entries=NON_UNIT)))
+    @settings(max_examples=300, deadline=None)
     def test_transforms_are_exact(self, dense):
         M = SparseIntMatrix.from_dense(dense)
         res = smith_normal_form(M, transforms=True)
@@ -154,6 +157,13 @@ def projective_plane_complex():
     return ChainComplex(basis, boundaries)
 
 
+def diagonal_complex(*diag):
+    # C_1 -> C_0 with boundary diag(d_1, d_2, ...); H_0 = sum of Z/d_i
+    n = len(diag)
+    basis = {0: [f"x{i}" for i in range(n)], 1: [f"e{i}" for i in range(n)]}
+    return ChainComplex(basis, {1: SparseIntMatrix.diagonal(diag, n, n)})
+
+
 class TestHomology:
     def test_circle(self):
         assert homology(circle_complex()) == HomologySummary.of(
@@ -190,9 +200,29 @@ class TestHomology:
             assert C.euler_characteristic() == homology(C).euler_characteristic()
 
     def test_engine_matches_fast_path(self):
-        for C in (circle_complex(), sphere_complex(), projective_plane_complex()):
+        for C in (circle_complex(), sphere_complex(), projective_plane_complex(),
+                  diagonal_complex(2, 3), diagonal_complex(4, 6)):
             eng = HomologyEngine(C)
             assert eng.summary() == homology(C)
+        for diag, torsion in (((2, 3), (6,)), ((4, 6), (2, 12))):
+            C = diagonal_complex(*diag)
+            eng = HomologyEngine(C)
+            assert eng.group(0) == (0, torsion)
+            gens = eng.generators(0)
+            assert [order for order, _ in gens] == list(torsion)
+            zero = [0] * len(gens)
+            for i, (order, chain) in enumerate(gens):
+                assert eng.coordinates(0, chain) == \
+                    [int(j == i) for j in range(len(gens))]
+                multiple = {lbl: order * v for lbl, v in chain.items()}
+                assert eng.coordinates(0, multiple) == zero
+            # the class of x_i has order d_i, and so must its coordinates
+            for i, d in enumerate(diag):
+                coords = eng.coordinates(0, {f"x{i}": 1})
+                assert all(c < t for c, t in zip(coords, torsion))
+                assert [t for t in range(1, d + 1)
+                        if all(t * c % o == 0 for c, o in zip(coords, torsion))
+                        ][0] == d
 
     def test_engine_generators_are_cycles_with_right_orders(self):
         C = projective_plane_complex()
