@@ -392,7 +392,7 @@ class ChainComplex:
     not present are zero.  Construction checks d о d = 0.
     """
 
-    def __init__(self, basis: dict, boundaries: dict, check: bool = True):
+    def __init__(self, basis: dict, boundaries: dict):
         self.basis = {q: list(lbls) for q, lbls in basis.items() if lbls}
         self.boundaries = {}
         for q, mat in boundaries.items():
@@ -401,11 +401,10 @@ class ChainComplex:
                 raise DimensionMismatch(
                     f"boundary at degree {q} is {mat.nrows}x{mat.ncols}, expected {want}")
             self.boundaries[q] = mat
-        if check:
-            for q in list(self.boundaries):
-                upper = self.boundaries.get(q + 1)
-                if upper is not None and not (self.boundaries[q] @ upper).is_zero():
-                    raise ComplexInvalid(f"d_{q} о d_{q + 1} != 0")
+        for q in list(self.boundaries):
+            upper = self.boundaries.get(q + 1)
+            if upper is not None and not (self.boundaries[q] @ upper).is_zero():
+                raise ComplexInvalid(f"d_{q} о d_{q + 1} != 0")
 
     def dim(self, q: int) -> int:
         return len(self.basis.get(q, ()))

@@ -3,9 +3,13 @@
 The vertex data of every polytope here is exact integer combinatorics:
 residues e mod m standing for the point (zeta_m^(e*n))_n indexed by the
 weight set.  Geometry appears only in the convexity tests.  The origin
-check (c1) finds a candidate separating functional by exact LP over
-dyadic midpoint approximations of the vertices and then certifies it with
-interval enclosures of the root-of-unity coordinates.
+check (c1) runs one exact simplex tableau over {h : h . v >= 1 for every
+dyadic midpoint approximation v of a vertex}.  When it is feasible, the
+l1-least such h is a candidate separating functional, certified with
+interval enclosures of the root-of-unity coordinates; when it is
+infeasible, its Farkas functional is an exact convex combination of the
+midpoints at the origin, and the same enclosures bound the image of that
+combination under the true vertices.
 
 Both checks certify one polytope per orbit of the dihedral group of Z/m,
 which acts on exponents by e -> s*e + g with s = +-1 and maps the
@@ -45,7 +49,7 @@ from itertools import combinations
 import mpmath
 
 from .errors import PreconditionViolation, WeightOutOfRange
-from .homlinalg import SimplexTableau, lp_optimize, lp_separate
+from .homlinalg import SimplexTableau
 from .semigroup import Params, bezout, is_member, weights
 
 HOLDS = "HOLDS"
@@ -237,55 +241,33 @@ def _iv_vertex(m: int, e: int, ws) -> list:
     return coords
 
 
-def _max_margin_separator(mids):
-    """Best box-normalized separating functional for the midpoint vertices.
-
-    Maximizes delta subject to h . v >= delta for every midpoint v and
-    |h_j| <= 1, via the exact simplex in standard form (h split into
-    positive parts, one slack per point, one box slack per coordinate).
-    Returns (delta, h); delta > 0 certifies midpoint separation with the
-    fattest margin the box allows, which keeps the interval step robust.
-    """
-    npts, dim = len(mids), len(mids[0])
-    rows = npts + dim
-    cols = []
-    for sign in (1, -1):
-        for j in range(dim):
-            col = [Fraction(sign) * mids[i][j] for i in range(npts)]
-            col += [Fraction(1 if k == j else 0) for k in range(dim)]
-            cols.append(col)
-    cols.append([Fraction(-1)] * npts + [Fraction(0)] * dim)
-    cols.append([Fraction(1)] * npts + [Fraction(0)] * dim)
-    for i in range(npts):
-        col = [Fraction(0)] * rows
-        col[i] = Fraction(-1)
-        cols.append(col)
-    for j in range(dim):
-        col = [Fraction(0)] * rows
-        col[npts + j] = Fraction(1)
-        cols.append(col)
-    rhs = [Fraction(0)] * npts + [Fraction(1)] * dim
-    objective = [Fraction(0)] * len(cols)
-    objective[2 * dim] = Fraction(1)
-    objective[2 * dim + 1] = Fraction(-1)
-    status, value, lam = lp_optimize(cols, rhs, objective, maximize=True)
-    assert status == "optimal", "margin LP is feasible and bounded"
-    h = [lam[j] - lam[dim + j] for j in range(dim)]
-    return value, h
-
-
 def _separate_origin(Q: ExponentPolytope, bits: int):
     """Certify that the origin avoids one polytope.
 
-    Returns ("holds", witness), ("candidate", witness) or ("undecided",
-    note).  The separator is exact rational data; only its margin over
-    the vertices is interval arithmetic.
+    One exact simplex tableau decides {h : h . v >= 1 for every dyadic
+    midpoint v of a vertex}, with h split into positive and negative
+    parts and one surplus per vertex.  When it is feasible, the l1-least
+    such h is the candidate separator; the l1 objective keeps h as small
+    as the midpoints allow, so rounding noise in a lower-dimensional hull
+    cannot pass for a huge separator.  When it is infeasible, the Farkas
+    functional y >= 0 of the tableau has sum y_i v_i = 0 and sum y_i > 0,
+    so y / sum y is an exact convex combination of the midpoints at the
+    origin.  Returns ("holds", witness), ("candidate", witness) or
+    ("undecided", note).  The separator and the combination are exact
+    rational data; only their images under the true vertices are interval
+    arithmetic.
     """
     m, ws, exps = Q.m, Q.weights, Q.vertex_exponents
-    dim = 2 * len(ws)
     mids = [_midpoint_vertex(m, e, ws, bits) for e in exps]
-    delta, h = _max_margin_separator(mids)
-    if delta > 0:
+    npts, dim = len(mids), len(mids[0])
+    plus = [[v[j] for v in mids] for j in range(dim)]
+    minus = [[-x for x in col] for col in plus]
+    surplus = [[-1 if k == i else 0 for k in range(npts)] for i in range(npts)]
+    tab = SimplexTableau(plus + minus + surplus, [1] * npts)
+    if tab.status == "feasible":
+        status, _, lam = tab.optimize([1] * (2 * dim) + [0] * npts)
+        assert status == "optimal", "the l1 norm is bounded below"
+        h = [lam[j] - lam[dim + j] for j in range(dim)]
         with _interval_prec(bits):
             hv = [_iv_fraction(v) for v in h]
             margin = None
@@ -301,19 +283,17 @@ def _separate_origin(Q: ExponentPolytope, bits: int):
                              "margin": str(margin)}
         return "undecided", {"vertices": list(exps),
                              "reason": "separator margin not certified"}
-    # the midpoints place the origin inside or on the hull; enclose the
-    # true image of an exact convex combination
-    res = lp_separate(mids, [Fraction(0)] * dim)
-    if res.kind == "separator":
-        return "undecided", {"vertices": list(exps),
-                             "reason": "origin on the midpoint hull boundary"}
+    # the midpoints place the origin in their hull; enclose the true image
+    # of the exact convex combination
+    total = sum(tab.farkas)
+    coefficients = [y / total for y in tab.farkas]
     eps = Fraction(1, 1 << (bits // 2))
     with _interval_prec(bits):
         points = [_iv_vertex(m, e, ws) for e in exps]
         worst = None
         for j in range(dim):
             acc = mpmath.iv.mpf(0)
-            for lam, pt in zip(res.coefficients, points):
+            for lam, pt in zip(coefficients, points):
                 if lam:
                     acc += _iv_fraction(lam) * pt[j]
             bound = max(abs(acc.a), abs(acc.b))
@@ -321,7 +301,7 @@ def _separate_origin(Q: ExponentPolytope, bits: int):
                 worst = bound
         if worst < _iv_fraction(eps).a:
             return "candidate", {"vertices": list(exps),
-                                 "coefficients": [str(v) for v in res.coefficients],
+                                 "coefficients": [str(v) for v in coefficients],
                                  "norm_bound": str(worst)}
     return "undecided", {"vertices": list(exps),
                          "reason": "combination not pinned to the origin"}
@@ -449,14 +429,14 @@ def _summand_hit(exps, m: int, others: list, n0: int, roots: dict):
         for n in others:
             col.extend(table[(e * n) % m])
         col.append(1)
-        columns.append([Fraction(v) for v in col])
-    rhs = [Fraction(0)] * (deg * len(others)) + [Fraction(1)]
+        columns.append(col)
+    rhs = [0] * (deg * len(others)) + [1]
     tab = SimplexTableau(columns, rhs)
     if tab.status == "infeasible":
         return None, None
     point = []
     for k in range(deg):
-        objective = [Fraction(table[(e * n0) % m][k]) for e in exps]
+        objective = [table[(e * n0) % m][k] for e in exps]
         s_hi, hi, _ = tab.optimize(objective, maximize=True)
         s_lo, lo, _ = tab.optimize(objective, maximize=False)
         assert s_hi == s_lo == "optimal"
@@ -466,9 +446,7 @@ def _summand_hit(exps, m: int, others: list, n0: int, roots: dict):
                 "spread": [str(lo), str(hi)],
                 "reason": "intersection with the summand is not a point"}
         point.append(hi)
-    hit = next((je for je in roots
-                if all(Fraction(table[je][k]) == point[k] for k in range(deg))),
-               None)
+    hit = next((je for je in roots if list(table[je]) == point), None)
     if hit is None:
         return None, {
             "vertices": list(exps), "point": [str(v) for v in point],

@@ -10,8 +10,6 @@ import math
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from cuspk.cyclicbar import (connes_factor_bar, connes_factor_small,
                              ty_agreement_check)
 from cuspk.polytopelab import (FAILS_CANDIDATE, HOLDS, UNSUPPORTED,

@@ -7,8 +7,8 @@ a sweep, which is the real cross-check.
 
 import pytest
 
-from cuspk.errors import PreconditionViolation, ResourceBound, TheoremViolation
-from cuspk.homlinalg import HomologySummary, homology
+from cuspk.errors import PreconditionViolation, ResourceBound
+from cuspk.homlinalg import HomologySummary
 from cuspk.semigroup import Params, ell
 from cuspk.cyclicbar import (
     bar_basis,
@@ -20,11 +20,9 @@ from cuspk.cyclicbar import (
     expected_ty_homology,
     parametrization_map,
     relative_bar_complex,
-    relative_cone,
     relative_homology_bar,
     relative_homology_small,
     small_complex_curve,
-    small_complex_line,
     ty_agreement_check,
 )
 

@@ -4,17 +4,18 @@ from math import gcd
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cuspk import polytopelab
 from cuspk.errors import PreconditionViolation, WeightOutOfRange
 from cuspk.polytopelab import (FAILS_CANDIDATE, HOLDS, UNDECIDED, UNSUPPORTED,
-                               ExponentPolytope, IndexFunction, Verdict,
-                               _cyclotomic, _interval_prec, _separate_origin,
+                               ExponentPolytope, Verdict,
+                               _cyclotomic, _interval_prec, _midpoint_vertex,
+                               _separate_origin,
                                _summand_hit, _summand_hits, _zeta_powers,
                                check_c1, check_c2_c3, check_c4, escalate,
                                index_functions, q_union, run_conjecture_checks)
-from cuspk.semigroup import Params, bezout, weights
+from cuspk.semigroup import Params, bezout, is_member, weights
 
 P23 = Params(2, 3)
 P25 = Params(2, 5)
@@ -77,6 +78,12 @@ def pair_and_weight(draw):
     a = draw(st.integers(2, 6))
     b = draw(st.integers(a + 1, 9).filter(lambda b: gcd(a, b) == 1))
     return Params(a, b), draw(st.integers(1, 20))
+
+
+@st.composite
+def planar_exponent_set(draw):
+    m = draw(st.integers(1, 12))
+    return m, tuple(sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))))
 
 
 def _direct_status(outcomes):
@@ -197,6 +204,35 @@ class TestOriginCheck:
 
     def test_one_interior_weight_holds(self):
         assert check_c1(P23, 12, precision=128).status == HOLDS
+
+    @given(planar_exponent_set())
+    @example((4, (0, 2)))
+    @example((3, (0, 1, 2)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_planar_gap_oracle(self, mE):
+        # with the one weight 1 the polytope is conv{zeta_m^e : e in E} in
+        # the plane; it misses the origin exactly when the points lie in an
+        # open half-plane, that is when two cyclically consecutive exponents
+        # are more than m/2 apart
+        m, E = mE
+        gap = max((E[(i + 1) % len(E)] - E[i]) % m or m for i in range(len(E)))
+        Q = ExponentPolytope(m=m, weights=(1,), vertex_exponents=E)
+        state, detail = _separate_origin(Q, 128)
+        assert state == ("holds" if 2 * gap > m else "candidate")
+        if state == "candidate":
+            lam = [Fraction(c) for c in detail["coefficients"]]
+            assert all(v >= 0 for v in lam) and sum(lam) == 1
+            mids = [_midpoint_vertex(m, e, (1,), 128) for e in E]
+            assert [sum(c * v[j] for c, v in zip(lam, mids))
+                    for j in range(2)] == [0, 0]
+
+    def test_starting_precision_suffices(self):
+        # an unnormalised separator follows the dyadic rounding noise of a
+        # lower-dimensional hull and escalates (3, 4, 20) to 256 bits
+        for m in range(1, 25):
+            if is_member(P34, m):
+                v = check_c1(P34, m, precision=128)
+                assert (v.status, v.precision_bits) == (HOLDS, 128), m
 
     def test_vacuous(self):
         v = check_c1(P23, 1)

@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import cuspk.simplicialx as sx
 from cuspk.errors import PreconditionViolation, ResourceBound, TheoremViolation
 from cuspk.homlinalg import HomologySummary
 from cuspk.semigroup import Params, is_member
-from cuspk.simplicialx import (CmComplex, ConjectureBReport, build_sigma,
+from cuspk.simplicialx import (CmComplex, build_sigma,
                                conjecture_b_homology_check, cyclic_gaps,
                                expected_y_homology, face_in_sigma,
                                fixed_point_check, generator_cycle,

@@ -8,7 +8,6 @@ Teichmuller unit.
 """
 
 import random
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
