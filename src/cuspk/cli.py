@@ -111,20 +111,25 @@ def _cell_ghost_identities(cases):
 
 
 def _attempt(rows, suite, statement, compute, **coords):
-    """Append the row of one statement; compute returns (result, details).
+    """Append the rows that compute decides.
 
-    A proved statement that fails is a "fail" row.  Any other toolkit
-    error, such as a resource limit, becomes a "skipped" row carrying
-    the reason, so one cell never ends the sweep.
+    compute returns (result, details) of `statement`, or, when one
+    computation decides several statements, a dict mapping each of them
+    to its (result, details).  A proved statement that fails is one
+    "fail" row named `statement`.  Any other toolkit error, such as a
+    resource limit, becomes one "skipped" row carrying the reason, so one
+    cell never ends the sweep.
     """
     try:
-        result, details = compute()
+        decided = compute()
     except TheoremViolation as exc:
-        result, details = "fail", {"error": str(exc)}
+        decided = "fail", {"error": str(exc)}
     except CuspkError as exc:
-        result, details = SKIPPED, {"error": type(exc).__name__,
-                                    "reason": str(exc)}
-    rows.append(_row(suite, statement, result, details=details, **coords))
+        decided = SKIPPED, {"error": type(exc).__name__, "reason": str(exc)}
+    if isinstance(decided, tuple):
+        decided = {statement: decided}
+    for stmt, (result, details) in sorted(decided.items()):
+        rows.append(_row(suite, stmt, result, details=details, **coords))
 
 
 def _cell_kgroups(a, b, prime, r_max):
@@ -186,13 +191,19 @@ def _cell_conjc(a, b, m, precision):
     pr = Params(a, b)
     regime = "theorem" if ell(pr, m) <= 1 else "open"
     rows = []
-    for stmt, verdict in sorted(run_conjecture_checks(pr, m, precision,
-                                                      cap=MAX_PRECISION).items()):
-        details = {"precision_bits": verdict.precision_bits, "regime": regime}
-        if verdict.status != HOLDS:
-            details["witness"] = verdict.witness
-        rows.append(_row("conjC", stmt, verdict.status, a=a, b=b, m=m,
-                         details=details))
+
+    def checks():
+        decided = {}
+        for stmt, verdict in run_conjecture_checks(pr, m, precision,
+                                                   cap=MAX_PRECISION).items():
+            details = {"precision_bits": verdict.precision_bits,
+                       "regime": regime}
+            if verdict.status != HOLDS:
+                details["witness"] = verdict.witness
+            decided[stmt] = verdict.status, details
+        return decided
+
+    _attempt(rows, "conjC", "checks", checks, a=a, b=b, m=m)
     return rows
 
 
@@ -389,6 +400,8 @@ def _config_from_args(parser, args) -> SuiteConfig:
         pairs = ((args.a, args.b),)
     else:
         pairs = DEFAULT_PAIRS
+    if args.r_max < 0:
+        parser.error("--r-max must be non-negative")
     r_max = args.r_max
     if args.q_max is not None:
         if args.q_max < 0:

@@ -6,8 +6,9 @@ with p not dividing e, the group is the product over such e of Z/p^{n_e}
 with n_e the number of powers p^i for which e * p^i stays in S.  The
 Verschiebung, Frobenius and restriction operators become integer matrices
 between these products, and the relative K-groups of interest are
-cokernels of stacked Verschiebung matrices, computed exactly via Smith
-form.
+cokernels of stacked Verschiebung matrices.  Each Verschiebung column has
+exactly one nonzero entry, so the cokernel splits along the orbits into
+cyclic groups Z/gcd(order, row entries), and no Smith form is needed.
 
 Over the integers, Witt vectors are handled through ghost coordinates
 w_n(x) = sum_{d | n} d * x_d^{n/d}; sums and products are computed
@@ -21,9 +22,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from math import gcd
 
 from cuspk.errors import IntegralityViolation, TheoremViolation
-from cuspk.homlinalg import HomologySummary, SparseIntMatrix, snf_diagonal
+from cuspk.homlinalg import HomologySummary, SparseIntMatrix
 from cuspk.semigroup import Params, TruncationSet, divide_set, truncation_S
 
 
@@ -55,11 +58,12 @@ class PTypicalProfile:
     def length(self) -> int:
         return sum(n for _, n in self.orbits)
 
+    @cached_property
+    def _positions(self) -> dict:
+        return {e: i for i, (e, _) in enumerate(self.orbits)}
+
     def index(self, e: int) -> int:
-        for i, (ee, _) in enumerate(self.orbits):
-            if ee == e:
-                return i
-        raise KeyError(f"no orbit {e}")
+        return self._positions[e]
 
 
 def profile(S: TruncationSet, prime: int) -> PTypicalProfile:
@@ -164,18 +168,31 @@ def restriction(S: TruncationSet, T: TruncationSet, prime: int) -> AbelianMap:
 
 
 def cokernel_factors(orders, maps) -> list:
-    """Invariant factors (> 1) of coker of the given maps into prod Z/orders."""
-    n = len(orders)
-    entries = {(i, i): orders[i] for i in range(n)}
-    col = n
+    """Invariant factors (> 1) of coker of the given maps into prod Z/orders.
+
+    Every map must be monomial: each column has at most one nonzero entry.
+    Then every relation lives in a single factor, so the cokernel is the
+    direct sum over rows i of Z/g_i, with g_i the gcd of orders[i] and the
+    entries of row i.  When the orders are powers of one prime, as on the
+    p-typical orbits, the g_i form a divisibility chain once sorted and are
+    the invariant factors.  A column with two entries, or g_i that do not
+    form a chain, raise ValueError.
+    """
+    g = list(orders)
     for mp in maps:
+        if len(mp.cod) != len(g):
+            raise ValueError("map codomain does not match the orders")
+        seen = set()
         for (r, c), v in mp.matrix.entries():
-            entries[(r, col + c)] = v
-        col += len(mp.dom)
-    stacked = SparseIntMatrix(n, col, entries)
-    diag = snf_diagonal(stacked)
-    assert len(diag) == n, "orders block forces full rank"
-    return [d for d in diag if d > 1]
+            if c in seen:
+                raise ValueError(f"column {c} has more than one entry")
+            seen.add(c)
+            g[r] = gcd(g[r], v)
+    factors = sorted(d for d in g if d > 1)
+    for d, e in zip(factors, factors[1:]):
+        if e % d:
+            raise ValueError(f"cyclic factors {d} and {e} form no divisibility chain")
+    return factors
 
 
 @dataclass(frozen=True)
@@ -210,9 +227,13 @@ def relative_k_group(p: Params, prime: int, q: int) -> KGroupResult:
 
     For q = 2r >= 0 this is the cokernel of [V_a | V_b] on W_{S(a,b,r)},
     which the restriction map identifies with W_T(F_p) for T the members
-    of S(a,b,r) divisible by neither a nor b.  Odd and negative degrees
-    are trivial.  The identification and the length formula
-    (2r+1)(a-1)(b-1)/2 are re-verified; failure raises TheoremViolation.
+    of S(a,b,r) divisible by neither a nor b.  V_a and V_b send each orbit
+    to one orbit, so cokernel_factors reads the group off orbit by orbit:
+    an orbit in the image of V_n shrinks to Z/p^v with p^v the p-part of
+    n, and an orbit outside both images keeps its Z/p^{n_e}.  Odd and
+    negative degrees are trivial.  The identification and the length
+    formula (2r+1)(a-1)(b-1)/2 are re-verified; failure raises
+    TheoremViolation.
     When the prime divides a*b the group is still computed, but the
     K-theoretic reading assumes a perfect base field of characteristic p,
     so the result is flagged.
@@ -233,9 +254,9 @@ def relative_k_group(p: Params, prime: int, q: int) -> KGroupResult:
     expected = (2 * r + 1) * (p.a - 1) * (p.b - 1) // 2
     length = sum(_p_length(d, prime) for d in factors)
 
-    if sorted(factors) != [d for d in t_orders if d > 1]:
+    if factors != [d for d in t_orders if d > 1]:
         raise TheoremViolation(
-            f"cokernel factors {sorted(factors)} differ from W_T orders {t_orders}")
+            f"cokernel factors {factors} differ from W_T orders {t_orders}")
     rest = restriction(S, T, prime)
     if not rest.compose(Va).is_zero() or not rest.compose(Vb).is_zero():
         raise TheoremViolation("restriction does not annihilate the Verschiebung images")
@@ -243,7 +264,7 @@ def relative_k_group(p: Params, prime: int, q: int) -> KGroupResult:
         raise TheoremViolation(f"length {length} != expected {expected}")
 
     return KGroupResult(a=p.a, b=p.b, prime=prime, q=q,
-                        invariant_factors=tuple(sorted(factors)),
+                        invariant_factors=tuple(factors),
                         length=length, expected_length=expected,
                         perfect_field_only=(p.a * p.b) % prime == 0)
 

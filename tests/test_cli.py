@@ -126,6 +126,8 @@ class TestExitCodes:
                      ["verify", "semigroup", "--a", "2", "--b", "4"],
                      ["verify", "conjC", "--precision", "4"],
                      ["verify", "kgroups", "--q-max", "-1"],
+                     ["verify", "kgroups", "--a", "2", "--b", "3",
+                      "--r-max", "-1"],
                      ["verify", "kgroups", "--p", "4"],
                      ["verify", "kgroups", "--p", "1"],
                      ["verify", "conjC", "--m-max", "0"],
@@ -193,6 +195,25 @@ class TestExitCodes:
         assert code == exit_code
         rows = rows_of(out)
         assert [r["q"] for r in rows] == [0, 2, 4]
+        assert all(r["result"] == result for r in rows)
+        assert all(r["details"] == details for r in rows)
+
+    @pytest.mark.parametrize("error,result,exit_code,details", [
+        (TheoremViolation("forced"), "fail", 1, {"error": "forced"}),
+        (ResourceBound("forced limit of 16"), "skipped", 4,
+         {"error": "ResourceBound", "reason": "forced limit of 16"})])
+    def test_conjc_errors_become_rows(self, tmp_path, monkeypatch, error,
+                                      result, exit_code, details):
+        def broken(p, m, precision, cap):
+            raise error
+
+        monkeypatch.setattr(cli, "run_conjecture_checks", broken)
+        code, out = run(tmp_path, "verify", "conjC", "--a", "2", "--b", "3",
+                        "--m-max", "3")
+        assert code == exit_code
+        rows = rows_of(out)
+        assert [(r["m"], r["statement"]) for r in rows] == [
+            (1, "checks"), (2, "checks"), (3, "checks")]
         assert all(r["result"] == result for r in rows)
         assert all(r["details"] == details for r in rows)
 

@@ -1,0 +1,68 @@
+"""Source hygiene: no module of the package or of the tests imports a name
+it never uses.
+
+Package ``__init__.py`` files are skipped, because their imports are
+re-exports.  A name counts as used when it appears as an identifier
+anywhere in the module or inside a string annotation.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(p for pattern in ("src/cuspk/*.py", "tests/*.py")
+                 for p in ROOT.glob(pattern) if p.name != "__init__.py")
+
+
+def imported_names(tree):
+    """(bound name, line) of every import outside `from __future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            yield node.annotation
+
+
+def used_names(tree):
+    nodes = list(ast.walk(tree))
+    for note in annotations(tree):
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            nodes += ast.walk(ast.parse(note.value, mode="eval"))
+    return {node.id for node in nodes if isinstance(node, ast.Name)}
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    used = used_names(tree)
+    return [(name, line) for name, line in imported_names(tree)
+            if name not in used]
+
+
+def test_scan_sees_the_sources():
+    names = {p.name for p in SOURCES}
+    assert {"wittlab.py", "cli.py", "test_hygiene.py"} <= names
+
+
+def test_scan_flags_an_unused_import():
+    source = ("from math import gcd, isqrt\nimport os.path\n"
+              "import json as js\n\ndef f(x: 'Path') -> int:\n"
+              "    return isqrt(x)\n")
+    assert unused_imports(source) == [("gcd", 1), ("os", 2), ("js", 3)]
+    assert unused_imports("from pathlib import Path\n" + source)[0] == ("gcd", 2)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

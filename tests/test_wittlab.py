@@ -8,15 +8,19 @@ Teichmuller unit.
 """
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspk.errors import IntegralityViolation
+from cuspk.homlinalg import SparseIntMatrix, snf_diagonal
 from cuspk.semigroup import Params, TruncationSet, divide_set, truncation_S
 from cuspk.wittlab import (
+    AbelianMap,
     GhostWittElement,
+    cokernel_factors,
     frobenius,
     ghost,
     profile,
@@ -204,6 +208,48 @@ class TestRelativeKGroups:
                     res = relative_k_group(Params(a, b), prime, 2 * r)
                     assert res.length == (2 * r + 1) * (a - 1) * (b - 1) // 2
                     assert res.group.group(2 * r) == (0, res.invariant_factors)
+
+
+def stacked_snf_factors(orders, maps):
+    """Invariant factors (> 1) of the cokernel via the Smith form of the
+    stacked matrix [diag(orders) | maps...]."""
+    n = len(orders)
+    entries = {(i, i): d for i, d in enumerate(orders)}
+    col = n
+    for mp in maps:
+        for (r, c), v in mp.matrix.entries():
+            entries[(r, col + c)] = v
+        col += len(mp.dom)
+    diag = snf_diagonal(SparseIntMatrix(n, col, entries))
+    assert len(diag) == n
+    return [d for d in diag if d > 1]
+
+
+COPRIME_PAIRS = [(a, b) for b in range(3, 8) for a in range(2, b)
+                 if gcd(a, b) == 1]
+
+
+class TestCokernel:
+    @given(st.sampled_from(COPRIME_PAIRS), st.sampled_from([2, 3, 5, 7, 11]),
+           st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_stacked_smith_form(self, pair, prime, r):
+        S = truncation_S(Params(*pair), r)
+        orders = profile(S, prime).orders
+        maps = [verschiebung(S, n, prime) for n in pair]
+        assert cokernel_factors(orders, maps) == stacked_snf_factors(orders, maps)
+
+    def test_non_monomial_map_raises(self):
+        both_rows = AbelianMap(dom=(4,), cod=(4, 4),
+                               matrix=SparseIntMatrix(2, 1, {(0, 0): 2, (1, 0): 2}))
+        with pytest.raises(ValueError, match="more than one entry"):
+            cokernel_factors((4, 4), [both_rows])
+
+    def test_orders_of_two_primes_raise(self):
+        # Z/2 + Z/3 is cyclic of order 6; the row gcds 2 and 3 are no chain
+        zero = AbelianMap(dom=(), cod=(2, 3), matrix=SparseIntMatrix(2, 0))
+        with pytest.raises(ValueError, match="divisibility chain"):
+            cokernel_factors((2, 3), [zero])
 
 
 class TestGhostArithmetic:
