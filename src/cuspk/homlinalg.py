@@ -12,6 +12,19 @@ its pivots in an order where each divides the next (unit pivots first,
 then each non-unit pivot only once it divides everything left), and
 that order is the returned diagonal.
 
+Homology runs on a reduced complex (Kaczynski, Mrozek and Ślusarek,
+Comput. Math. Appl. 35 (1998); Sköldberg, Trans. AMS 358 (2006)).  Each
+unit pivot of d_q pairs a cell of C_q with a cell of C_{q-1}, and the
+pair splits off as a contractible summand, so its row of d_{q+1} can be
+dropped before the Smith form of d_{q+1}.  This is exact for the unit
+pivots taken before the elimination's first general-phase step (the
+split of the result): until then every column operation adds a multiple
+of the pivot column, so V^-1 differs from the identity only at pivot
+rows, and d_q o d_{q+1} = 0 makes those rows of V^-1 d_{q+1} vanish;
+the other rows are the rows of d_{q+1}.  The first general-phase step
+edits a column that may never become a pivot, so no later pivot is
+dropped.
+
 No floating point enters this module; torsion results are exact and the
 LP certificates can be re-verified by direct substitution.
 """
@@ -123,6 +136,8 @@ class SNFResult:
     """U @ M @ V == D with U, V unimodular and D = diag(invariant factors).
 
     diag holds the nonzero invariant factors d_1 | d_2 | ... (positive).
+    split holds the columns of the pivots taken before the first
+    general-phase step, in extraction order; they are the leading pivots.
     The transforms and their inverses are None when the factor-only mode
     was requested.
     """
@@ -130,6 +145,7 @@ class SNFResult:
     diag: list
     nrows: int
     ncols: int
+    split: tuple = ()
     U: SparseIntMatrix | None = None
     Uinv: SparseIntMatrix | None = None
     V: SparseIntMatrix | None = None
@@ -233,11 +249,16 @@ class _SnfWork:
 
 
 def _snf_work_run(work: _SnfWork):
-    """Eliminate to diagonal form; returns list of (row, col, value) pivots."""
+    """Eliminate to diagonal form.
+
+    Returns the (row, col, value) pivots in extraction order and the
+    number of leading pivots taken before the first general-phase step.
+    """
     rows, cols = work.rows, work.cols
     heap = [(len(row), r) for r, row in enumerate(rows) if row]
     heapq.heapify(heap)
     pivots = []
+    split = None
 
     def push(r):
         if rows[r]:
@@ -272,10 +293,20 @@ def _snf_work_run(work: _SnfWork):
                 work.row_add(r, r0, -(rows[r][c0] // v))
         # with |v| == 1 all column entries clear exactly; then clear the row
         if all(r == r0 for r in cols[c0]):
-            for c in list(rows[r0]):
-                if c != c0:
-                    work.col_add(c, c0, -(rows[r0][c] // v))
-            return all(c == c0 for c in rows[r0])
+            row = rows[r0]
+            for c in list(row):
+                if c == c0:
+                    continue
+                if work.transforms:
+                    work.col_add(c, c0, -(row[c] // v))
+                elif row[c] % v:
+                    # column c0 holds only row r0, so without V to track
+                    # the column operation is a reduction modulo v
+                    row[c] %= v
+                else:
+                    del row[c]
+                    cols[c].discard(r0)
+            return all(c == c0 for c in row)
         return False
 
     while True:
@@ -310,6 +341,8 @@ def _snf_work_run(work: _SnfWork):
             continue
         # no unit entries anywhere: general phase on the smallest-magnitude
         # entry, rescanned after every step because a remainder may undercut it
+        if split is None:
+            split = len(pivots)
         while True:
             r0, c0, v0 = None, None, None
             for r, row in enumerate(rows):
@@ -331,7 +364,7 @@ def _snf_work_run(work: _SnfWork):
             work.row_add(r0, offender, 1)
         heap = [(len(row), r) for r, row in enumerate(rows) if row]
         heapq.heapify(heap)
-    return pivots
+    return pivots, len(pivots) if split is None else split
 
 
 def smith_normal_form(matrix: SparseIntMatrix, transforms: bool = False) -> SNFResult:
@@ -349,13 +382,19 @@ def smith_normal_form(matrix: SparseIntMatrix, transforms: bool = False) -> SNFR
     and column operations are integer combinations, so the remaining
     entries stay multiples of v and each later pivot is one of them.  No
     gcd/lcm repair of the diagonal is needed; the chain is asserted.
+
+    Up to the first general-phase step every column operation adds a
+    multiple of the pivot column, so V^-1 is the identity outside the rows
+    of the pivots taken so far; their columns are returned as split.
     """
     work = _SnfWork(matrix, transforms)
-    pivots = _snf_work_run(work)
+    pivots, split = _snf_work_run(work)
     diag = [v for _, _, v in pivots]
     assert all(b % a == 0 for a, b in zip(diag, diag[1:])), diag
+    split = tuple(c for _, c, _ in pivots[:split])
     if not transforms:
-        return SNFResult(diag=diag, nrows=matrix.nrows, ncols=matrix.ncols)
+        return SNFResult(diag=diag, nrows=matrix.nrows, ncols=matrix.ncols,
+                         split=split)
 
     # move the pivots to the leading diagonal in extraction order
     m, n = work.m, work.n
@@ -371,7 +410,7 @@ def smith_normal_form(matrix: SparseIntMatrix, transforms: bool = False) -> SNFR
                                   for r, v in work.Uic[i].items()})
     Vmat = SparseIntMatrix(n, n, {(r, j): v for j, c in enumerate(col_order)
                                   for r, v in work.Vc[c].items()})
-    return SNFResult(diag=diag, nrows=m, ncols=n,
+    return SNFResult(diag=diag, nrows=m, ncols=n, split=split,
                      U=Umat, Uinv=Uinv, V=Vmat, Vinv=Vinv)
 
 
@@ -481,22 +520,47 @@ class HomologySummary:
                 for q, (r, tors) in self.groups}
 
 
+def _split_off(lower: SNFResult, upper: SparseIntMatrix) -> SparseIntMatrix:
+    """The rows of upper = d_{q+1} outside the split of lower = SNF(d_q).
+
+    d_q o d_{q+1} = 0 makes the dropped rows of V^-1 d_{q+1} vanish, and
+    the rows kept are those of V^-1 d_{q+1} at the other columns, in
+    ascending order, as long as V^-1 is the identity there (see the module
+    docstring).  The invariant factors of d_{q+1} are those of the result.
+    """
+    drop = set(lower.split)
+    return SparseIntMatrix._from_rows(
+        upper.nrows - len(drop), upper.ncols,
+        [row for i, row in enumerate(upper._rows) if i not in drop])
+
+
 def homology(C: ChainComplex) -> HomologySummary:
     """Integral homology of C: ranks and torsion, no generators.
 
     H_q has free rank dim C_q - rank d_q - rank d_{q+1} and torsion the
     invariant factors > 1 of d_{q+1}: the factors of the inclusion of the
     image into the kernel are those of the matrix itself.
+
+    The Smith forms run by ascending degree on a reduced complex: each
+    d_{q+1} loses the rows at the unit pivots that the Smith form of
+    (reduced) d_q took before its first general-phase step.  Those rows
+    of V^-1 d_{q+1} vanish because d_q o d_{q+1} = 0, and V^-1 is the
+    identity on the others, so rank and invariant factors are unchanged.
+    A general-phase step may edit a column that never becomes a pivot,
+    after which V^-1 is no longer the identity off the pivot rows; so the
+    pivots taken after it keep their rows.  The reduced d_{q+1} still
+    composes to zero with d_{q+2}, so the argument repeats upwards.
     """
-    snf_rank: dict[int, list] = {}
-    for q in list(C.basis):
-        for qq in (q, q + 1):
-            if qq not in snf_rank:
-                snf_rank[qq] = snf_diagonal(C.boundary(qq))
+    snf: dict[int, SNFResult] = {}
+    for qq in sorted(set(C.basis) | {q + 1 for q in C.basis}):
+        mat = C.boundary(qq)
+        if qq - 1 in snf:
+            mat = _split_off(snf[qq - 1], mat)
+        snf[qq] = smith_normal_form(mat)
     out = {}
     for q in C.basis:
-        r = C.dim(q) - len(snf_rank[q]) - len(snf_rank[q + 1])
-        out[q] = (r, tuple(t for t in snf_rank[q + 1] if t > 1))
+        r = C.dim(q) - snf[q].rank - snf[q + 1].rank
+        out[q] = (r, tuple(t for t in snf[q + 1].diag if t > 1))
     return HomologySummary.of(out)
 
 
@@ -504,7 +568,14 @@ class HomologyEngine:
     """Homology with generator lifts and coordinates, degree by degree.
 
     Heavier than :func:`homology` because it tracks unimodular transforms;
-    use it only at the degrees where explicit cycles are needed.
+    use it only at the degrees where explicit cycles are needed.  d_q is
+    not reduced before its Smith form, so generators and coordinates do
+    not depend on the lower degrees.  When the Smith form of d_q took no
+    general-phase step, its split is every pivot and V^-1 is the identity
+    on the non-pivot rows, so the relations on the kernel, rows r.. of
+    V^-1 d_{q+1}, are the rows of d_{q+1} at the non-pivot columns in
+    ascending order: a row selection instead of a sparse product.  Rows
+    ..r-1 are still computed and must vanish.
     """
 
     def __init__(self, C: ChainComplex):
@@ -522,10 +593,17 @@ class HomologyEngine:
         kernel_cols = [lower.V.column_vector(r + i) for i in range(k)]
         # image of d_{q+1} in the coordinates of V; d_q о d_{q+1} = 0 forces
         # rows ..r-1 to vanish, and rows r.. are the relations on the kernel
-        image = lower.Vinv @ C.boundary(q + 1)
+        upper = C.boundary(q + 1)
+        if len(lower.split) == r:
+            # V^-1 is the identity off the pivot rows: only rows ..r-1 need
+            # the product, and rows r.. are a row selection
+            image = SparseIntMatrix._from_rows(r, lower.ncols, lower.Vinv._rows[:r]) @ upper
+            B = _split_off(lower, upper)
+        else:
+            image = lower.Vinv @ upper
+            B = SparseIntMatrix._from_rows(k, image.ncols, image._rows[r:])
         if any(image.row(i) for i in range(r)):
             raise ComplexInvalid("boundary image is not a cycle")
-        B = SparseIntMatrix._from_rows(k, image.ncols, image._rows[r:])
         rel = smith_normal_form(B, transforms=True)
         gens = []
         for i in range(k):

@@ -120,9 +120,13 @@ def verschiebung(S: TruncationSet, n: int, prime: int) -> AbelianMap:
     Verschiebung, which is multiplication by p^v into the longer cyclic
     group).
     """
-    v, n_prime = _split_prime(n, prime)
-    dom_prof = profile(divide_set(S, n), prime)
-    cod_prof = profile(S, prime)
+    return _verschiebung(profile(divide_set(S, n), prime), profile(S, prime), n)
+
+
+def _verschiebung(dom_prof: PTypicalProfile, cod_prof: PTypicalProfile,
+                  n: int) -> AbelianMap:
+    """V_n from the profiles of S/n and S."""
+    v, n_prime = _split_prime(n, cod_prof.prime)
     entries = {}
     for j, (e, ln) in enumerate(dom_prof.orbits):
         i = cod_prof.index(n_prime * e)
@@ -157,8 +161,11 @@ def restriction(S: TruncationSet, T: TruncationSet, prime: int) -> AbelianMap:
     """R^S_T : W_S(F_p) -> W_T(F_p) for T a subset of S."""
     if not set(T.members) <= set(S.members):
         raise ValueError("T must be contained in S")
-    dom_prof = profile(S, prime)
-    cod_prof = profile(T, prime)
+    return _restriction(profile(S, prime), profile(T, prime))
+
+
+def _restriction(dom_prof: PTypicalProfile, cod_prof: PTypicalProfile) -> AbelianMap:
+    """R^S_T from the profiles of S and T."""
     entries = {}
     for i, (e, _) in enumerate(cod_prof.orbits):
         entries[(i, dom_prof.index(e))] = 1
@@ -245,19 +252,20 @@ def relative_k_group(p: Params, prime: int, q: int) -> KGroupResult:
     r = q // 2
     S = truncation_S(p, r)
     prof = profile(S, prime)
-    Va = verschiebung(S, p.a, prime)
-    Vb = verschiebung(S, p.b, prime)
+    Va = _verschiebung(profile(divide_set(S, p.a), prime), prof, p.a)
+    Vb = _verschiebung(profile(divide_set(S, p.b), prime), prof, p.b)
     factors = cokernel_factors(prof.orders, [Va, Vb])
 
     T = TruncationSet(m for m in S if m % p.a and m % p.b)
-    t_orders = sorted(profile(T, prime).orders)
+    t_prof = profile(T, prime)
+    t_orders = sorted(t_prof.orders)
     expected = (2 * r + 1) * (p.a - 1) * (p.b - 1) // 2
     length = sum(_p_length(d, prime) for d in factors)
 
     if factors != [d for d in t_orders if d > 1]:
         raise TheoremViolation(
             f"cokernel factors {factors} differ from W_T orders {t_orders}")
-    rest = restriction(S, T, prime)
+    rest = _restriction(prof, t_prof)
     if not rest.compose(Va).is_zero() or not rest.compose(Vb).is_zero():
         raise TheoremViolation("restriction does not annihilate the Verschiebung images")
     if length != expected:
