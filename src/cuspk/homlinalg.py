@@ -136,8 +136,8 @@ class SNFResult:
     """U @ M @ V == D with U, V unimodular and D = diag(invariant factors).
 
     diag holds the nonzero invariant factors d_1 | d_2 | ... (positive).
-    split holds the columns of the pivots taken before the first
-    general-phase step, in extraction order; they are the leading pivots.
+    split holds the columns of the leading pivots, those taken before the
+    first general-phase step (see the module docstring).
     The transforms and their inverses are None when the factor-only mode
     was requested.
     """
@@ -382,10 +382,6 @@ def smith_normal_form(matrix: SparseIntMatrix, transforms: bool = False) -> SNFR
     and column operations are integer combinations, so the remaining
     entries stay multiples of v and each later pivot is one of them.  No
     gcd/lcm repair of the diagonal is needed; the chain is asserted.
-
-    Up to the first general-phase step every column operation adds a
-    multiple of the pivot column, so V^-1 is the identity outside the rows
-    of the pivots taken so far; their columns are returned as split.
     """
     work = _SnfWork(matrix, transforms)
     pivots, split = _snf_work_run(work)
@@ -521,13 +517,7 @@ class HomologySummary:
 
 
 def _split_off(lower: SNFResult, upper: SparseIntMatrix) -> SparseIntMatrix:
-    """The rows of upper = d_{q+1} outside the split of lower = SNF(d_q).
-
-    d_q o d_{q+1} = 0 makes the dropped rows of V^-1 d_{q+1} vanish, and
-    the rows kept are those of V^-1 d_{q+1} at the other columns, in
-    ascending order, as long as V^-1 is the identity there (see the module
-    docstring).  The invariant factors of d_{q+1} are those of the result.
-    """
+    """The rows of upper = d_{q+1} outside the split of lower = SNF(d_q)."""
     drop = set(lower.split)
     return SparseIntMatrix._from_rows(
         upper.nrows - len(drop), upper.ncols,
@@ -539,17 +529,8 @@ def homology(C: ChainComplex) -> HomologySummary:
 
     H_q has free rank dim C_q - rank d_q - rank d_{q+1} and torsion the
     invariant factors > 1 of d_{q+1}: the factors of the inclusion of the
-    image into the kernel are those of the matrix itself.
-
-    The Smith forms run by ascending degree on a reduced complex: each
-    d_{q+1} loses the rows at the unit pivots that the Smith form of
-    (reduced) d_q took before its first general-phase step.  Those rows
-    of V^-1 d_{q+1} vanish because d_q o d_{q+1} = 0, and V^-1 is the
-    identity on the others, so rank and invariant factors are unchanged.
-    A general-phase step may edit a column that never becomes a pivot,
-    after which V^-1 is no longer the identity off the pivot rows; so the
-    pivots taken after it keep their rows.  The reduced d_{q+1} still
-    composes to zero with d_{q+2}, so the argument repeats upwards.
+    image into the kernel are those of the matrix itself.  The Smith forms
+    run by ascending degree on the reduced complex of the module docstring.
     """
     snf: dict[int, SNFResult] = {}
     for qq in sorted(set(C.basis) | {q + 1 for q in C.basis}):
@@ -568,14 +549,7 @@ class HomologyEngine:
     """Homology with generator lifts and coordinates, degree by degree.
 
     Heavier than :func:`homology` because it tracks unimodular transforms;
-    use it only at the degrees where explicit cycles are needed.  d_q is
-    not reduced before its Smith form, so generators and coordinates do
-    not depend on the lower degrees.  When the Smith form of d_q took no
-    general-phase step, its split is every pivot and V^-1 is the identity
-    on the non-pivot rows, so the relations on the kernel, rows r.. of
-    V^-1 d_{q+1}, are the rows of d_{q+1} at the non-pivot columns in
-    ascending order: a row selection instead of a sparse product.  Rows
-    ..r-1 are still computed and must vanish.
+    use it only at the degrees where explicit cycles are needed.
     """
 
     def __init__(self, C: ChainComplex):
@@ -593,17 +567,10 @@ class HomologyEngine:
         kernel_cols = [lower.V.column_vector(r + i) for i in range(k)]
         # image of d_{q+1} in the coordinates of V; d_q о d_{q+1} = 0 forces
         # rows ..r-1 to vanish, and rows r.. are the relations on the kernel
-        upper = C.boundary(q + 1)
-        if len(lower.split) == r:
-            # V^-1 is the identity off the pivot rows: only rows ..r-1 need
-            # the product, and rows r.. are a row selection
-            image = SparseIntMatrix._from_rows(r, lower.ncols, lower.Vinv._rows[:r]) @ upper
-            B = _split_off(lower, upper)
-        else:
-            image = lower.Vinv @ upper
-            B = SparseIntMatrix._from_rows(k, image.ncols, image._rows[r:])
+        image = lower.Vinv @ C.boundary(q + 1)
         if any(image.row(i) for i in range(r)):
             raise ComplexInvalid("boundary image is not a cycle")
+        B = SparseIntMatrix._from_rows(k, image.ncols, image._rows[r:])
         rel = smith_normal_form(B, transforms=True)
         gens = []
         for i in range(k):

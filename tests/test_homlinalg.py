@@ -8,7 +8,6 @@ direct sums of Z and Z --d--> Z conjugated by unimodular matrices, whose
 homology is known from the summands.
 """
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -17,8 +16,6 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspk import homlinalg
-from cuspk.cyclicbar import relative_bar_complex, relative_cone
 from cuspk.errors import ComplexInvalid, NotAChainMap
 from cuspk.homlinalg import (
     ChainComplex,
@@ -27,7 +24,6 @@ from cuspk.homlinalg import (
     HomologySummary,
     SimplexTableau,
     SparseIntMatrix,
-    _split_off,
     feasibility_certificate,
     homology,
     lp_optimize,
@@ -36,7 +32,6 @@ from cuspk.homlinalg import (
     smith_normal_form,
     snf_diagonal,
 )
-from cuspk.semigroup import Params
 
 
 def det(rows):
@@ -344,42 +339,6 @@ class TestReducedComplex:
         assert invariant_factors_of_cyclics([]) == ()
         assert invariant_factors_of_cyclics([2, 3]) == (6,)
         assert invariant_factors_of_cyclics([4, 6, 9]) == (6, 36)
-
-    @pytest.mark.parametrize("a,b", [(2, 3), (3, 4)])
-    def test_row_selection_is_the_product(self, a, b, monkeypatch):
-        p = Params(a, b)
-        complexes = [build(p, m) for m in range(1, 11)
-                     for build in (relative_bar_complex, relative_cone)]
-        taken = 0
-        for C in complexes:
-            for q in C.basis:
-                lower = smith_normal_form(C.boundary(q), transforms=True)
-                if len(lower.split) != lower.rank:
-                    continue
-                taken += 1
-                image = lower.Vinv @ C.boundary(q + 1)
-                assert _split_off(lower, C.boundary(q + 1)) == SparseIntMatrix._from_rows(
-                    image.nrows - lower.rank, image.ncols, image._rows[lower.rank:])
-        assert taken
-        fast = [HomologyEngine(C) for C in complexes]
-        for eng in fast:
-            eng.summary()  # lifts every degree before the patch below
-        # hiding the split makes the engine take the sparse product
-        real_snf = homlinalg.smith_normal_form
-        monkeypatch.setattr(homlinalg, "smith_normal_form",
-                            lambda M, transforms=False: dataclasses.replace(
-                                real_snf(M, transforms), split=()))
-        for C, eng in zip(complexes, fast):
-            slow = HomologyEngine(C)
-            for q in C.basis:
-                gens = eng.generators(q)
-                assert gens == slow.generators(q)
-                total: dict = {}
-                for _, chain in gens:
-                    assert eng.coordinates(q, chain) == slow.coordinates(q, chain)
-                    for lbl, v in chain.items():
-                        total[lbl] = total.get(lbl, 0) + v
-                assert eng.coordinates(q, total) == slow.coordinates(q, total)
 
 
 class TestMappingCone:
