@@ -8,6 +8,11 @@ limit or another toolkit error) and every other row passed.
 Reports are byte-deterministic for a fixed configuration:
 rows are sorted, JSON keys are sorted, and randomized batteries run from
 fixed seeds.
+
+A suite imports its toolkit modules when its first cell runs, and the
+process pool is imported only for --jobs above 1, so a command loads only
+what it runs: `report` and `verify semigroup` stop at `semigroup`, and
+mpmath comes in with the first `conjC` cell.
 """
 
 from __future__ import annotations
@@ -17,18 +22,12 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 
-from .cyclicbar import connes_factor_bar, connes_factor_small, ty_agreement_check
-from .errors import CuspkError, TheoremViolation
-from .polytopelab import (DEFAULT_PRECISION, FAILS_CANDIDATE, HOLDS,
-                          MAX_PRECISION, UNDECIDED, run_conjecture_checks)
+from .errors import (DEFAULT_BUDGET, DEFAULT_PRECISION, FAILS_CANDIDATE, HOLDS,
+                     MAX_PRECISION, UNDECIDED, CuspkError, TheoremViolation)
 from .semigroup import Params, divide_set, ell, is_member, truncation_S
-from .simplicialx import (DEFAULT_BUDGET, conjecture_b_homology_check,
-                          fixed_point_check)
-from .wittlab import identity_failures, relative_k_group
 
 SCHEMA = "cuspk.report/1"
 SUITES = ("semigroup", "witt", "kgroups", "prop51", "conjB", "conjC", "all")
@@ -65,7 +64,8 @@ def _row_key(row):
 
 
 # ---------------------------------------------------------------------------
-# suite cells; each returns a list of rows and never raises
+# suite cells; each returns a list of rows and never raises, and imports
+# its toolkit module itself, so that a suite loads only what it runs
 
 
 def _cell_semigroup(a, b, m_max, r_max):
@@ -104,6 +104,8 @@ def _cell_semigroup(a, b, m_max, r_max):
 
 
 def _cell_ghost_identities(cases):
+    from .wittlab import identity_failures
+
     failures = identity_failures(cases, seed=20240811)
     return [_row("witt", stmt, "pass" if bad == 0 else "fail",
                  details={"cases": cases, "failures": bad})
@@ -133,6 +135,8 @@ def _attempt(rows, suite, statement, compute, **coords):
 
 
 def _cell_kgroups(a, b, prime, r_max):
+    from .wittlab import relative_k_group
+
     pr = Params(a, b)
     rows = []
 
@@ -151,6 +155,9 @@ def _cell_kgroups(a, b, prime, r_max):
 
 
 def _cell_prop51(a, b, m):
+    from .cyclicbar import (connes_factor_bar, connes_factor_small,
+                            ty_agreement_check)
+
     pr = Params(a, b)
     rows = []
     at = {"a": a, "b": b, "m": m}
@@ -166,6 +173,8 @@ def _cell_prop51(a, b, m):
 
 
 def _cell_conjb(a, b, m, budget):
+    from .simplicialx import conjecture_b_homology_check, fixed_point_check
+
     pr = Params(a, b)
     rows = []
     at = {"a": a, "b": b, "m": m}
@@ -188,6 +197,8 @@ def _cell_conjb(a, b, m, budget):
 
 
 def _cell_conjc(a, b, m, precision):
+    from .polytopelab import run_conjecture_checks
+
     pr = Params(a, b)
     regime = "theorem" if ell(pr, m) <= 1 else "open"
     rows = []
@@ -290,6 +301,8 @@ def _aggregate_exit(rows):
 def cmd_verify(suite, cfg: SuiteConfig) -> int:
     tasks = _build_tasks(suite, cfg)
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             batches = list(pool.map(_run_cell, tasks))
     else:
@@ -381,8 +394,8 @@ def _build_parser() -> _Parser:
     ver.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     ver.add_argument("--out", default=".")
-    ver.add_argument("--jobs", type=int,
-                     default=int(os.environ.get("CUSPK_JOBS", "1")))
+    ver.add_argument("--jobs", type=int, default=None,
+                     help="worker processes; default CUSPK_JOBS or 1")
     rep = sub.add_parser("report", help="merge verification reports")
     rep.add_argument("inputs", nargs="+")
     rep.add_argument("--out", default=".")
@@ -410,8 +423,14 @@ def _config_from_args(parser, args) -> SuiteConfig:
     if args.precision < 8:
         parser.error("--precision must be at least 8 bits")
     if args.budget < 2:
-        parser.error("--budget must be positive")
-    if args.jobs < 1:
+        parser.error("--budget must be at least 2")
+    jobs = args.jobs
+    if jobs is None:
+        try:
+            jobs = int(os.environ.get("CUSPK_JOBS", "1"))
+        except ValueError:
+            parser.error("CUSPK_JOBS must be an integer")
+    if jobs < 1:
         parser.error("--jobs must be at least 1")
     if args.m_max is not None and args.m_max < 1:
         parser.error("--m-max must be at least 1")
@@ -421,7 +440,7 @@ def _config_from_args(parser, args) -> SuiteConfig:
             parser.error(f"--p {prime} is not a prime")
     return SuiteConfig(pairs=pairs, m_max=args.m_max, primes=primes,
                        r_max=r_max, precision_bits=args.precision,
-                       budget=args.budget, out=args.out, jobs=args.jobs)
+                       budget=args.budget, out=args.out, jobs=jobs)
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,30 @@
-"""Exception types shared across the toolkit.
+"""Exception types, verdict statuses and default limits shared across the
+toolkit.
 
 Every error that a caller is expected to catch has its own class; anything
 else is a plain ValueError and indicates a usage bug, not a mathematical
 finding.
+
+The verdict statuses of the conjecture C checks and the default precision
+and enumeration budget live here too, so that the command line can read
+them without importing `polytopelab` (and mpmath) or `simplicialx`.  Those
+modules import them from here and re-export them.  This module imports
+nothing.
 """
+
+# statuses of a polytopelab.Verdict
+HOLDS = "HOLDS"
+FAILS_CANDIDATE = "FAILS_CANDIDATE"
+UNDECIDED = "UNDECIDED"
+UNSUPPORTED = "UNSUPPORTED"
+
+# bits of interval precision for the c1 certificate: first try and cap
+DEFAULT_PRECISION = 128
+MAX_PRECISION = 1024
+
+# Faces are bitmasks over the exponents {0, ..., m-1}; enumeration work in
+# simplicialx is capped at this many subsets unless the caller raises it.
+DEFAULT_BUDGET = 1 << 19
 
 
 class CuspkError(Exception):

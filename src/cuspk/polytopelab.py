@@ -48,17 +48,11 @@ from itertools import combinations
 
 import mpmath
 
-from .errors import PreconditionViolation, WeightOutOfRange
+from .errors import (DEFAULT_PRECISION, FAILS_CANDIDATE, HOLDS, MAX_PRECISION,
+                     UNDECIDED, UNSUPPORTED, PreconditionViolation,
+                     WeightOutOfRange)
 from .homlinalg import SimplexTableau
 from .semigroup import Params, bezout, is_member, weights
-
-HOLDS = "HOLDS"
-FAILS_CANDIDATE = "FAILS_CANDIDATE"
-UNDECIDED = "UNDECIDED"
-UNSUPPORTED = "UNSUPPORTED"
-
-DEFAULT_PRECISION = 128
-MAX_PRECISION = 1024
 
 
 @dataclass(frozen=True)

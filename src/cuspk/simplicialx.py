@@ -16,13 +16,10 @@ from itertools import combinations
 from math import comb
 
 from .cyclicbar import expected_ty_homology, relative_homology_bar
-from .errors import PreconditionViolation, ResourceBound, TheoremViolation
+from .errors import (DEFAULT_BUDGET, PreconditionViolation, ResourceBound,
+                     TheoremViolation)
 from .homlinalg import ChainComplex, HomologySummary, SparseIntMatrix, homology
 from .semigroup import Params, ell, is_member, weights
-
-# Faces are bitmasks over the exponents {0, ..., m-1}; enumeration work is
-# capped at this many subsets unless the caller raises the budget.
-DEFAULT_BUDGET = 1 << 19
 
 
 def mask_vertices(mask: int) -> tuple[int, ...]:

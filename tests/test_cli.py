@@ -2,12 +2,17 @@
 determinism, and the merge tool."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import cuspk.cli as cli
+from cuspk import cyclicbar, polytopelab, simplicialx, wittlab
 from cuspk.errors import ResourceBound, TheoremViolation
 from cuspk.homlinalg import HomologySummary
 from cuspk.polytopelab import UNDECIDED, Verdict
@@ -99,6 +104,15 @@ class TestVerify:
                      "--b", "3", "--m-max", "12", "--jobs", "3")
         assert (seq / "report.jsonl").read_bytes() == \
             (par / "report.jsonl").read_bytes()
+        # suites whose toolkit modules the pool workers import themselves
+        for argv in (["kgroups", "--p", "5", "--r-max", "2"],
+                     ["conjC", "--m-max", "4"]):
+            outs = [run(tmp_path / f"{argv[0]}-{jobs}", "verify", *argv,
+                        "--a", "2", "--b", "3", "--jobs", jobs)[1]
+                    for jobs in ("1", "2")]
+            for name in ("report.jsonl", "report.csv"):
+                assert (outs[0] / name).read_bytes() == \
+                    (outs[1] / name).read_bytes(), (argv, name)
 
     def test_m_max_zero_is_not_the_default(self):
         cfg = cli.SuiteConfig(pairs=((2, 3),), m_max=0, primes=(2,), r_max=0,
@@ -120,7 +134,7 @@ class TestVerify:
 
 
 class TestExitCodes:
-    def test_usage_errors_exit_three(self, tmp_path):
+    def test_usage_errors_exit_three(self, tmp_path, monkeypatch):
         for argv in (["verify", "nope"],
                      ["verify", "semigroup", "--a", "2"],
                      ["verify", "semigroup", "--a", "2", "--b", "4"],
@@ -132,16 +146,23 @@ class TestExitCodes:
                      ["verify", "kgroups", "--p", "1"],
                      ["verify", "conjC", "--m-max", "0"],
                      ["verify", "conjC", "--m-max", "-1"],
+                     ["verify", "conjB", "--budget", "1"],
+                     ["verify", "semigroup", "--jobs", "0"],
                      ["report"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv + ["--out", str(tmp_path)])
+            assert exc.value.code == 3
+        for value in ("two", "0"):
+            monkeypatch.setenv("CUSPK_JOBS", value)
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["verify", "semigroup", "--out", str(tmp_path)])
             assert exc.value.code == 3
 
     def test_theorem_violation_exits_one(self, tmp_path, monkeypatch):
         def boom(p, m):
             raise cli.TheoremViolation("forced")
 
-        monkeypatch.setattr(cli, "ty_agreement_check", boom)
+        monkeypatch.setattr(cyclicbar, "ty_agreement_check", boom)
         code, out = run(tmp_path, "verify", "prop51", "--a", "2", "--b", "3",
                         "--m-max", "3")
         assert code == 1
@@ -152,7 +173,7 @@ class TestExitCodes:
             return {"c1": Verdict(UNDECIDED, precision,
                                   witness={"reason": "forced"})}
 
-        monkeypatch.setattr(cli, "run_conjecture_checks", stuck)
+        monkeypatch.setattr(polytopelab, "run_conjecture_checks", stuck)
         code, out = run(tmp_path, "verify", "conjC", "--a", "2", "--b", "3",
                         "--m-max", "2")
         assert code == 2
@@ -166,7 +187,8 @@ class TestExitCodes:
         def limited(*args):
             raise ResourceBound("forced limit of 16")
 
-        monkeypatch.setattr(cli, target, limited)
+        owner = {"prop51": cyclicbar, "conjB": simplicialx}[suite]
+        monkeypatch.setattr(owner, target, limited)
         code, out = run(tmp_path, "verify", suite, "--a", "2", "--b", "3",
                         "--m-max", "3")
         assert code == 4
@@ -189,7 +211,7 @@ class TestExitCodes:
         def broken(p, prime, q):
             raise error
 
-        monkeypatch.setattr(cli, "relative_k_group", broken)
+        monkeypatch.setattr(wittlab, "relative_k_group", broken)
         code, out = run(tmp_path, "verify", "kgroups", "--a", "2", "--b", "3",
                         "--p", "5", "--r-max", "2")
         assert code == exit_code
@@ -207,7 +229,7 @@ class TestExitCodes:
         def broken(p, m, precision, cap):
             raise error
 
-        monkeypatch.setattr(cli, "run_conjecture_checks", broken)
+        monkeypatch.setattr(polytopelab, "run_conjecture_checks", broken)
         code, out = run(tmp_path, "verify", "conjC", "--a", "2", "--b", "3",
                         "--m-max", "3")
         assert code == exit_code
@@ -255,7 +277,8 @@ class TestExitCodes:
         def disagree(p, m, budget):
             return ConjectureBReport(p.a, p.b, m, summary, other, False)
 
-        monkeypatch.setattr(cli, "conjecture_b_homology_check", disagree)
+        monkeypatch.setattr(simplicialx, "conjecture_b_homology_check",
+                            disagree)
         code, out = run(tmp_path, "verify", "conjB", "--a", "2", "--b", "3",
                         "--m-max", "2")
         assert code == 0
@@ -263,6 +286,31 @@ class TestExitCodes:
         results = {r["result"] for r in rows_of(out)
                    if r["statement"] == "homology-evidence"}
         assert results == {"MISMATCH"}
+
+
+class TestStartup:
+    def test_suites_import_only_their_own_modules(self, tmp_path):
+        """A fresh interpreter that runs semigroup and kgroups never loads
+        the modules of other suites, mpmath or the process pool."""
+        script = (
+            "import sys\n"
+            "import cuspk.cli as cli\n"
+            "for argv in (['verify', 'semigroup', '--a', '2', '--b', '3'],\n"
+            "             ['verify', 'kgroups', '--a', '2', '--b', '3',\n"
+            "              '--p', '5', '--r-max', '1']):\n"
+            "    assert cli.main(argv + ['--out', sys.argv[1]]) == 0\n"
+            "names = ('mpmath', 'concurrent.futures', 'cuspk.polytopelab',\n"
+            "         'cuspk.cyclicbar', 'cuspk.simplicialx')\n"
+            "print(sorted(n for n in names if n in sys.modules))\n")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "CUSPK_JOBS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestReport:
