@@ -22,8 +22,8 @@ UNSUPPORTED = "UNSUPPORTED"
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
 
-# Faces are bitmasks over the exponents {0, ..., m-1}; enumeration work in
-# simplicialx is capped at this many subsets unless the caller raises it.
+# simplicialx enumerates at most this many subsets of C_m unless the caller
+# raises the budget
 DEFAULT_BUDGET = 1 << 19
 
 

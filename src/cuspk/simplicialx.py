@@ -21,6 +21,9 @@ from .errors import (DEFAULT_BUDGET, PreconditionViolation, ResourceBound,
 from .homlinalg import ChainComplex, HomologySummary, SparseIntMatrix, homology
 from .semigroup import Params, ell, is_member, weights
 
+# Faces are bitmasks over the exponents {0, ..., m-1}; the enumeration budget
+# DEFAULT_BUDGET caps how many subsets are visited.
+
 
 def mask_vertices(mask: int) -> tuple[int, ...]:
     """Exponents of a face mask, ascending."""

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -292,16 +293,17 @@ class TestStartup:
     def test_suites_import_only_their_own_modules(self, tmp_path):
         """A fresh interpreter that runs semigroup and kgroups never loads
         the modules of other suites, mpmath or the process pool."""
-        script = (
-            "import sys\n"
-            "import cuspk.cli as cli\n"
-            "for argv in (['verify', 'semigroup', '--a', '2', '--b', '3'],\n"
-            "             ['verify', 'kgroups', '--a', '2', '--b', '3',\n"
-            "              '--p', '5', '--r-max', '1']):\n"
-            "    assert cli.main(argv + ['--out', sys.argv[1]]) == 0\n"
-            "names = ('mpmath', 'concurrent.futures', 'cuspk.polytopelab',\n"
-            "         'cuspk.cyclicbar', 'cuspk.simplicialx')\n"
-            "print(sorted(n for n in names if n in sys.modules))\n")
+        script = textwrap.dedent("""\
+            import sys
+            import cuspk.cli as cli
+            for argv in (["verify", "semigroup", "--a", "2", "--b", "3"],
+                         ["verify", "kgroups", "--a", "2", "--b", "3",
+                          "--p", "5", "--r-max", "1"]):
+                assert cli.main(argv + ["--out", sys.argv[1]]) == 0
+            names = ("mpmath", "concurrent.futures", "cuspk.polytopelab",
+                     "cuspk.cyclicbar", "cuspk.simplicialx")
+            print(sorted(name for name in names if name in sys.modules))
+            """)
         src = str(Path(cli.__file__).resolve().parent.parent)
         env = {k: v for k, v in os.environ.items() if k != "CUSPK_JOBS"}
         env["PYTHONPATH"] = os.pathsep.join(
