@@ -95,21 +95,10 @@ def _bar_faces(t: tuple):
 @lru_cache(maxsize=None)
 def relative_bar_complex(p: Params, m: int) -> ChainComplex:
     basis = bar_basis(p, m)
-    boundaries = {}
-    for q in basis:
-        if q - 1 not in basis:
-            continue
-        index = {lbl: i for i, lbl in enumerate(basis[q - 1])}
-        entries: dict[tuple, int] = {}
-        for c, t in enumerate(basis[q]):
-            for i, face in _bar_faces(t):
-                r = index.get(face)
-                if r is None:  # face lies in the subcomplex
-                    continue
-                key = (r, c)
-                entries[key] = entries.get(key, 0) + (-1) ** i
-        boundaries[q] = SparseIntMatrix(len(basis[q - 1]), len(basis[q]),
-                                        {k: v for k, v in entries.items() if v})
+    boundaries = {q: SparseIntMatrix.of_map(
+        basis[q - 1], basis[q],
+        lambda t: ((face, (-1) ** i) for i, face in _bar_faces(t)))
+        for q in basis if q - 1 in basis}
     return ChainComplex(basis, boundaries)
 
 
@@ -121,22 +110,10 @@ def connes_matrix(p: Params, m: int, q: int) -> SparseIntMatrix:
     kills everything when x_0 = 0.
     """
     basis = bar_basis(p, m)
-    rows = basis.get(q + 1, [])
-    cols = basis.get(q, [])
-    index = {lbl: i for i, lbl in enumerate(rows)}
-    entries: dict[tuple, int] = {}
-    for c, t in enumerate(cols):
-        if t[0] == 0:
-            continue
-        for i in range(q + 1):
-            rot = (0,) + t[i:] + t[:i]
-            r = index.get(rot)
-            if r is None:
-                continue
-            key = (r, c)
-            entries[key] = entries.get(key, 0) + (-1) ** (q * i)
-    return SparseIntMatrix(len(rows), len(cols),
-                           {k: v for k, v in entries.items() if v})
+    return SparseIntMatrix.of_map(
+        basis.get(q + 1, []), basis.get(q, []),
+        lambda t: (((0,) + t[i:] + t[:i], (-1) ** (q * i))
+                   for i in range(q + 1) if t[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +192,12 @@ def _de_rham_image(p: Params, lbl: tuple) -> dict:
     return out
 
 
-def _matrix_of(images: dict, rows: list, cols: list) -> SparseIntMatrix:
-    index = {lbl: i for i, lbl in enumerate(rows)}
-    entries = {}
-    for c, lbl in enumerate(cols):
-        for tgt, coeff in images[lbl].items():
-            entries[(index[tgt], c)] = coeff
-    return SparseIntMatrix(len(rows), len(cols), entries)
-
-
 @lru_cache(maxsize=None)
 def small_complex_curve(p: Params, m: int) -> ChainComplex:
     basis = curve_basis(p, m)
-    boundaries = {}
-    for q in basis:
-        if q - 1 not in basis:
-            continue
-        images = {lbl: _koszul_image(p, lbl) for lbl in basis[q]}
-        boundaries[q] = _matrix_of(images, basis[q - 1], basis[q])
+    boundaries = {q: SparseIntMatrix.of_map(
+        basis[q - 1], basis[q], lambda lbl: _koszul_image(p, lbl).items())
+        for q in basis if q - 1 in basis}
     return ChainComplex(basis, boundaries)
 
 
@@ -246,12 +211,8 @@ def small_complex_line(p: Params, m: int) -> ChainComplex:
 def de_rham_matrix(p: Params, m: int, q: int) -> SparseIntMatrix:
     """Matrix of the de Rham operator from curve degree q to q + 1."""
     basis = curve_basis(p, m)
-    rows = basis.get(q + 1, [])
-    cols = basis.get(q, [])
-    row_set = set(rows)
-    images = {lbl: {t: c for t, c in _de_rham_image(p, lbl).items() if t in row_set}
-              for lbl in cols}
-    return _matrix_of(images, rows, cols)
+    return SparseIntMatrix.of_map(basis.get(q + 1, []), basis.get(q, []),
+                                  lambda lbl: _de_rham_image(p, lbl).items())
 
 
 def line_de_rham_matrix(p: Params, m: int, q: int) -> SparseIntMatrix:
@@ -312,14 +273,12 @@ def _induced_cone_map(top: ChainComplex, bot: ChainComplex, coeff_by_letter: dic
                       retag: dict) -> ChainMap:
     """Blockwise map cone(W->U) -> cone(V->Z) from an exactly commuting
     square; labels are (side, (letter, tag))."""
-    maps = {}
-    for q in top.degrees:
-        index = {lbl: i for i, lbl in enumerate(bot.basis.get(q, []))}
-        entries = {}
-        for c, (side, (letter, _tag)) in enumerate(top.basis[q]):
-            target = (side, (letter, retag[side]))
-            entries[(index[target], c)] = coeff_by_letter[letter]
-        maps[q] = SparseIntMatrix(bot.dim(q), top.dim(q), entries)
+    def image(lbl):
+        side, (letter, _tag) = lbl
+        yield (side, (letter, retag[side])), coeff_by_letter[letter]
+
+    maps = {q: SparseIntMatrix.of_map(bot.basis.get(q, []), top.basis[q], image)
+            for q in top.degrees}
     return ChainMap(top, bot, maps)
 
 
@@ -389,26 +348,6 @@ def ty_agreement_check(p: Params, m: int) -> HomologySummary:
 # Connes operator factor
 
 
-@lru_cache(maxsize=None)
-def bar_engine(p: Params, m: int) -> HomologyEngine:
-    return HomologyEngine(relative_bar_complex(p, m))
-
-
-@lru_cache(maxsize=None)
-def curve_engine(p: Params, m: int) -> HomologyEngine:
-    return HomologyEngine(small_complex_curve(p, m))
-
-
-@lru_cache(maxsize=None)
-def line_engine(p: Params, m: int) -> HomologyEngine:
-    return HomologyEngine(small_complex_line(p, m))
-
-
-@lru_cache(maxsize=None)
-def cone_engine(p: Params, m: int) -> HomologyEngine:
-    return HomologyEngine(relative_cone(p, m))
-
-
 def _require_nondivisible(p: Params, m: int) -> None:
     if m % p.a == 0 or m % p.b == 0:
         raise PreconditionViolation(
@@ -430,7 +369,7 @@ def connes_factor_bar(p: Params, m: int) -> int:
     _require_nondivisible(p, m)
     l = ell(p, m)
     C = relative_bar_complex(p, m)
-    eng = bar_engine(p, m)
+    eng = HomologyEngine(C)
     g = _single_free_generator(eng, 2 * l)
     B = connes_matrix(p, m, 2 * l)
     img = C.chain_from_vector(2 * l + 1, B.matvec(C.vector_from_chain(2 * l, g)))
@@ -464,7 +403,7 @@ def connes_factor_small(p: Params, m: int) -> int:
     l = ell(p, m)
     if l == 0:
         cone = relative_cone(p, m)
-        eng = cone_engine(p, m)
+        eng = HomologyEngine(cone)
         g = _single_free_generator(eng, 0)
         img = {}
         for (side, lbl), coeff in g.items():
@@ -482,8 +421,9 @@ def connes_factor_small(p: Params, m: int) -> int:
         return c
 
     curve = small_complex_curve(p, m)
-    eng_a = curve_engine(p, m)
-    eng_b = line_engine(p, m)
+    line = small_complex_line(p, m)
+    eng_a = HomologyEngine(curve)
+    eng_b = HomologyEngine(line)
     q = 2 * l - 1
     gens_a = eng_a.generators(q)
     if any(o for o, _ in gens_a):
@@ -493,7 +433,7 @@ def connes_factor_small(p: Params, m: int) -> int:
     entries = {}
     for c_idx, (_, chain) in enumerate(gens_a):
         vec = f.matrix(q).matvec(curve.vector_from_chain(q, chain))
-        coords = eng_b.coordinates(q, small_complex_line(p, m).chain_from_vector(q, vec))
+        coords = eng_b.coordinates(q, line.chain_from_vector(q, vec))
         for r_idx, v in enumerate(coords):
             if v:
                 entries[(r_idx, c_idx)] = v

@@ -20,7 +20,7 @@ dropped before the Smith form of d_{q+1}.  This is exact for the unit
 pivots taken before the elimination's first general-phase step (the
 split of the result): until then every column operation adds a multiple
 of the pivot column, so V^-1 differs from the identity only at pivot
-rows, and d_q o d_{q+1} = 0 makes those rows of V^-1 d_{q+1} vanish;
+rows, and d_q ∘ d_{q+1} = 0 makes those rows of V^-1 d_{q+1} vanish;
 the other rows are the rows of d_{q+1}.  The first general-phase step
 edits a column that may never become a pivot, so no later pivot is
 dropped.
@@ -62,6 +62,29 @@ class SparseIntMatrix:
         m = cls.__new__(cls)
         m.nrows, m.ncols, m._rows = nrows, ncols, rows
         return m
+
+    @classmethod
+    def of_map(cls, rows: list, cols: list, image) -> "SparseIntMatrix":
+        """Matrix of a map between labelled bases.
+
+        Column c holds image(cols[c]), an iterable of (label, coeff) pairs.
+        Repeated labels add up, zero sums leave no entry, and labels outside
+        rows are dropped: they span the subcomplex that a relative complex
+        divides out.  Columns are filled in order, so each row lists its
+        columns increasingly.
+        """
+        index = {lbl: i for i, lbl in enumerate(rows)}
+        out = [{} for _ in rows]
+        for c, lbl in enumerate(cols):
+            acc: dict[int, int] = {}
+            for tgt, coeff in image(lbl):
+                r = index.get(tgt)
+                if r is not None:
+                    acc[r] = acc.get(r, 0) + coeff
+            for r, v in acc.items():
+                if v:
+                    out[r][c] = v
+        return cls._from_rows(len(rows), len(cols), out)
 
     @classmethod
     def from_dense(cls, dense) -> "SparseIntMatrix":
@@ -410,11 +433,6 @@ def smith_normal_form(matrix: SparseIntMatrix, transforms: bool = False) -> SNFR
                      U=Umat, Uinv=Uinv, V=Vmat, Vinv=Vinv)
 
 
-def snf_diagonal(matrix: SparseIntMatrix) -> list:
-    """Invariant factors only (positive, each dividing the next)."""
-    return smith_normal_form(matrix, transforms=False).diag
-
-
 # ---------------------------------------------------------------------------
 # chain complexes
 
@@ -424,7 +442,7 @@ class ChainComplex:
 
     basis maps a degree q to the list of basis labels of C_q; boundaries
     maps q to the matrix of d_q : C_q -> C_{q-1} in those bases.  Degrees
-    not present are zero.  Construction checks d о d = 0.
+    not present are zero.  Construction checks d ∘ d = 0.
     """
 
     def __init__(self, basis: dict, boundaries: dict):
@@ -439,7 +457,7 @@ class ChainComplex:
         for q in list(self.boundaries):
             upper = self.boundaries.get(q + 1)
             if upper is not None and not (self.boundaries[q] @ upper).is_zero():
-                raise ComplexInvalid(f"d_{q} о d_{q + 1} != 0")
+                raise ComplexInvalid(f"d_{q} ∘ d_{q + 1} != 0")
 
     def dim(self, q: int) -> int:
         return len(self.basis.get(q, ()))
@@ -565,7 +583,7 @@ class HomologyEngine:
         k = C.dim(q) - r  # kernel rank
         # kernel basis: columns r.. of V
         kernel_cols = [lower.V.column_vector(r + i) for i in range(k)]
-        # image of d_{q+1} in the coordinates of V; d_q о d_{q+1} = 0 forces
+        # image of d_{q+1} in the coordinates of V; d_q ∘ d_{q+1} = 0 forces
         # rows ..r-1 to vanish, and rows r.. are the relations on the kernel
         image = lower.Vinv @ C.boundary(q + 1)
         if any(image.row(i) for i in range(r)):

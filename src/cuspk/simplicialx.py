@@ -140,27 +140,14 @@ def _relative_complex(p: Params, m: int, degrees, budget: int) -> ChainComplex:
         gaps.append(m - vs[-1] + vs[0])
         return not all(rep[g] for g in gaps)
 
-    basis = {}
-    index = {}
-    for q in degrees:
-        faces = [vertices_mask(c) for c in combinations(range(m), q + 1)
-                 if outside(c)]
-        faces.sort()
-        basis[q] = faces
-        index[q] = {f: i for i, f in enumerate(faces)}
-    boundaries = {}
-    for q in degrees:
-        if q - 1 not in index:
-            continue
-        rows = index[q - 1]
-        entries = {}
-        for col, mask in enumerate(basis[q]):
-            for i, e in enumerate(mask_vertices(mask)):
-                face = mask ^ (1 << e)
-                r = rows.get(face)
-                if r is not None:
-                    entries[(r, col)] = -1 if i % 2 else 1
-        boundaries[q] = SparseIntMatrix(len(basis[q - 1]), len(basis[q]), entries)
+    basis = {q: sorted(vertices_mask(c) for c in combinations(range(m), q + 1)
+                       if outside(c))
+             for q in degrees}
+    boundaries = {q: SparseIntMatrix.of_map(
+        basis[q - 1], basis[q],
+        lambda mask: ((mask ^ (1 << e), -1 if i % 2 else 1)
+                      for i, e in enumerate(mask_vertices(mask))))
+        for q in degrees if q - 1 in basis}
     return ChainComplex(basis, boundaries)
 
 

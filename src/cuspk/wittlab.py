@@ -102,7 +102,7 @@ class AbelianMap:
                 raise ValueError(f"entry at ({r},{c}) is not a homomorphism")
 
     def compose(self, other: "AbelianMap") -> "AbelianMap":
-        """self о other."""
+        """self ∘ other."""
         if other.cod != self.dom:
             raise ValueError("composition mismatch")
         return AbelianMap(dom=other.dom, cod=self.cod,

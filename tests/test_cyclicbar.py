@@ -8,9 +8,11 @@ a sweep, which is the real cross-check.
 import pytest
 
 from cuspk.errors import PreconditionViolation, ResourceBound
-from cuspk.homlinalg import HomologySummary
+from cuspk.homlinalg import HomologySummary, SparseIntMatrix
 from cuspk.semigroup import Params, ell
 from cuspk.cyclicbar import (
+    _bar_faces,
+    _koszul_image,
     bar_basis,
     connes_factor_bar,
     connes_factor_small,
@@ -27,6 +29,7 @@ from cuspk.cyclicbar import (
 )
 
 P23 = Params(2, 3)
+README_PAIRS = [(2, 3), (2, 5), (3, 4), (3, 5)]
 
 
 def H(mapping):
@@ -70,6 +73,28 @@ class TestBarComplex:
         with pytest.raises(ResourceBound):
             bar_basis(P23, 17)
 
+    @pytest.mark.parametrize("a,b", README_PAIRS)
+    def test_boundaries_match_an_entries_dict(self, a, b):
+        p = Params(a, b)
+        for m in range(1, 9):
+            basis = bar_basis(p, m)
+            C = relative_bar_complex(p, m)
+            for q in basis:
+                if q - 1 not in basis:
+                    continue
+                index = {lbl: i for i, lbl in enumerate(basis[q - 1])}
+                entries = {}
+                for c, t in enumerate(basis[q]):
+                    for i, face in _bar_faces(t):
+                        if face in index:
+                            key = (index[face], c)
+                            entries[key] = entries.get(key, 0) + (-1) ** i
+                want = SparseIntMatrix(len(basis[q - 1]), len(basis[q]), entries)
+                got = C.boundary(q)
+                assert got == want
+                assert [list(got.row(r)) for r in range(got.nrows)] == \
+                    [list(want.row(r)) for r in range(want.nrows)]
+
 
 class TestConnesOperator:
     def test_frozen_values(self):
@@ -105,6 +130,16 @@ class TestSmallModel:
             1: [(0, 1, 0, 1, 0), (2, 0, 1, 0, 0)],
             2: [(0, 0, 0, 0, 1)],
         }
+
+    @pytest.mark.parametrize("a,b", README_PAIRS)
+    def test_koszul_targets_lie_in_the_basis(self, a, b):
+        p = Params(a, b)
+        for m in range(1, 3 * a * b + 1):
+            basis = curve_basis(p, m)
+            for q, lbls in basis.items():
+                lower = set(basis.get(q - 1, ()))
+                for lbl in lbls:
+                    assert set(_koszul_image(p, lbl)) <= lower, (m, lbl)
 
     def test_koszul_boundary_frozen(self):
         # z^[1] at weight 6 peels to 3 x^2 dx - 2 y dy

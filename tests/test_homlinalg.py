@@ -30,7 +30,6 @@ from cuspk.homlinalg import (
     lp_separate,
     mapping_cone,
     smith_normal_form,
-    snf_diagonal,
 )
 
 
@@ -82,17 +81,17 @@ NON_UNIT = st.sampled_from([0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9])
 class TestSmithNormalForm:
     def test_frozen_example(self):
         M = SparseIntMatrix.from_dense([[4, 6], [0, 3]])
-        assert snf_diagonal(M) == [1, 12]
+        assert smith_normal_form(M).diag == [1, 12]
 
     def test_zero_and_identity(self):
-        assert snf_diagonal(SparseIntMatrix(3, 2)) == []
-        assert snf_diagonal(SparseIntMatrix.identity(4)) == [1, 1, 1, 1]
+        assert smith_normal_form(SparseIntMatrix(3, 2)).diag == []
+        assert smith_normal_form(SparseIntMatrix.identity(4)).diag == [1, 1, 1, 1]
 
     @given(st.one_of(dense_matrices(), dense_matrices(entries=NON_UNIT)))
     @settings(max_examples=400, deadline=None)
     def test_matches_determinant_divisors(self, dense):
         M = SparseIntMatrix.from_dense(dense)
-        assert snf_diagonal(M) == invariant_factors_oracle(dense)
+        assert smith_normal_form(M).diag == invariant_factors_oracle(dense)
 
     @given(st.one_of(dense_matrices(), dense_matrices(entries=NON_UNIT)))
     @settings(max_examples=300, deadline=None)
@@ -106,7 +105,45 @@ class TestSmithNormalForm:
         assert res.Vinv @ res.V == SparseIntMatrix.identity(M.ncols)
         for i in range(len(res.diag) - 1):
             assert res.diag[i + 1] % res.diag[i] == 0
-        assert res.diag == snf_diagonal(M)
+        assert res.diag == smith_normal_form(M).diag
+
+
+class TestOfMap:
+    @staticmethod
+    def of_map(rows, cols, images):
+        return SparseIntMatrix.of_map(rows, cols, lambda lbl: images[lbl])
+
+    def test_repeated_labels_add_up(self):
+        M = self.of_map(["x", "y"], ["u"], {"u": [("x", 2), ("y", 1), ("x", 3)]})
+        assert M.to_dense() == [[5], [1]]
+
+    def test_zero_sum_leaves_no_entry(self):
+        M = self.of_map(["x", "y"], ["u"], {"u": [("x", 1), ("y", 2), ("x", -1)]})
+        assert M.row(0) == {}
+        assert M.nnz == 1
+
+    def test_labels_outside_rows_are_dropped(self):
+        M = self.of_map(["x", "y"], ["u", "v"],
+                        {"u": [("z", 7), ("y", 1)], "v": [("w", 1)]})
+        assert (M.nrows, M.ncols) == (2, 2)
+        assert M.to_dense() == [[0, 0], [1, 0]]
+
+    def test_rows_list_columns_in_increasing_order(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            rows = list(range(rng.randint(0, 6)))
+            cols = list(range(rng.randint(0, 8)))
+            images = {c: [(rng.randint(0, 7), rng.randint(-2, 2))
+                          for _ in range(rng.randint(0, 5))] for c in cols}
+            M = self.of_map(rows, cols, images)
+            entries = {}
+            for c in cols:
+                for r, v in images[c]:
+                    if r in rows:
+                        entries[(r, c)] = entries.get((r, c), 0) + v
+            assert M == SparseIntMatrix(len(rows), len(cols), entries)
+            for r in rows:
+                assert list(M.row(r)) == sorted(M.row(r))
 
 
 def circle_complex():

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package or of the tests imports a name
-it never uses.
+it never uses, or holds a Cyrillic letter (such as the look-alike of the
+composition sign that once stood for it).
 
 Package ``__init__.py`` files are skipped, because their imports are
 re-exports.  A name counts as used when it appears as an identifier
@@ -63,6 +64,21 @@ def test_scan_flags_an_unused_import():
     assert unused_imports("from pathlib import Path\n" + source)[0] == ("gcd", 2)
 
 
+def cyrillic(source):
+    """(line, character) of every code point from U+0400 to U+04FF."""
+    return [(n, ch) for n, line in enumerate(source.splitlines(), 1)
+            for ch in line if "\u0400" <= ch <= "\u04ff"]
+
+
+def test_scan_flags_a_cyrillic_letter():
+    assert cyrillic("d \u2218 d\nd \u043e d = 0\n") == [(2, "\u043e")]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_cyrillic(path):
+    assert cyrillic(path.read_text(encoding="utf-8")) == []

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspk.errors import IntegralityViolation
-from cuspk.homlinalg import SparseIntMatrix, snf_diagonal
+from cuspk.homlinalg import SparseIntMatrix, smith_normal_form
 from cuspk.semigroup import Params, TruncationSet, divide_set, truncation_S
 from cuspk.wittlab import (
     AbelianMap,
@@ -220,7 +220,7 @@ def stacked_snf_factors(orders, maps):
         for (r, c), v in mp.matrix.entries():
             entries[(r, col + c)] = v
         col += len(mp.dom)
-    diag = snf_diagonal(SparseIntMatrix(n, col, entries))
+    diag = smith_normal_form(SparseIntMatrix(n, col, entries)).diag
     assert len(diag) == n
     return [d for d in diag if d > 1]
 
