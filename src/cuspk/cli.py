@@ -434,7 +434,8 @@ def _config_from_args(parser, args) -> SuiteConfig:
         parser.error("--jobs must be at least 1")
     if args.m_max is not None and args.m_max < 1:
         parser.error("--m-max must be at least 1")
-    primes = tuple(args.p) if args.p else (2, 3, 5, 7)
+    # a repeated --p would repeat every row of that prime
+    primes = tuple(dict.fromkeys(args.p)) if args.p else (2, 3, 5, 7)
     for prime in primes:
         if prime < 2 or any(prime % d == 0 for d in range(2, isqrt(prime) + 1)):
             parser.error(f"--p {prime} is not a prime")

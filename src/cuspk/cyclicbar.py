@@ -319,12 +319,10 @@ def expected_ty_homology(p: Params, m: int) -> HomologySummary:
     return closed
 
 
-@lru_cache(maxsize=None)
 def relative_homology_bar(p: Params, m: int) -> HomologySummary:
     return homology(relative_bar_complex(p, m))
 
 
-@lru_cache(maxsize=None)
 def relative_homology_small(p: Params, m: int) -> HomologySummary:
     return homology(relative_cone(p, m))
 

@@ -51,8 +51,10 @@ class SparseIntMatrix:
             for (r, c), v in entries.items():
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise DimensionMismatch(f"entry ({r},{c}) outside {nrows}x{ncols}")
+                if type(v) is not int:
+                    raise ValueError(f"entry ({r},{c}) = {v!r} is not an int")
                 if v:
-                    rows[r][c] = int(v)
+                    rows[r][c] = v
         self.nrows = nrows
         self.ncols = ncols
         self._rows = rows

@@ -102,8 +102,8 @@ def test_05_x_space_evidence():
             print(f"FINDING: homology mismatch at (a,b,m)="
                   f"({rep.a},{rep.b},{rep.m}): X={rep.x_summary} "
                   f"vs Y={rep.y_summary}")
-        # disagreement is a finding, not a failure; the hard assertions
-        # live inside conjecture_b_homology_check and raise on their own
+        # disagreement is a finding, not a failure; the circle-level
+        # assertion is Proposition 5.1, checked in test_03
 
 
 def test_06_generator_cycle():

@@ -82,6 +82,26 @@ class TestVerify:
         assert by_m[6] == {"c1", "c2", "c3"}
         assert by_m[4] == {"c1", "c2"}
 
+    def test_repeated_prime_runs_once(self, tmp_path):
+        _, once = run(tmp_path / "once", "verify", "kgroups", "--a", "2",
+                      "--b", "3", "--p", "5", "--r-max", "1")
+        _, twice = run(tmp_path / "twice", "verify", "kgroups", "--a", "2",
+                       "--b", "3", "--p", "5", "--p", "5", "--r-max", "1")
+        assert [r["q"] for r in rows_of(twice)] == [0, 2]
+        for name in ("report.jsonl", "report.csv"):
+            assert (once / name).read_bytes() == (twice / name).read_bytes()
+
+    def test_conjb_does_not_build_bar_complexes(self, tmp_path, monkeypatch):
+        # (3, 7) is built by no other test, so no cached bar basis hides
+        # the lowered limit
+        monkeypatch.setattr(cyclicbar, "BAR_WEIGHT_LIMIT", 4)
+        code, out = run(tmp_path, "verify", "conjB", "--a", "3", "--b", "7",
+                        "--m-max", "6")
+        assert code == 0
+        rows = rows_of(out)
+        assert {r["m"] for r in rows} == set(range(1, 7))
+        assert all(r["result"] != "skipped" for r in rows)
+
     def test_q_max_overrides_r_max(self, tmp_path):
         code, out = run(tmp_path, "verify", "kgroups", "--a", "2", "--b", "3",
                         "--p", "5", "--q-max", "4")
@@ -289,30 +309,47 @@ class TestExitCodes:
         assert results == {"MISMATCH"}
 
 
+def loaded_modules(tmp_path, argvs, names):
+    """The modules of `names` that a fresh interpreter has loaded after
+    running each command of `argvs` through the CLI."""
+    script = textwrap.dedent("""\
+        import json
+        import sys
+        import cuspk.cli as cli
+        argvs, names = json.loads(sys.argv[2])
+        for argv in argvs:
+            assert cli.main(argv + ["--out", sys.argv[1]]) == 0
+        print(sorted(name for name in names if name in sys.modules))
+        """)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "CUSPK_JOBS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path),
+                           json.dumps([argvs, names])],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
 class TestStartup:
     def test_suites_import_only_their_own_modules(self, tmp_path):
         """A fresh interpreter that runs semigroup and kgroups never loads
         the modules of other suites, mpmath or the process pool."""
-        script = textwrap.dedent("""\
-            import sys
-            import cuspk.cli as cli
-            for argv in (["verify", "semigroup", "--a", "2", "--b", "3"],
-                         ["verify", "kgroups", "--a", "2", "--b", "3",
-                          "--p", "5", "--r-max", "1"]):
-                assert cli.main(argv + ["--out", sys.argv[1]]) == 0
-            names = ("mpmath", "concurrent.futures", "cuspk.polytopelab",
-                     "cuspk.cyclicbar", "cuspk.simplicialx")
-            print(sorted(name for name in names if name in sys.modules))
-            """)
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = {k: v for k, v in os.environ.items() if k != "CUSPK_JOBS"}
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        argvs = [["verify", "semigroup", "--a", "2", "--b", "3"],
+                 ["verify", "kgroups", "--a", "2", "--b", "3",
+                  "--p", "5", "--r-max", "1"]]
+        names = ["mpmath", "concurrent.futures", "cuspk.polytopelab",
+                 "cuspk.cyclicbar", "cuspk.simplicialx"]
+        assert loaded_modules(tmp_path, argvs, names) == "[]"
+
+    def test_conjb_loads_no_other_toolkit_module(self, tmp_path):
+        """conjB compares spaces only; the bar complexes stay unloaded."""
+        argvs = [["verify", "conjB", "--a", "2", "--b", "3", "--m-max", "5"]]
+        names = ["mpmath", "cuspk.cyclicbar", "cuspk.polytopelab",
+                 "cuspk.wittlab", "cuspk.simplicialx"]
+        assert loaded_modules(tmp_path, argvs, names) == \
+            "['cuspk.simplicialx']"
 
 
 class TestReport:

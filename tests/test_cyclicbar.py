@@ -7,7 +7,8 @@ a sweep, which is the real cross-check.
 
 import pytest
 
-from cuspk.errors import PreconditionViolation, ResourceBound
+from cuspk import cyclicbar
+from cuspk.errors import PreconditionViolation, ResourceBound, TheoremViolation
 from cuspk.homlinalg import HomologySummary, SparseIntMatrix
 from cuspk.semigroup import Params, ell
 from cuspk.cyclicbar import (
@@ -191,6 +192,13 @@ class TestExpectedHomology:
         for m in range(1, 11):
             want = expected_ty_homology(p, m)
             assert ty_agreement_check(p, m) == want
+
+    @pytest.mark.parametrize("model", ["relative_homology_bar",
+                                       "relative_homology_small"])
+    def test_disagreeing_model_raises(self, monkeypatch, model):
+        monkeypatch.setattr(cyclicbar, model, lambda p, m: H({0: (7, ())}))
+        with pytest.raises(TheoremViolation, match=r"\(a,b,m\)=\(2,3,5\)"):
+            ty_agreement_check(P23, 5)
 
 
 class TestConnesFactor:

@@ -108,6 +108,14 @@ class TestSmithNormalForm:
         assert res.diag == smith_normal_form(M).diag
 
 
+class TestConstructor:
+    @pytest.mark.parametrize("value", [Fraction(1, 2), 2.7, True],
+                             ids=["fraction", "float", "bool"])
+    def test_non_int_entry_rejected(self, value):
+        with pytest.raises(ValueError, match=r"entry \(0,0\)"):
+            SparseIntMatrix(1, 1, {(0, 0): value})
+
+
 class TestOfMap:
     @staticmethod
     def of_map(rows, cols, images):

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package or of the tests imports a name
 it never uses, or holds a Cyrillic letter (such as the look-alike of the
-composition sign that once stood for it).
+composition sign that once stood for it), and no toolkit module imports a
+sibling.
 
 Package ``__init__.py`` files are skipped, because their imports are
 re-exports.  A name counts as used when it appears as an identifier
@@ -15,6 +16,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for pattern in ("src/cuspk/*.py", "tests/*.py")
                  for p in ROOT.glob(pattern) if p.name != "__init__.py")
+# each suite's module stands on the shared modules alone, so a suite loads
+# only what it runs
+TOOLKIT = ("wittlab", "cyclicbar", "simplicialx", "polytopelab")
+SHARED = {"errors", "semigroup", "homlinalg"}
 
 
 def imported_names(tree):
@@ -72,6 +77,49 @@ def cyrillic(source):
 
 def test_scan_flags_a_cyrillic_letter():
     assert cyrillic("d \u2218 d\nd \u043e d = 0\n") == [(2, "\u043e")]
+
+
+def package_imports(source):
+    """(module, line) of every cuspk module a source imports, in the
+    absolute (`cuspk.x`) and the relative (`.x`) form."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "cuspk" and rest:
+                    yield rest.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                module = node.module
+            elif node.level == 0 and node.module.split(".")[0] == "cuspk":
+                module = node.module.partition(".")[2] or None
+            else:
+                continue
+            if module is None:
+                for alias in node.names:
+                    yield alias.name, node.lineno
+            else:
+                yield module.split(".")[0], node.lineno
+
+
+def sibling_imports(source):
+    return [(name, line) for name, line in package_imports(source)
+            if name not in SHARED]
+
+
+def test_scan_flags_a_sibling_import():
+    source = ("from .errors import CuspkError\nfrom .cyclicbar import bar_basis\n"
+              "from cuspk.homlinalg import homology\nimport cuspk.wittlab\n"
+              "from cuspk import semigroup, polytopelab\n"
+              "from . import simplicialx\nfrom math import gcd\n")
+    assert sibling_imports(source) == [("cyclicbar", 2), ("wittlab", 4),
+                                       ("polytopelab", 5), ("simplicialx", 6)]
+
+
+@pytest.mark.parametrize("name", TOOLKIT)
+def test_toolkit_imports_only_shared_modules(name):
+    source = (ROOT / "src" / "cuspk" / f"{name}.py").read_text(encoding="utf-8")
+    assert sibling_imports(source) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
