@@ -4,7 +4,8 @@ Submodules
 ----------
 semigroup    counting and truncation sets for <a, b>
 wittlab      big Witt vectors over F_p and over Z via ghost coordinates
-homlinalg    exact integer linear algebra: Smith form, homology, cones, LP
+homlinalg    exact integer linear algebra: Smith form, homology, cones
+exactlp      exact simplex LP on a fraction-free tableau, with certificates
 cyclicbar    cyclic bar complexes and the small de Rham-style models
 simplicialx  the gap-complex on cyclic groups and its quotient homology
 polytopelab  stunted cyclic polytopes and certified convexity checks

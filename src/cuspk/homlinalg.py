@@ -3,9 +3,9 @@
 Provides the machinery every homology computation in the toolkit runs on:
 sparse integer matrices, Smith normal form with optional unimodular
 transforms, chain complexes with integral homology (ranks, torsion and
-generator lifts), mapping cones, and an exact rational simplex tableau
-that runs phase 1 once and warm-starts every objective from its feasible
-basis, used for convex separation and summand certificates.
+generator lifts) and mapping cones.  The LP helpers at the end wrap the
+simplex tableau of `cuspk.exactlp`, imported on first use so that the
+homology suites never load it.
 
 The Smith form needs no divisibility repair: the elimination extracts
 its pivots in an order where each divides the next (unit pivots first,
@@ -733,123 +733,6 @@ class SeparationResult:
     delta: Fraction | None = None
 
 
-class SimplexTableau:
-    """Dense Fraction simplex tableau over { lam >= 0 : sum lam_j col_j = rhs }.
-
-    Construction runs phase 1 once, with one artificial column per row and
-    Bland's rule, and sets status to "feasible" or "infeasible".  When
-    infeasible, farkas holds y with y . col_j <= 0 for every column and
-    y . rhs > 0, read from the prices of the artificial columns.  When
-    feasible, the artificials are driven out of the basis, rows left
-    without a pivot are dropped as redundant, and each optimize() call
-    warm-starts phase 2 from the current feasible basis.  Every
-    certificate is re-checked against the original columns before it is
-    handed out.
-    """
-
-    def __init__(self, columns, rhs):
-        m, n = len(rhs), len(columns)
-        for col in columns:
-            if len(col) != m:
-                raise DimensionMismatch("column length mismatch")
-        self.columns, self.rhs = columns, rhs
-        flip = [-1 if rhs[i] < 0 else 1 for i in range(m)]
-        # rows of the tableau: n real columns, m artificial columns, rhs
-        self.T = []
-        for i in range(m):
-            row = [Fraction(columns[j][i] * flip[i]) for j in range(n)]
-            row += [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-            row.append(Fraction(rhs[i] * flip[i]))
-            self.T.append(row)
-        self.basis = [n + i for i in range(m)]
-        cost = [0] * n + [1] * m
-        bounded = self._solve(cost)
-        assert bounded, "phase-1 objective is bounded below"
-        if any(row[-1] for b, row in zip(self.basis, self.T) if b >= n):
-            self.status = "infeasible"
-            y = [self._price(cost, n + i) * flip[i] for i in range(m)]
-            for col in columns:
-                assert sum(y[i] * col[i] for i in range(m)) <= 0
-            assert sum(y[i] * rhs[i] for i in range(m)) > 0
-            self.farkas = y
-            return
-        self.status = "feasible"
-        # artificials never re-enter, so their columns are dropped
-        self.T = [row[:n] + row[-1:] for row in self.T]
-        keep = []
-        for i in range(m):
-            if self.basis[i] >= n:
-                pivot_col = next((j for j in range(n) if self.T[i][j] != 0), None)
-                if pivot_col is None:
-                    continue
-                self._pivot(i, pivot_col)
-            keep.append(i)
-        self.T = [self.T[i] for i in keep]
-        self.basis = [self.basis[i] for i in keep]
-
-    def _price(self, cost, j):
-        """z_j = sum_i cost[basis[i]] * T[i][j]."""
-        return sum(cost[b] * row[j] for b, row in zip(self.basis, self.T) if cost[b])
-
-    def _solve(self, cost) -> bool:
-        """Pivot by Bland's rule to a basis minimizing cost; False if unbounded."""
-        T, basis = self.T, self.basis
-        while True:
-            enter = next((j for j in range(len(cost))
-                          if cost[j] < self._price(cost, j)), -1)
-            if enter < 0:
-                return True
-            leave, best = -1, None
-            for i in range(len(T)):
-                if T[i][enter] > 0:
-                    ratio = T[i][-1] / T[i][enter]
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        leave, best = i, ratio
-            if leave < 0:
-                return False
-            self._pivot(leave, enter)
-
-    def _pivot(self, leave, enter):
-        T = self.T
-        piv = T[leave][enter]
-        prow = T[leave] = [v / piv for v in T[leave]]
-        for i, row in enumerate(T):
-            f = row[enter]
-            if i != leave and f:
-                T[i] = [a - f * b for a, b in zip(row, prow)]
-        self.basis[leave] = enter
-
-    def solution(self) -> list:
-        """The current basic solution lam, re-checked against the columns."""
-        assert self.status == "feasible"
-        lam = [Fraction(0)] * len(self.columns)
-        for b, row in zip(self.basis, self.T):
-            lam[b] = row[-1]
-        assert all(v >= 0 for v in lam)
-        used = [(v, col) for v, col in zip(lam, self.columns) if v]
-        for i, r in enumerate(self.rhs):
-            assert sum(v * col[i] for v, col in used) == r
-        return lam
-
-    def optimize(self, objective, maximize=False):
-        """Optimize objective . lam from the current feasible basis.
-
-        Returns ("optimal", value, lam) or ("unbounded", None, None); the
-        basis stays where phase 2 stopped, so the next call starts there.
-        """
-        if len(objective) != len(self.columns):
-            raise DimensionMismatch("objective length mismatch")
-        objective = list(map(Fraction, objective))
-        cost = [-c for c in objective] if maximize else objective
-        if not self._solve(cost):
-            return "unbounded", None, None
-        lam = self.solution()
-        value = sum(o * v for o, v in zip(objective, lam))
-        tableau_value = sum(cost[b] * row[-1] for b, row in zip(self.basis, self.T))
-        assert value == (-tableau_value if maximize else tableau_value)
-        return "optimal", value, lam
-
-
 def feasibility_certificate(columns, rhs):
     """Exact feasibility of { lam >= 0 : sum lam_j col_j = rhs }.
 
@@ -857,6 +740,8 @@ def feasibility_certificate(columns, rhs):
     with an exact Farkas functional: y . col_j <= 0 for all j, y . rhs > 0.
     Both certificates are re-verified before returning.
     """
+    from cuspk.exactlp import SimplexTableau
+
     tab = SimplexTableau(columns, rhs)
     if tab.status == "infeasible":
         return "infeasible", tab.farkas
@@ -903,6 +788,8 @@ def lp_optimize(columns, rhs, objective, maximize=False):
     Returns ("optimal", value, lam), ("infeasible", None, None) or
     ("unbounded", None, None).  Exact rational arithmetic throughout.
     """
+    from cuspk.exactlp import SimplexTableau
+
     tab = SimplexTableau(columns, rhs)
     if tab.status == "infeasible":
         return "infeasible", None, None

@@ -51,7 +51,7 @@ import mpmath
 from .errors import (DEFAULT_PRECISION, FAILS_CANDIDATE, HOLDS, MAX_PRECISION,
                      UNDECIDED, UNSUPPORTED, PreconditionViolation,
                      WeightOutOfRange)
-from .homlinalg import SimplexTableau
+from .exactlp import SimplexTableau
 from .semigroup import Params, bezout, is_member, weights
 
 

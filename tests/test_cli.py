@@ -344,12 +344,21 @@ class TestStartup:
         assert loaded_modules(tmp_path, argvs, names) == "[]"
 
     def test_conjb_loads_no_other_toolkit_module(self, tmp_path):
-        """conjB compares spaces only; the bar complexes stay unloaded."""
+        """conjB compares spaces only; the bar complexes and the LP stay
+        unloaded."""
         argvs = [["verify", "conjB", "--a", "2", "--b", "3", "--m-max", "5"]]
         names = ["mpmath", "cuspk.cyclicbar", "cuspk.polytopelab",
-                 "cuspk.wittlab", "cuspk.simplicialx"]
+                 "cuspk.wittlab", "cuspk.simplicialx", "cuspk.exactlp"]
         assert loaded_modules(tmp_path, argvs, names) == \
             "['cuspk.simplicialx']"
+
+    def test_conjc_loads_no_homology_module(self, tmp_path):
+        """conjC runs its LPs on the exactlp tableau alone; the Smith form,
+        the chain complexes and the other suites stay unloaded."""
+        argvs = [["verify", "conjC", "--a", "2", "--b", "3", "--m-max", "5"]]
+        names = ["cuspk.homlinalg", "cuspk.cyclicbar", "cuspk.simplicialx",
+                 "cuspk.wittlab", "cuspk.exactlp"]
+        assert loaded_modules(tmp_path, argvs, names) == "['cuspk.exactlp']"
 
 
 class TestReport:

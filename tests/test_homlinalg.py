@@ -17,12 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspk.errors import ComplexInvalid, NotAChainMap
+from cuspk.exactlp import SimplexTableau
 from cuspk.homlinalg import (
     ChainComplex,
     ChainMap,
     HomologyEngine,
     HomologySummary,
-    SimplexTableau,
     SparseIntMatrix,
     feasibility_certificate,
     homology,

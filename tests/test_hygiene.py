@@ -19,7 +19,7 @@ SOURCES = sorted(p for pattern in ("src/cuspk/*.py", "tests/*.py")
 # each suite's module stands on the shared modules alone, so a suite loads
 # only what it runs
 TOOLKIT = ("wittlab", "cyclicbar", "simplicialx", "polytopelab")
-SHARED = {"errors", "semigroup", "homlinalg"}
+SHARED = {"errors", "semigroup", "homlinalg", "exactlp"}
 
 
 def imported_names(tree):
