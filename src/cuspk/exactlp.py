@@ -7,7 +7,8 @@ phase 2 from the basis the previous one left.  The pivots are the
 integer-preserving pivots of Edmonds (J. Res. NBS 71B, 1967) and Bareiss
 (Math. Comp. 22, 1968), so the tableau holds Python ints and every
 division is exact.  Each certificate is re-checked in Fraction against the
-original columns before it is handed out.
+original columns before it is handed out; a failed re-check raises
+TheoremViolation, never an `assert`, which `python -O` would strip.
 
 The module imports only the error types, so a suite that runs LPs loads
 neither the Smith form nor the chain complexes.  No floating point enters.
@@ -18,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from cuspk.errors import DimensionMismatch, PreconditionViolation
+from cuspk.errors import (DimensionMismatch, PreconditionViolation,
+                          TheoremViolation)
 
 
 def _common_denominator(values, what: str) -> int:
@@ -94,16 +96,18 @@ class SimplexTableau:
         for row in self.T:
             d = [x - v for x, v in zip(d, row)]
         d[n:n + m] = [0] * m
-        bounded = self._solve(d)
-        assert bounded, "phase-1 objective is bounded below"
+        if not self._solve(d):
+            raise TheoremViolation("phase 1 is unbounded, but its objective "
+                                   "is bounded below by 0")
         if any(row[-1] for b, row in zip(self.basis, self.T) if b >= n):
             self.status = "infeasible"
             # the price of artificial i is its cost 1 minus its reduced cost
             D = self.D
             y = [Fraction(D - d[n + i], D) * flip[i] for i in range(m)]
-            for col in columns:
-                assert sum(y[i] * col[i] for i in range(m)) <= 0
-            assert sum(y[i] * rhs[i] for i in range(m)) > 0
+            if any(sum(y[i] * col[i] for i in range(m)) > 0 for col in columns):
+                raise TheoremViolation("Farkas functional is positive on a column")
+            if sum(y[i] * rhs[i] for i in range(m)) <= 0:
+                raise TheoremViolation("Farkas functional is not positive on the rhs")
             self.farkas = y
             return
         self.status = "feasible"
@@ -174,10 +178,12 @@ class SimplexTableau:
         lam = [Fraction(0)] * len(self.columns)
         for b, row in zip(self.basis, self.T):
             lam[b] = Fraction(row[-1], self.D)
-        assert all(v >= 0 for v in lam)
+        if any(v < 0 for v in lam):
+            raise TheoremViolation("basic solution has a negative entry")
         used = [(v, col) for v, col in zip(lam, self.columns) if v]
-        for i, r in enumerate(self.rhs):
-            assert sum(v * col[i] for v, col in used) == r
+        if any(sum(v * col[i] for v, col in used) != r
+               for i, r in enumerate(self.rhs)):
+            raise TheoremViolation("basic solution does not meet the rhs")
         return lam
 
     def optimize(self, objective, maximize=False):
@@ -202,5 +208,7 @@ class SimplexTableau:
             return "unbounded", None, None
         lam = self.solution()
         value = sum(o * v for o, v in zip(objective, lam))
-        assert value == sign * Fraction(-d[-1], self.D * scale)
+        if value != sign * Fraction(-d[-1], self.D * scale):
+            raise TheoremViolation("objective value of the solution differs "
+                                   "from the tableau's")
         return "optimal", value, lam

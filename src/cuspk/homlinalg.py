@@ -35,7 +35,8 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cuspk.errors import ComplexInvalid, DimensionMismatch, NotAChainMap
+from cuspk.errors import (ComplexInvalid, DimensionMismatch, NotAChainMap,
+                          TheoremViolation)
 
 
 class SparseIntMatrix:
@@ -770,15 +771,17 @@ def lp_separate(points, target) -> SeparationResult:
     status, data = feasibility_certificate(columns, rhs)
     if status == "feasible":
         lam = data
-        assert sum(lam) == 1
+        if sum(lam) != 1:
+            raise TheoremViolation("convex weights do not sum to 1")
         return SeparationResult(kind="combination", coefficients=tuple(lam))
     y = data
     g, gamma = y[:d], y[d]
     h = [-v for v in g]
     delta = gamma
-    for p in points:
-        assert sum(h[i] * p[i] for i in range(d)) >= delta
-    assert sum(h[i] * target[i] for i in range(d)) < delta
+    if any(sum(h[i] * p[i] for i in range(d)) < delta for p in points):
+        raise TheoremViolation("separator puts a point below its level")
+    if sum(h[i] * target[i] for i in range(d)) >= delta:
+        raise TheoremViolation("separator does not put the target below its level")
     return SeparationResult(kind="separator", functional=tuple(h), delta=delta)
 
 

@@ -1,12 +1,18 @@
 """Gap-type simplicial complexes on the cyclic group and quotient homology.
 
 For a weight m the simplex spanned by C_m carries the subcomplex generated
-by the faces all of whose cyclic gaps are representable; the quotient space
-is analysed through its relative chain complex.  The module also houses the
-closed-form homology of the comparison space, the fixed-point bijection for
-subgroups of C_m, and the explicit degree-2 generator used in the rank-one
-regime.  It compares spaces only: the circle-level statement (Proposition
-5.1) is checked in `cyclicbar`, which this module does not import.
+by the faces all of whose cyclic gaps are representable.  The homology of
+the quotient space is computed from the subcomplex alone: the simplex is
+contractible, so the long exact sequence of the pair gives
+H_q(simplex, subcomplex) = H~_{q-1}(subcomplex) over Z, torsion included,
+and the augmented chain complex of the subcomplex, with its empty face in
+degree 0, has exactly these groups.  The relative chain complex on the
+faces outside the subcomplex, some 2^m of them, stays for the explicit
+degree-2 generator of the rank-one regime, which is a relative chain.  The
+module also houses the closed-form homology of the comparison space and
+the fixed-point bijection for subgroups of C_m.  It compares spaces only:
+the circle-level statement (Proposition 5.1) is checked in `cyclicbar`,
+which this module does not import.
 """
 
 from __future__ import annotations
@@ -21,19 +27,18 @@ from .errors import (DEFAULT_BUDGET, PreconditionViolation, ResourceBound,
 from .homlinalg import ChainComplex, HomologySummary, SparseIntMatrix, homology
 from .semigroup import Params, ell, is_member, weights
 
-# Faces are bitmasks over the exponents {0, ..., m-1}; the enumeration budget
-# DEFAULT_BUDGET caps how many subsets are visited.
+# Faces are bitmasks over the exponents {0, ..., m-1}.  The budget
+# DEFAULT_BUDGET caps the 2^m subsets of C_m; the gap subcomplex is built
+# without visiting them, but weights past the budget stay refused.
 
 
 def mask_vertices(mask: int) -> tuple[int, ...]:
     """Exponents of a face mask, ascending."""
     out = []
-    e = 0
     while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -112,13 +117,36 @@ def build_sigma(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> CmComplex:
     Rotation-invariant and subset-closed by construction: rotating a face
     permutes its gaps, and dropping a vertex merges two gaps into their sum.
     Nonempty exactly when m itself is representable (single vertices).
+
+    Faces grow by ascending vertices from their least vertex, and only
+    faces are extended, so the search visits the faces and no other
+    subset.  That loses no face: an extension keeps every interior gap of
+    the prefix and splits its closing gap into gaps that sum to it, so
+    when a gap of the prefix is not representable, some gap of every
+    extension is not either, since a sum of members is a member.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if 1 << m > budget:
         raise ResourceBound(f"2^{m} subsets exceed the budget of {budget}")
-    return CmComplex(m=m, faces=frozenset(
-        mask for mask in range(1, 1 << m) if face_in_sigma(p, m, mask)))
+    rep = _member_table(p, m)
+    faces = []
+    if rep[m]:
+        # (least vertex, mask, last vertex) of the faces still to extend
+        stack = [(v, 1 << v, v) for v in range(m)]
+        while stack:
+            first, mask, last = stack.pop()
+            faces.append(mask)
+            stack.extend((first, mask | 1 << v, v) for v in range(last + 1, m)
+                         if rep[v - last] and rep[m - v + first])
+    return CmComplex(m=m, faces=frozenset(faces))
+
+
+def _face_boundary(mask: int):
+    """(face, sign) of the simplicial boundary of a face mask: dropping
+    the i-th least vertex has sign (-1)^i."""
+    return ((mask ^ (1 << e), -1 if i % 2 else 1)
+            for i, e in enumerate(mask_vertices(mask)))
 
 
 def _relative_complex(p: Params, m: int, degrees, budget: int) -> ChainComplex:
@@ -127,6 +155,8 @@ def _relative_complex(p: Params, m: int, degrees, budget: int) -> ChainComplex:
     Degree-q basis: the (q+1)-element subsets of C_m outside the subcomplex.
     Boundary faces that land in the subcomplex are dropped.  Only the listed
     degrees are materialised, so generator checks at large m stay cheap.
+    Over all degrees this has the homology of `x_complex`, from about 2^m
+    faces instead of the subcomplex's.
     """
     degrees = sorted(degrees)
     cost = sum(comb(m, q + 1) for q in degrees)
@@ -140,21 +170,33 @@ def _relative_complex(p: Params, m: int, degrees, budget: int) -> ChainComplex:
     basis = {q: sorted(vertices_mask(c) for c in combinations(range(m), q + 1)
                        if outside(c))
              for q in degrees}
-    boundaries = {q: SparseIntMatrix.of_map(
-        basis[q - 1], basis[q],
-        lambda mask: ((mask ^ (1 << e), -1 if i % 2 else 1)
-                      for i, e in enumerate(mask_vertices(mask))))
-        for q in degrees if q - 1 in basis}
+    boundaries = {q: SparseIntMatrix.of_map(basis[q - 1], basis[q], _face_boundary)
+                  for q in degrees if q - 1 in basis}
     return ChainComplex(basis, boundaries)
 
 
 @lru_cache(maxsize=None)
 def x_complex(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> ChainComplex:
+    """Augmented chain complex of the gap subcomplex, graded by vertex count.
+
+    The empty face (mask 0) sits in degree 0 and a face with q vertices in
+    degree q, so H_q of this complex is the reduced homology of the gap
+    subcomplex one degree down.  The full simplex on C_m is contractible,
+    so the long exact sequence of the pair makes that the relative
+    homology H_q of the simplex modulo the subcomplex, torsion included;
+    `_relative_complex` computes the same groups from the faces outside.
+    When m is not representable the subcomplex is empty and H_0 = Z.
+    """
     if m < 1:
         raise ValueError("m must be positive")
     if 1 << m > budget:
         raise ResourceBound(f"2^{m} subsets exceed the budget of {budget}")
-    return _relative_complex(p, m, range(m), budget)
+    basis = {0: [0]}
+    for mask in sorted(build_sigma(p, m, budget).faces):
+        basis.setdefault(mask.bit_count(), []).append(mask)
+    boundaries = {q: SparseIntMatrix.of_map(basis[q - 1], basis[q], _face_boundary)
+                  for q in basis if q}
+    return ChainComplex(basis, boundaries)
 
 
 def x_homology(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> HomologySummary:

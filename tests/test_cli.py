@@ -223,6 +223,23 @@ class TestExitCodes:
         assert all(r["result"] != "skipped" for r in rows if r not in hit)
         assert f"skipped={skipped}" in capsys.readouterr().out
 
+    def test_conjb_past_the_budget_skips_every_statement(self, tmp_path):
+        code, out = run(tmp_path, "verify", "conjB", "--a", "2", "--b", "3",
+                        "--m-max", "21")
+        assert code == 4
+        rows = rows_of(out)
+        past = [r for r in rows if r["m"] > 19]
+        assert sorted((r["m"], r["statement"]) for r in past) == sorted(
+            [(m, "homology-evidence") for m in (20, 21)]
+            + [(m, f"fixed-points/s={s}") for m in (20, 21)
+               for s in range(1, m + 1) if m % s == 0])
+        for r in past:
+            assert r["result"] == "skipped"
+            assert r["details"] == {
+                "error": "ResourceBound",
+                "reason": f"2^{r['m']} subsets exceed the budget of 524288"}
+        assert all(r["result"] != "skipped" for r in rows if r["m"] <= 19)
+
     @pytest.mark.parametrize("error,result,exit_code,details", [
         (TheoremViolation("forced"), "fail", 1, {"error": "forced"}),
         (ResourceBound("forced limit of 16"), "skipped", 4,

@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspk.errors import PreconditionViolation
+from cuspk.errors import PreconditionViolation, TheoremViolation
 from cuspk.exactlp import SimplexTableau
 
 
@@ -192,3 +192,33 @@ def test_non_exact_entry_rejected(value):
     tab = SimplexTableau([[1], [1]], [1])
     with pytest.raises(ValueError, match="objective entry"):
         tab.optimize([value, 0])
+
+
+def add_D_to_rhs(tab, leave, d):
+    tab.T[leave][-1] += tab.D
+
+
+def add_D_to_prices(tab, leave, d):
+    d[:-1] = [v + tab.D for v in d[:-1]]
+
+
+@pytest.mark.parametrize("cols,rhs,corrupt,check", [
+    ([[1, 0], [0, 1]], [1, 1], add_D_to_rhs, "does not meet the rhs"),
+    ([[1, 2], [2, 1]], [1, -1], add_D_to_prices, "Farkas functional"),
+], ids=["solution", "farkas"])
+def test_a_corrupted_pivot_raises(monkeypatch, cols, rhs, corrupt, check):
+    pivot = SimplexTableau._pivot
+    calls = []
+
+    def corrupted(self, leave, enter, d=None):
+        pivot(self, leave, enter, d)
+        if not calls:
+            corrupt(self, leave, d)
+        calls.append(leave)
+
+    tab = SimplexTableau(cols, rhs)
+    assert tab.status == ("infeasible" if corrupt is add_D_to_prices else "feasible")
+    monkeypatch.setattr(SimplexTableau, "_pivot", corrupted)
+    with pytest.raises(TheoremViolation, match=check):
+        SimplexTableau(cols, rhs).solution()
+    assert calls

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a name
 it never uses, or holds a Cyrillic letter (such as the look-alike of the
-composition sign that once stood for it), and no toolkit module imports a
-sibling.
+composition sign that once stood for it), no toolkit module imports a
+sibling, and the certificate checks of `exactlp` are no `assert`
+statements, which `python -O` strips.
 
 Package ``__init__.py`` files are skipped, because their imports are
 re-exports.  A name counts as used when it appears as an identifier
@@ -130,3 +131,21 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_cyrillic(path):
     assert cyrillic(path.read_text(encoding="utf-8")) == []
+
+
+def assert_lines(source):
+    """Line of every `assert` statement."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_scan_flags_an_assert():
+    source = ("def f(x):\n    assert x > 0\n    if x < 0:\n"
+              "        raise ValueError('assert x')\n    assert (x,\n        1)\n")
+    assert assert_lines(source) == [2, 5]
+
+
+def test_exactlp_has_no_assert():
+    # a re-check that `python -O` strips leaves a certificate unchecked
+    source = (ROOT / "src" / "cuspk" / "exactlp.py").read_text(encoding="utf-8")
+    assert assert_lines(source) == []

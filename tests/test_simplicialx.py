@@ -1,10 +1,12 @@
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import cuspk.simplicialx as sx
-from cuspk.errors import PreconditionViolation, ResourceBound
-from cuspk.homlinalg import HomologySummary
+from cuspk.errors import DEFAULT_BUDGET, PreconditionViolation, ResourceBound
+from cuspk.homlinalg import HomologySummary, homology
 from cuspk.semigroup import Params, is_member
 from cuspk.simplicialx import (CmComplex, build_sigma,
                                conjecture_b_homology_check, cyclic_gaps,
@@ -17,6 +19,10 @@ P23 = Params(2, 3)
 P25 = Params(2, 5)
 P34 = Params(3, 4)
 P35 = Params(3, 5)
+
+
+def pair_id(p):
+    return f"{p.a},{p.b}"
 
 
 def H(mapping):
@@ -76,10 +82,15 @@ class TestSigma:
         for m in range(1, 13):
             build_sigma(p, m).check_invariants()
 
-    def test_face_predicate_matches_complex(self):
-        cx = build_sigma(P34, 9)
-        for mask in range(1, 1 << 9):
-            assert (mask in cx) == face_in_sigma(P34, 9, mask)
+    @pytest.mark.parametrize("p", [Params(a, b) for b in range(3, 9)
+                                   for a in range(2, b) if gcd(a, b) == 1],
+                             ids=pair_id)
+    def test_face_predicate_matches_complex(self, p):
+        # the pruned search against the filter over every subset of C_m,
+        # empty subcomplexes (m not representable, such as m = 1) included
+        for m in range(1, 15):
+            brute = {mask for mask in range(1, 1 << m) if face_in_sigma(p, m, mask)}
+            assert build_sigma(p, m).faces == brute
 
     def test_budget(self):
         with pytest.raises(ResourceBound):
@@ -100,6 +111,16 @@ class TestXHomology:
     ])
     def test_frozen_small_weights(self, m, want):
         assert x_homology(P23, m) == H(want)
+
+    @pytest.mark.parametrize("p", [P23, P25, P34, P35, Params(2, 7), Params(3, 7),
+                                   Params(4, 5)], ids=pair_id)
+    def test_matches_the_relative_complex(self, p):
+        # the gap subcomplex's augmented complex against the faces outside it
+        for m in range(1, 13):
+            want = homology(sx._relative_complex(p, m, range(m), DEFAULT_BUDGET))
+            assert x_homology(p, m) == want
+        # m = 1 is not representable: the subcomplex is empty
+        assert x_homology(p, 1) == H({0: (1, ())})
 
     def test_euler_characteristic_consistent(self):
         for m in range(1, 10):
