@@ -3,8 +3,9 @@ deterministic JSON-lines and CSV reports.
 
 Exit codes: 0 all hard assertions pass, 1 theorem-level violation,
 2 undecided interval verdicts remain at maximum precision, 3 usage or
-parse errors, 4 some statements were skipped (a cell hit a resource
-limit or another toolkit error) and every other row passed.
+parse errors, or an --out directory that cannot be made, 4 some
+statements were skipped (a cell hit a resource limit or another toolkit
+error) and every other row passed.
 Reports are byte-deterministic for a fixed configuration:
 rows are sorted, JSON keys are sorted, and randomized batteries run from
 fixed seeds.
@@ -33,6 +34,9 @@ SCHEMA = "cuspk.report/1"
 SUITES = ("semigroup", "witt", "kgroups", "prop51", "conjB", "conjC", "all")
 DEFAULT_PAIRS = ((2, 3), (2, 5), (3, 4), (3, 5))
 ROW_FIELDS = ("suite", "a", "b", "m", "p", "q", "statement", "result")
+# a report row's text fields and its coordinates, which are int or null
+TEXT_FIELDS = ("suite", "statement", "result")
+COORDS = ("a", "b", "m", "p", "q")
 SKIPPED = "skipped"
 
 
@@ -59,8 +63,7 @@ def _row_key(row):
     def k(v):
         return (v is None, v)
 
-    return (row["suite"], k(row["a"]), k(row["b"]), k(row["m"]), k(row["p"]),
-            k(row["q"]), row["statement"])
+    return (row["suite"], *(k(row[f]) for f in COORDS), row["statement"])
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +270,26 @@ def _build_tasks(suite, cfg: SuiteConfig):
     return tasks
 
 
+def _is_row(row):
+    """Whether a parsed line holds every row field with its type.  A bool
+    is no coordinate, although Python makes it an int."""
+    return (isinstance(row, dict)
+            and all(isinstance(row.get(f), str) for f in TEXT_FIELDS)
+            and all(f in row and (row[f] is None or type(row[f]) is int)
+                    for f in COORDS))
+
+
+def _make_out_dir(out_dir) -> bool:
+    """Create the report directory; on failure say why and return False."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"{out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _write_reports(rows, out_dir, prefix="report"):
-    os.makedirs(out_dir, exist_ok=True)
     jsonl = os.path.join(out_dir, f"{prefix}.jsonl")
     with open(jsonl, "w", encoding="utf-8", newline="") as fh:
         for row in rows:
@@ -299,6 +320,8 @@ def _aggregate_exit(rows):
 
 
 def cmd_verify(suite, cfg: SuiteConfig) -> int:
+    if not _make_out_dir(cfg.out):
+        return 3
     tasks = _build_tasks(suite, cfg)
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -330,6 +353,8 @@ def cmd_verify(suite, cfg: SuiteConfig) -> int:
 
 
 def cmd_report(inputs, out_dir) -> int:
+    if not _make_out_dir(out_dir):
+        return 3
     merged = {}
     conflicts = []
     for path in inputs:
@@ -348,8 +373,7 @@ def cmd_report(inputs, out_dir) -> int:
                 except json.JSONDecodeError as exc:
                     print(f"{path}:{lineno}: {exc}", file=sys.stderr)
                     return 3
-                if not isinstance(row, dict) or any(
-                        f not in row for f in ROW_FIELDS):
+                if not _is_row(row):
                     print(f"{path}:{lineno}: not a report row",
                           file=sys.stderr)
                     return 3
@@ -362,8 +386,8 @@ def cmd_report(inputs, out_dir) -> int:
     rows = sorted(merged.values(), key=_row_key)
     jsonl, digest = _write_reports(rows, out_dir, prefix="merged")
     for row, first, second in conflicts:
-        where = ",".join(f"{f}={row[f]}" for f in ("a", "b", "m", "p", "q")
-                         if row.get(f) is not None)
+        where = ",".join(f"{f}={row[f]}" for f in COORDS
+                         if row[f] is not None)
         print(f"CONFLICT: {row['suite']}/{row['statement']} ({where}): "
               f"{first} vs {second}", file=sys.stderr)
     print(f"merged {len(rows)} rows -> {jsonl}, {digest}")

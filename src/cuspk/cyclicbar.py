@@ -126,7 +126,8 @@ def _monomial(p: Params, w: int):
         return None
     i = (w * pow(p.a, -1, p.b)) % p.b
     j, rem = divmod(w - p.a * i, p.b)
-    assert rem == 0
+    if rem:
+        raise TheoremViolation(f"{w} - {p.a}*{i} is not a multiple of {p.b}")
     return (i, j) if j >= 0 else None
 
 

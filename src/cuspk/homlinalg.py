@@ -358,8 +358,9 @@ def _snf_work_run(work: _SnfWork):
             push(r)
         if unit is not None:
             r0, c0 = unit
-            isolated = eliminate(r0, c0)
-            assert isolated  # unit pivots always clear their row and column
+            if not eliminate(r0, c0):
+                raise TheoremViolation("a unit pivot did not clear its row "
+                                       "and column")
             v = rows[r0].pop(c0)
             cols[c0].discard(r0)
             pivots.append((r0, c0, abs(v)))
@@ -407,12 +408,13 @@ def smith_normal_form(matrix: SparseIntMatrix, transforms: bool = False) -> SNFR
     non-unit pivot v only once v divides every remaining entry.  Later row
     and column operations are integer combinations, so the remaining
     entries stay multiples of v and each later pivot is one of them.  No
-    gcd/lcm repair of the diagonal is needed; the chain is asserted.
+    gcd/lcm repair of the diagonal is needed; the chain is re-checked.
     """
     work = _SnfWork(matrix, transforms)
     pivots, split = _snf_work_run(work)
     diag = [v for _, _, v in pivots]
-    assert all(b % a == 0 for a, b in zip(diag, diag[1:])), diag
+    if any(b % a for a, b in zip(diag, diag[1:])):
+        raise TheoremViolation(f"Smith diagonal {diag} is no divisibility chain")
     split = tuple(c for _, c, _ in pivots[:split])
     if not transforms:
         return SNFResult(diag=diag, nrows=matrix.nrows, ncols=matrix.ncols,
@@ -637,7 +639,8 @@ class HomologyEngine:
         lower, rel = data["lower"], data["rel"]
         r, k = data["rank_lower"], data["kernel_rank"]
         coords_full = lower.Vinv.matvec(vec)
-        assert all(coords_full[i] == 0 for i in range(r)), "cycle has image in nonkernel part"
+        if any(coords_full[:r]):
+            raise TheoremViolation("cycle has image in nonkernel part")
         kc = coords_full[r:]
         y = rel.U.matvec(kc) if k else []
         # align with generators(): same (order, position) sort

@@ -50,7 +50,7 @@ import mpmath
 
 from .errors import (DEFAULT_PRECISION, FAILS_CANDIDATE, HOLDS, MAX_PRECISION,
                      UNDECIDED, UNSUPPORTED, PreconditionViolation,
-                     WeightOutOfRange)
+                     TheoremViolation, WeightOutOfRange)
 from .exactlp import SimplexTableau
 from .semigroup import Params, bezout, is_member, weights
 
@@ -131,7 +131,8 @@ def index_functions(p: Params, m: int, weight: int) -> list:
     alpha, beta = entry.i, entry.j
     out = []
     for word in _necklaces(alpha, beta, p.a, p.b):
-        assert sum(word) == m
+        if sum(word) != m:
+            raise TheoremViolation(f"necklace {word} does not sum to m={m}")
         for g0 in range(m):
             exps = [g0 % m]
             for step in word[:-1]:
@@ -182,7 +183,9 @@ def _orbits(polys: list, m: int) -> list:
             for g in range(m):
                 image = tuple(sorted((s * e + g) % m for e in rep.vertex_exponents))
                 j = where.get(image)
-                assert j is not None, "q_union is closed under the dihedral group"
+                if j is None:
+                    raise TheoremViolation("q_union is not closed under the "
+                                           "dihedral group")
                 if j not in placed:
                     placed.add(j)
                     orbit.append((j, s, g))
@@ -260,7 +263,9 @@ def _separate_origin(Q: ExponentPolytope, bits: int):
     tab = SimplexTableau(plus + minus + surplus, [1] * npts)
     if tab.status == "feasible":
         status, _, lam = tab.optimize([1] * (2 * dim) + [0] * npts)
-        assert status == "optimal", "the l1 norm is bounded below"
+        if status != "optimal":
+            raise TheoremViolation("the l1 norm is bounded below, but its "
+                                   f"LP is {status}")
         h = [lam[j] - lam[dim + j] for j in range(dim)]
         with _interval_prec(bits):
             hv = [_iv_fraction(v) for v in h]
@@ -369,7 +374,8 @@ def _polydiv_exact(num: list, den: list) -> list:
     """Exact division of integer polynomials, ascending coefficients."""
     num = list(num)
     dn, dd = len(num) - 1, len(den) - 1
-    assert den[dd] == 1
+    if den[dd] != 1:
+        raise PreconditionViolation("the divisor must be monic")
     out = [0] * (dn - dd + 1)
     for k in range(dn - dd, -1, -1):
         c = num[k + dd]
@@ -377,7 +383,8 @@ def _polydiv_exact(num: list, den: list) -> list:
         if c:
             for i in range(dd + 1):
                 num[k + i] -= c * den[i]
-    assert not any(num), "division must be exact"
+    if any(num):
+        raise TheoremViolation("polynomial division is not exact")
     return out
 
 
@@ -433,7 +440,9 @@ def _summand_hit(exps, m: int, others: list, n0: int, roots: dict):
         objective = [table[(e * n0) % m][k] for e in exps]
         s_hi, hi, _ = tab.optimize(objective, maximize=True)
         s_lo, lo, _ = tab.optimize(objective, maximize=False)
-        assert s_hi == s_lo == "optimal"
+        if not s_hi == s_lo == "optimal":
+            raise TheoremViolation("the summand coordinate of a polytope is "
+                                   f"bounded, but its LPs are {s_hi}/{s_lo}")
         if hi != lo:
             return None, {
                 "vertices": list(exps), "coordinate": k,
@@ -488,7 +497,8 @@ def _divisor_statement(p: Params, m: int, div: int):
     n0 = bz.c * m // a if div == a else bz.d * m // b
     data = weights(p, m)
     J = data.closed_weights
-    assert n0 in data.entries
+    if n0 not in data.entries:
+        raise TheoremViolation(f"summand weight {n0} is not a closed weight")
     others = [n for n in J if n != n0]
     roots = {(k * (m // div)) % m: k for k in range(div)}
     polys = q_union(p, m)
@@ -562,7 +572,8 @@ def check_c4(p: Params, m: int) -> Verdict:
                                 "weights": list(J)})
     entry = data.entries[J[0]]
     mp_, np_ = entry.m_prime, entry.n_prime
-    assert mp_ >= 3, "hull must be full-dimensional in the plane"
+    if mp_ < 3:
+        raise TheoremViolation("the hull is not full-dimensional in the plane")
     coverage = {}
     for Q in q_union(p, m):
         ks = {(e * np_) % mp_ for e in Q.vertex_exponents}

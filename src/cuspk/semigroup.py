@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import PreconditionViolation, TheoremViolation
+
 
 @dataclass(frozen=True)
 class Params:
@@ -49,7 +51,8 @@ def bezout(p: Params) -> BezoutPair:
     a, b = p.a, p.b
     c = (-pow(b, -1, a)) % a
     d = (1 + b * c) // a
-    assert a * d - b * c == 1 and 1 <= c < a
+    if a * d - b * c != 1 or not 1 <= c < a:
+        raise TheoremViolation(f"({c}, {d}) is no canonical Bezout pair")
     return BezoutPair(c, d)
 
 
@@ -184,18 +187,19 @@ def _canonical_rs(i_prime: int, j_prime: int) -> tuple[int, int]:
     # Solve r*i' + s*j' = 1.  Interior weights have i', j' >= 1 and the
     # canonical choice satisfies 1 <= s <= i' and 0 <= -r <= j' - 1; the
     # boundary weights (j' = 0 or i' = 0) take the degenerate solutions.
+    if i_prime * j_prime == 0 and i_prime + j_prime != 1:
+        raise PreconditionViolation(f"({i_prime}, {j_prime}) is not coprime")
     if j_prime == 0:
-        assert i_prime == 1
         return 1, 0
     if i_prime == 0:
-        assert j_prime == 1
         return 0, 1
     s = pow(j_prime, -1, i_prime) if i_prime > 1 else 1
     if s == 0:
         s = i_prime
     r = (1 - s * j_prime) // i_prime
-    assert r * i_prime + s * j_prime == 1
-    assert 1 <= s <= i_prime and 0 <= -r <= j_prime - 1
+    if (r * i_prime + s * j_prime != 1 or not 1 <= s <= i_prime
+            or not 0 <= -r <= j_prime - 1):
+        raise TheoremViolation(f"({r}, {s}) is no canonical solution")
     return r, s
 
 
@@ -220,17 +224,20 @@ def weights(p: Params, m: int) -> WeightData:
     for n in closed:
         i = bz.d * m - b * n
         j = a * n - bz.c * m
-        assert a * i + b * j == m and i >= 0 and j >= 0
+        if a * i + b * j != m or i < 0 or j < 0:
+            raise TheoremViolation(f"weight {n} gives no representation of {m}")
         if i >= 1 and j >= 1:
             opens.append(n)
         q = math.gcd(m, n)
-        assert q == math.gcd(i, j)
+        if q != math.gcd(i, j):
+            raise TheoremViolation(f"gcd(m, n) != gcd(i, j) at weight {n}")
         m_p, n_p = m // q, n // q
         i_p, j_p = i // q, j // q
         r, s = _canonical_rs(i_p, j_p)
         k = r * bz.d - s * bz.c
         l = s * a - r * b
-        assert k * m_p + l * n_p == 1
+        if k * m_p + l * n_p != 1:
+            raise TheoremViolation(f"l is no inverse of n' mod m' at weight {n}")
         entries[n] = WeightEntry(n=n, q=q, m_prime=m_p, n_prime=n_p, i=i, j=j,
                                  i_prime=i_p, j_prime=j_p, r=r, s=s, k=k, l=l)
     return WeightData(m=m, open_weights=tuple(opens), closed_weights=closed,

@@ -186,11 +186,8 @@ def x_complex(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> ChainComplex:
     homology H_q of the simplex modulo the subcomplex, torsion included;
     `_relative_complex` computes the same groups from the faces outside.
     When m is not representable the subcomplex is empty and H_0 = Z.
+    build_sigma checks m and the budget.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if 1 << m > budget:
-        raise ResourceBound(f"2^{m} subsets exceed the budget of {budget}")
     basis = {0: [0]}
     for mask in sorted(build_sigma(p, m, budget).faces):
         basis.setdefault(mask.bit_count(), []).append(mask)
@@ -316,10 +313,12 @@ def generator_cycle(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> dict:
     if m % a == 0 or m % b == 0:
         raise PreconditionViolation("m must be divisible by neither a nor b")
     data = weights(p, m)
-    assert len(data.open_weights) == 1
+    if len(data.open_weights) != 1:
+        raise TheoremViolation(f"ell = 1 but {len(data.open_weights)} open weights")
     entry = data.entries[data.open_weights[0]]
     mp, l = entry.m_prime, entry.l
-    assert a <= l <= mp - b
+    if not a <= l <= mp - b:
+        raise TheoremViolation(f"l = {l} lies outside [{a}, {mp - b}]")
     chain = {}
     for t1 in range(1, mp):
         for t2 in range(t1 + 1, mp):

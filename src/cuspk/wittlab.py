@@ -4,11 +4,12 @@ Two regimes are implemented.  Over the prime field F_p the Witt group
 W_S(F_p) decomposes along orbits: writing each m in S uniquely as e * p^i
 with p not dividing e, the group is the product over such e of Z/p^{n_e}
 with n_e the number of powers p^i for which e * p^i stays in S.  The
-Verschiebung, Frobenius and restriction operators become integer matrices
-between these products, and the relative K-groups of interest are
-cokernels of stacked Verschiebung matrices.  Each Verschiebung column has
-exactly one nonzero entry, so the cokernel splits along the orbits into
-cyclic groups Z/gcd(order, row entries), and no Smith form is needed.
+Verschiebung, Frobenius and restriction operators send each orbit into at
+most one orbit, so an AbelianMap stores them as image tables: orbit j
+goes to c times orbit i, or to 0.  The relative K-groups of interest are
+cokernels of Verschiebung maps, and they split along the orbits into
+cyclic groups Z/gcd(order, coefficients landing there); the module needs
+no matrices and no Smith form.
 
 Over the integers, Witt vectors are handled through ghost coordinates
 w_n(x) = sum_{d | n} d * x_d^{n/d}; sums and products are computed
@@ -26,7 +27,6 @@ from functools import cached_property
 from math import gcd
 
 from cuspk.errors import IntegralityViolation, TheoremViolation
-from cuspk.homlinalg import HomologySummary, SparseIntMatrix
 from cuspk.semigroup import Params, TruncationSet, divide_set, truncation_S
 
 
@@ -77,39 +77,51 @@ def profile(S: TruncationSet, prime: int) -> PTypicalProfile:
                 pw *= prime
             orbits.append((e, n_e))
     prof = PTypicalProfile(prime=prime, orbits=tuple(sorted(orbits)))
-    assert prof.length == len(S)
+    if prof.length != len(S):
+        raise TheoremViolation(f"orbit lengths sum to {prof.length}, "
+                               f"not to |S| = {len(S)}")
     return prof
 
 
 @dataclass(frozen=True)
 class AbelianMap:
-    """Homomorphism between products of cyclic groups, as an integer matrix.
+    """Homomorphism between products of cyclic groups that sends each
+    domain generator into a single codomain factor.
 
-    dom and cod list the cyclic orders; the matrix acts on column vectors
-    of residues.  Well-definedness (each entry times the domain order
-    vanishing in the codomain factor) is checked on construction.
+    dom and cod list the cyclic orders.  image[j] is (i, c) when domain
+    generator j goes to c times codomain generator i, and None when it
+    goes to 0.  The table length and well-definedness (c times the
+    domain order vanishing in the codomain factor) are checked on
+    construction.
     """
 
     dom: tuple
     cod: tuple
-    matrix: SparseIntMatrix
+    image: tuple
 
     def __post_init__(self):
-        if (self.matrix.nrows, self.matrix.ncols) != (len(self.cod), len(self.dom)):
-            raise ValueError("matrix shape does not match orders")
-        for (r, c), v in self.matrix.entries():
-            if (v * self.dom[c]) % self.cod[r]:
-                raise ValueError(f"entry at ({r},{c}) is not a homomorphism")
+        if len(self.image) != len(self.dom):
+            raise ValueError("image table length does not match the domain")
+        for j, target in enumerate(self.image):
+            if target is not None:
+                i, c = target
+                if not 0 <= i < len(self.cod) or (c * self.dom[j]) % self.cod[i]:
+                    raise ValueError(f"generator {j} -> {c} * generator {i} "
+                                     "is not a homomorphism")
 
     def compose(self, other: "AbelianMap") -> "AbelianMap":
         """self ∘ other."""
         if other.cod != self.dom:
             raise ValueError("composition mismatch")
-        return AbelianMap(dom=other.dom, cod=self.cod,
-                          matrix=self.matrix @ other.matrix)
+        image = []
+        for target in other.image:
+            step = None if target is None else self.image[target[0]]
+            image.append(None if step is None else (step[0], step[1] * target[1]))
+        return AbelianMap(dom=other.dom, cod=self.cod, image=tuple(image))
 
     def is_zero(self) -> bool:
-        return all(v % self.cod[r] == 0 for (r, c), v in self.matrix.entries())
+        return all(target is None or target[1] % self.cod[target[0]] == 0
+                   for target in self.image)
 
 
 def verschiebung(S: TruncationSet, n: int, prime: int) -> AbelianMap:
@@ -127,14 +139,13 @@ def _verschiebung(dom_prof: PTypicalProfile, cod_prof: PTypicalProfile,
                   n: int) -> AbelianMap:
     """V_n from the profiles of S/n and S."""
     v, n_prime = _split_prime(n, cod_prof.prime)
-    entries = {}
-    for j, (e, ln) in enumerate(dom_prof.orbits):
+    image = []
+    for e, ln in dom_prof.orbits:
         i = cod_prof.index(n_prime * e)
-        assert cod_prof.orbits[i][1] == ln + v
-        entries[(i, j)] = n
-    return AbelianMap(dom=dom_prof.orders, cod=cod_prof.orders,
-                      matrix=SparseIntMatrix(len(cod_prof.orbits),
-                                             len(dom_prof.orbits), entries))
+        if cod_prof.orbits[i][1] != ln + v:
+            raise TheoremViolation(f"V_{n} sends orbit {e} to one of the wrong length")
+        image.append((i, n))
+    return AbelianMap(dom=dom_prof.orders, cod=cod_prof.orders, image=tuple(image))
 
 
 def frobenius(S: TruncationSet, n: int, prime: int) -> AbelianMap:
@@ -146,15 +157,16 @@ def frobenius(S: TruncationSet, n: int, prime: int) -> AbelianMap:
     v, n_prime = _split_prime(n, prime)
     dom_prof = profile(S, prime)
     cod_prof = profile(divide_set(S, n), prime)
-    entries = {}
-    for j, (e, ln) in enumerate(dom_prof.orbits):
+    image = []
+    for e, ln in dom_prof.orbits:
+        target = None
         if e % n_prime == 0 and ln > v:
             i = cod_prof.index(e // n_prime)
-            assert cod_prof.orbits[i][1] == ln - v
-            entries[(i, j)] = 1
-    return AbelianMap(dom=dom_prof.orders, cod=cod_prof.orders,
-                      matrix=SparseIntMatrix(len(cod_prof.orbits),
-                                             len(dom_prof.orbits), entries))
+            if cod_prof.orbits[i][1] != ln - v:
+                raise TheoremViolation(f"F_{n} sends orbit {e} to one of the wrong length")
+            target = (i, 1)
+        image.append(target)
+    return AbelianMap(dom=dom_prof.orders, cod=cod_prof.orders, image=tuple(image))
 
 
 def restriction(S: TruncationSet, T: TruncationSet, prime: int) -> AbelianMap:
@@ -165,36 +177,33 @@ def restriction(S: TruncationSet, T: TruncationSet, prime: int) -> AbelianMap:
 
 
 def _restriction(dom_prof: PTypicalProfile, cod_prof: PTypicalProfile) -> AbelianMap:
-    """R^S_T from the profiles of S and T."""
-    entries = {}
+    """R^S_T from the profiles of S and T: the orbits of T keep their
+    generator, the other orbits of S vanish."""
+    image = [None] * len(dom_prof.orbits)
     for i, (e, _) in enumerate(cod_prof.orbits):
-        entries[(i, dom_prof.index(e))] = 1
-    return AbelianMap(dom=dom_prof.orders, cod=cod_prof.orders,
-                      matrix=SparseIntMatrix(len(cod_prof.orbits),
-                                             len(dom_prof.orbits), entries))
+        image[dom_prof.index(e)] = (i, 1)
+    return AbelianMap(dom=dom_prof.orders, cod=cod_prof.orders, image=tuple(image))
 
 
 def cokernel_factors(orders, maps) -> list:
     """Invariant factors (> 1) of coker of the given maps into prod Z/orders.
 
-    Every map must be monomial: each column has at most one nonzero entry.
-    Then every relation lives in a single factor, so the cokernel is the
-    direct sum over rows i of Z/g_i, with g_i the gcd of orders[i] and the
-    entries of row i.  When the orders are powers of one prime, as on the
-    p-typical orbits, the g_i form a divisibility chain once sorted and are
-    the invariant factors.  A column with two entries, or g_i that do not
-    form a chain, raise ValueError.
+    Each map sends every domain generator into one factor, so every
+    relation lives in a single factor, and the cokernel is the direct sum
+    over factors i of Z/g_i, with g_i the gcd of orders[i] and the
+    coefficients that land in factor i.  When the orders are powers of one
+    prime, as on the p-typical orbits, the g_i form a divisibility chain
+    once sorted and are the invariant factors.  g_i that do not form a
+    chain raise ValueError.
     """
     g = list(orders)
     for mp in maps:
         if len(mp.cod) != len(g):
             raise ValueError("map codomain does not match the orders")
-        seen = set()
-        for (r, c), v in mp.matrix.entries():
-            if c in seen:
-                raise ValueError(f"column {c} has more than one entry")
-            seen.add(c)
-            g[r] = gcd(g[r], v)
+        for target in mp.image:
+            if target is not None:
+                i, c = target
+                g[i] = gcd(g[i], c)
     factors = sorted(d for d in g if d > 1)
     for d, e in zip(factors, factors[1:]):
         if e % d:
@@ -215,29 +224,17 @@ class KGroupResult:
     expected_length: int
     perfect_field_only: bool
 
-    @property
-    def group(self) -> HomologySummary:
-        return HomologySummary.of({self.q: (0, self.invariant_factors)})
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.a, "b": self.b, "p": self.prime, "q": self.q,
-            "invariant_factors": list(self.invariant_factors),
-            "length": self.length,
-            "expected_length": self.expected_length,
-            "perfect_field_only": self.perfect_field_only,
-        }
-
 
 def relative_k_group(p: Params, prime: int, q: int) -> KGroupResult:
     """The degree-q relative K-group over F_p as an abelian group.
 
     For q = 2r >= 0 this is the cokernel of [V_a | V_b] on W_{S(a,b,r)},
     which the restriction map identifies with W_T(F_p) for T the members
-    of S(a,b,r) divisible by neither a nor b.  V_a and V_b send each orbit
-    to one orbit, so cokernel_factors reads the group off orbit by orbit:
-    an orbit in the image of V_n shrinks to Z/p^v with p^v the p-part of
-    n, and an orbit outside both images keeps its Z/p^{n_e}.  Odd and
+    of S(a,b,r) divisible by neither a nor b.  V_a and V_b are image
+    tables that send each orbit to one orbit, so cokernel_factors reads
+    the group off with one gcd per orbit of S and no Smith form: an orbit
+    in the image of V_n shrinks to Z/p^v with p^v the p-part of n, and an
+    orbit outside both images keeps its Z/p^{n_e}.  Odd and
     negative degrees are trivial.  The identification and the length
     formula (2r+1)(a-1)(b-1)/2 are re-verified; failure raises
     TheoremViolation.

@@ -277,6 +277,33 @@ class TestExitCodes:
         assert all(r["result"] == result for r in rows)
         assert all(r["details"] == details for r in rows)
 
+    def test_unwritable_out_exits_three_before_any_cell(self, tmp_path,
+                                                        monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        ran = []
+        monkeypatch.setattr(cli, "_run_cell", lambda task: ran.append(task))
+        code = cli.main(["verify", "witt", "--out", str(blocker / "sub")])
+        assert code == 3 and ran == []
+        assert capsys.readouterr().err.startswith(f"{blocker / 'sub'}: ")
+
+    def test_unbounded_summand_lp_is_a_fail_row(self, tmp_path, monkeypatch):
+        # only the summand LPs of c2/c3 maximize, so c1 runs unchanged
+        class Unbounded(polytopelab.SimplexTableau):
+            def optimize(self, objective, maximize=False):
+                if maximize:
+                    return "unbounded", None, None
+                return super().optimize(objective, maximize)
+
+        monkeypatch.setattr(polytopelab, "SimplexTableau", Unbounded)
+        code, out = run(tmp_path, "verify", "conjC", "--a", "2", "--b", "3",
+                        "--m-max", "4")
+        assert code == 1
+        failed = [r for r in rows_of(out) if r["result"] == "fail"]
+        assert [r["m"] for r in failed] == [2, 3, 4]
+        assert all(r["statement"] == "checks" and "unbounded/optimal"
+                   in r["details"]["error"] for r in failed)
+
     @given(suite=st.sampled_from(["semigroup", "witt", "kgroups", "prop51",
                                   "conjB", "conjC"]),
            pair=st.sampled_from([None, (2, 3), (3, 4), (2, 5), (2, 4)]),
@@ -351,13 +378,15 @@ def loaded_modules(tmp_path, argvs, names):
 
 class TestStartup:
     def test_suites_import_only_their_own_modules(self, tmp_path):
-        """A fresh interpreter that runs semigroup and kgroups never loads
-        the modules of other suites, mpmath or the process pool."""
+        """A fresh interpreter that runs semigroup, kgroups and witt never
+        loads the modules of other suites, the Smith form, mpmath or the
+        process pool."""
         argvs = [["verify", "semigroup", "--a", "2", "--b", "3"],
                  ["verify", "kgroups", "--a", "2", "--b", "3",
-                  "--p", "5", "--r-max", "1"]]
-        names = ["mpmath", "concurrent.futures", "cuspk.polytopelab",
-                 "cuspk.cyclicbar", "cuspk.simplicialx"]
+                  "--p", "5", "--r-max", "1"],
+                 ["verify", "witt"]]
+        names = ["mpmath", "concurrent.futures", "cuspk.homlinalg",
+                 "cuspk.polytopelab", "cuspk.cyclicbar", "cuspk.simplicialx"]
         assert loaded_modules(tmp_path, argvs, names) == "[]"
 
     def test_conjb_loads_no_other_toolkit_module(self, tmp_path):
@@ -424,6 +453,34 @@ class TestReport:
         code = cli.main(["report", str(bad), "--out", str(tmp_path / "m")])
         assert code == 3
         assert "partial.jsonl:1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("m", "6"), ("m", [1]),
+                                             ("q", True), ("statement", 7)])
+    def test_mistyped_row_reports_location(self, tmp_path, capsys, field,
+                                           value):
+        # a string among integer coordinates made the sort raise, a list
+        # made the row unhashable, and a bool passed for the int 1
+        _, out = run(tmp_path / "v", "verify", "semigroup", "--a", "2",
+                     "--b", "3", "--m-max", "4")
+        rows = rows_of(out)
+        rows[1][field] = value
+        bad = tmp_path / "typed.jsonl"
+        bad.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        capsys.readouterr()
+        code = cli.main(["report", str(bad), "--out", str(tmp_path / "m")])
+        assert code == 3
+        assert capsys.readouterr().err == f"{bad}:2: not a report row\n"
+
+    def test_unwritable_out_exits_three(self, tmp_path, capsys):
+        _, out = run(tmp_path / "v", "verify", "semigroup", "--a", "2",
+                     "--b", "3", "--m-max", "4")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        capsys.readouterr()
+        code = cli.main(["report", str(out / "report.jsonl"),
+                         "--out", str(blocker / "sub")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"{blocker / 'sub'}: ")
 
     def test_missing_input_exits_three(self, tmp_path):
         code = cli.main(["report", str(tmp_path / "nothing.jsonl"),

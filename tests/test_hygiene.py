@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a name
 it never uses, or holds a Cyrillic letter (such as the look-alike of the
 composition sign that once stood for it), no toolkit module imports a
-sibling, and the certificate checks of `exactlp` are no `assert`
-statements, which `python -O` strips.
+sibling, and no package module holds an `assert` statement, which
+`python -O` strips: its re-checks raise toolkit errors instead.
 
 Package ``__init__.py`` files are skipped, because their imports are
 re-exports.  A name counts as used when it appears as an identifier
@@ -17,6 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for pattern in ("src/cuspk/*.py", "tests/*.py")
                  for p in ROOT.glob(pattern) if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "cuspk").glob("*.py"))
 # each suite's module stands on the shared modules alone, so a suite loads
 # only what it runs
 TOOLKIT = ("wittlab", "cyclicbar", "simplicialx", "polytopelab")
@@ -145,7 +146,8 @@ def test_scan_flags_an_assert():
     assert assert_lines(source) == [2, 5]
 
 
-def test_exactlp_has_no_assert():
-    # a re-check that `python -O` strips leaves a certificate unchecked
-    source = (ROOT / "src" / "cuspk" / "exactlp.py").read_text(encoding="utf-8")
-    assert assert_lines(source) == []
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_assert(path):
+    # a re-check that `python -O` strips leaves a certificate unchecked, and
+    # a failing one is an AssertionError, which no sweep turns into a row
+    assert assert_lines(path.read_text(encoding="utf-8")) == []
