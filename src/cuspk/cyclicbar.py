@@ -5,7 +5,15 @@ be played against each other:
 
 * the relative cyclic bar complex in weight m: normalized tuples
   (m_0, ..., m_q) with m_0 >= 0, interior entries >= 1 and total m,
-  modulo the subcomplex of tuples all of whose entries lie in <a, b>;
+  modulo the subcomplex of tuples all of whose entries lie in <a, b>.
+  The complex is a cyclic set (Loday, Cyclic Homology, 1992, ch. 6-7),
+  and it is built on cut points: a tuple is the set of q cuts
+  0 <= c_1 < ... < c_q < m of Z/m with c_1 = m_0 and c_{i+1} - c_i = m_i,
+  held as an int mask.  Face d_i (i < q) removes c_{i+1}, the cyclic face
+  d_q removes c_q and rotates by m - c_q, and B sums the rotations that
+  move each point of {0} + cuts to 0.  Cut tuples enumerated as
+  combinations(range(m), q) come in the sorted order of the tuples, so
+  the labels stay the tuples;
 
 * a small curve-vs-line model: the Koszul-style complex on generators
   x, y, dx, dy and divided powers z^[r] of the relation (weight ab,
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import sub
 
 from cuspk.errors import PreconditionViolation, ResourceBound, TheoremViolation
 from cuspk.homlinalg import (
@@ -43,63 +52,67 @@ from cuspk.semigroup import Params, ell, is_member
 BAR_WEIGHT_LIMIT = 16
 
 
-def _compositions(total: int, parts: int):
-    """Tuples of `parts` positive integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for cuts in combinations(range(1, total), parts - 1):
-        prev = 0
-        out = []
-        for c in cuts + (total,):
-            out.append(c - prev)
-            prev = c
-        yield tuple(out)
-
-
-def _all_representable(p: Params, t: tuple) -> bool:
-    return all(is_member(p, e) for e in t)
+@lru_cache(maxsize=None)
+def _bar_cells(p: Params, m: int) -> dict:
+    """Degree q -> (cut tuples, cut masks) of the relative basis, sorted;
+    bit c of a mask is the cut c (see the module docstring)."""
+    if m < 1:
+        raise ValueError("weight must be positive")
+    if m > BAR_WEIGHT_LIMIT:
+        raise ResourceBound(
+            f"bar complex in weight {m} has 2^{m} chains; limit is {BAR_WEIGHT_LIMIT}")
+    member = [is_member(p, w) for w in range(m + 1)]
+    bit = [1 << c for c in range(m)].__getitem__
+    out: dict[int, tuple] = {}
+    for q in range(m + 1):
+        cuts = []
+        for c in combinations(range(m), q):
+            # skip the cut sets whose every part lies in <a, b>
+            prev = 0
+            for x in c:
+                if not member[x - prev]:
+                    break
+                prev = x
+            else:
+                if member[m - prev]:
+                    continue
+            cuts.append(c)
+        if cuts:
+            out[q] = cuts, [sum(map(bit, c)) for c in cuts]
+    return out
 
 
 @lru_cache(maxsize=None)
 def bar_basis(p: Params, m: int) -> dict:
     """Degree -> sorted tuples (m_0, ..., m_q), m_0 >= 0, rest >= 1,
     summing to m and not entirely inside <a, b>."""
-    if m < 1:
-        raise ValueError("weight must be positive")
-    if m > BAR_WEIGHT_LIMIT:
-        raise ResourceBound(
-            f"bar complex in weight {m} has 2^{m} chains; limit is {BAR_WEIGHT_LIMIT}")
-    out: dict[int, list] = {}
-    for q in range(m + 1):
-        lbls = []
-        for m0 in range(m - q + 1):
-            for rest in _compositions(m - m0, q):
-                t = (m0,) + rest
-                if not _all_representable(p, t):
-                    lbls.append(t)
-        if lbls:
-            out[q] = sorted(lbls)
-    return out
+    return {q: [tuple(map(sub, c + (m,), (0,) + c)) for c in cuts]
+            for q, (cuts, _) in _bar_cells(p, m).items()}
 
 
-def _bar_faces(t: tuple):
-    """Hochschild faces of (m_0, ..., m_q); the last one is cyclic."""
-    q = len(t) - 1
-    for i in range(q):
-        yield i, t[:i] + (t[i] + t[i + 1],) + t[i + 2:]
-    yield q, (t[q] + t[0],) + t[1:q]
+def _rotate(mask: int, s: int, m: int) -> int:
+    """Move every cut of the mask by +s on Z/m."""
+    return ((mask << s) | (mask >> (m - s))) & ((1 << m) - 1)
 
 
 @lru_cache(maxsize=None)
 def relative_bar_complex(p: Params, m: int) -> ChainComplex:
-    basis = bar_basis(p, m)
+    """Face d_i (i < q) drops cut c_{i+1}; the cyclic face d_q drops c_q
+    and rotates the rest by m - c_q."""
+    cells = _bar_cells(p, m)
+
+    def faces(cell):
+        cuts, mask = cell
+        q = len(cuts)
+        for i, c in enumerate(cuts):
+            yield mask ^ (1 << c), -1 if i & 1 else 1
+        last = cuts[-1]
+        yield _rotate(mask ^ (1 << last), m - last, m), -1 if q & 1 else 1
+
     boundaries = {q: SparseIntMatrix.of_map(
-        basis[q - 1], basis[q],
-        lambda t: ((face, (-1) ** i) for i, face in _bar_faces(t)))
-        for q in basis if q - 1 in basis}
-    return ChainComplex(basis, boundaries)
+        cells[q - 1][1], list(zip(*cells[q])), faces)
+        for q in cells if q - 1 in cells}
+    return ChainComplex(bar_basis(p, m), boundaries)
 
 
 def connes_matrix(p: Params, m: int, q: int) -> SparseIntMatrix:
@@ -107,13 +120,24 @@ def connes_matrix(p: Params, m: int, q: int) -> SparseIntMatrix:
 
     B(x) = sum_i (-1)^{qi} (0, x_i, ..., x_q, x_0, ..., x_{i-1}); terms
     with a unit in an interior slot are degenerate and dropped, which
-    kills everything when x_0 = 0.
+    kills everything when x_0 = 0.  On cut sets: the i-th term rotates
+    the points {0, c_1, ..., c_q} so that the i-th of them sits at 0.
     """
-    basis = bar_basis(p, m)
-    return SparseIntMatrix.of_map(
-        basis.get(q + 1, []), basis.get(q, []),
-        lambda t: (((0,) + t[i:] + t[:i], (-1) ** (q * i))
-                   for i in range(q + 1) if t[0]))
+    cells = _bar_cells(p, m)
+    empty = ((), [])
+
+    def image(cell):
+        cuts, mask = cell
+        if mask & 1:
+            return
+        points = mask | 1
+        yield points, 1
+        sign = -1 if q & 1 else 1
+        for i, c in enumerate(cuts, 1):
+            yield _rotate(points, m - c, m), sign if i & 1 else 1
+
+    return SparseIntMatrix.of_map(cells.get(q + 1, empty)[1],
+                                  list(zip(*cells.get(q, empty))), image)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +387,20 @@ def _single_free_generator(eng: HomologyEngine, q: int):
     return gens[0][1]
 
 
+def _factor(eng: HomologyEngine, q: int, image: dict, name: str, m: int) -> int:
+    """The coefficient of the image of a generator in the generator of
+    H_q = Z; it must be +-m.  An image that is no cycle breaks the
+    operator's anticommutation with the boundary."""
+    C = eng.C
+    if any(C.boundary(q).matvec(C.vector_from_chain(q, image))):
+        raise TheoremViolation(f"{name} image is not a cycle in degree {q}")
+    _single_free_generator(eng, q)
+    (c,) = eng.coordinates(q, image)
+    if abs(c) != m:
+        raise TheoremViolation(f"{name} factor {c}, expected +-{m}")
+    return c
+
+
 def connes_factor_bar(p: Params, m: int) -> int:
     """Apply the cyclic B operator to the generator of H_{2l} of the
     relative bar complex and express it in the generator of H_{2l+1};
@@ -374,16 +412,12 @@ def connes_factor_bar(p: Params, m: int) -> int:
     g = _single_free_generator(eng, 2 * l)
     B = connes_matrix(p, m, 2 * l)
     img = C.chain_from_vector(2 * l + 1, B.matvec(C.vector_from_chain(2 * l, g)))
-    _single_free_generator(eng, 2 * l + 1)
-    (c,) = eng.coordinates(2 * l + 1, img)
-    if abs(c) != m:
-        raise TheoremViolation(f"cyclic operator factor {c}, expected +-{m}")
-    return c
+    return _factor(eng, 2 * l + 1, img, "cyclic operator", m)
 
 
 def _kernel_generator(M: SparseIntMatrix):
     """Generator of the rank-one kernel of an integer matrix."""
-    res = smith_normal_form(M, transforms=True)
+    res = smith_normal_form(M, transforms="right")
     null = M.ncols - res.rank
     if null != 1:
         raise TheoremViolation(f"kernel rank {null}, expected 1")
@@ -415,11 +449,7 @@ def connes_factor_small(p: Params, m: int) -> int:
                     img[("cod", tgt)] = img.get(("cod", tgt), 0) - v
             else:
                 raise TheoremViolation("curve model unexpectedly nonempty for a gap weight")
-        _single_free_generator(eng, 1)
-        (c,) = eng.coordinates(1, img)
-        if abs(c) != m:
-            raise TheoremViolation(f"de Rham factor {c}, expected +-{m}")
-        return c
+        return _factor(eng, 1, img, "de Rham", m)
 
     curve = small_complex_curve(p, m)
     line = small_complex_line(p, m)
@@ -447,8 +477,4 @@ def connes_factor_small(p: Params, m: int) -> int:
     z = {lbl: v for lbl, v in z.items() if v}
     dz_vec = de_rham_matrix(p, m, q).matvec(curve.vector_from_chain(q, z))
     dz = curve.chain_from_vector(q + 1, dz_vec)
-    _single_free_generator(eng_a, q + 1)
-    (c,) = eng_a.coordinates(q + 1, dz)
-    if abs(c) != m:
-        raise TheoremViolation(f"de Rham factor {c}, expected +-{m}")
-    return c
+    return _factor(eng_a, q + 1, dz, "de Rham", m)

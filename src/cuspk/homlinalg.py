@@ -76,17 +76,20 @@ class SparseIntMatrix:
         divides out.  Columns are filled in order, so each row lists its
         columns increasingly.
         """
-        index = {lbl: i for i, lbl in enumerate(rows)}
+        index = {lbl: i for i, lbl in enumerate(rows)}.get
         out = [{} for _ in rows]
         for c, lbl in enumerate(cols):
-            acc: dict[int, int] = {}
             for tgt, coeff in image(lbl):
-                r = index.get(tgt)
+                r = index(tgt)
                 if r is not None:
-                    acc[r] = acc.get(r, 0) + coeff
-            for r, v in acc.items():
-                if v:
-                    out[r][c] = v
+                    # column c is the newest key of any row it enters, even
+                    # after a zero sum removed it and a later term re-adds it
+                    row = out[r]
+                    v = row.get(c, 0) + coeff
+                    if v:
+                        row[c] = v
+                    else:
+                        row.pop(c, None)
         return cls._from_rows(len(rows), len(cols), out)
 
     @classmethod
@@ -164,8 +167,8 @@ class SNFResult:
     diag holds the nonzero invariant factors d_1 | d_2 | ... (positive).
     split holds the columns of the leading pivots, those taken before the
     first general-phase step (see the module docstring).
-    The transforms and their inverses are None when the factor-only mode
-    was requested.
+    A transform and its inverse are None when the run did not track that
+    side (see smith_normal_form).
     """
 
     diag: list
@@ -186,20 +189,29 @@ class SNFResult:
         return SparseIntMatrix.diagonal(self.diag, self.nrows, self.ncols)
 
 
-class _SnfWork:
-    """Mutable elimination state; transforms tracked in op-friendly layouts."""
+_SIDES = {False: (False, False), True: (True, True),
+          "left": (True, False), "right": (False, True)}
 
-    def __init__(self, matrix: SparseIntMatrix, transforms: bool):
+
+class _SnfWork:
+    """Mutable elimination state; transforms tracked in op-friendly layouts.
+
+    left tracks U and U^-1 through the row operations, right tracks V and
+    V^-1 through the column operations.
+    """
+
+    def __init__(self, matrix: SparseIntMatrix, left: bool, right: bool):
         self.m, self.n = matrix.nrows, matrix.ncols
         self.rows = [dict(row) for row in matrix._rows]
         self.cols: dict[int, set] = {}
         for r, row in enumerate(self.rows):
             for c in row:
                 self.cols.setdefault(c, set()).add(r)
-        self.transforms = transforms
-        if transforms:
+        self.left, self.right = left, right
+        if left:
             self.U = [{i: 1} for i in range(self.m)]    # row-major
             self.Uic = [{i: 1} for i in range(self.m)]  # Uinv, column-major
+        if right:
             self.Vc = [{i: 1} for i in range(self.n)]   # V, column-major
             self.Vir = [{i: 1} for i in range(self.n)]  # Vinv, row-major
 
@@ -219,7 +231,7 @@ class _SnfWork:
             elif c in row1:
                 del row1[c]
                 cols[c].discard(r1)
-        if self.transforms:
+        if self.left:
             u1, u2 = self.U[r1], self.U[r2]
             for c, v in u2.items():
                 nv = u1.get(c, 0) + t * v
@@ -237,7 +249,7 @@ class _SnfWork:
                     del c2[rr]
 
     def col_add(self, c1: int, c2: int, t: int) -> None:
-        # col c1 += t * col c2
+        # col c1 += t * col c2; only a run that tracks V calls this
         rows = self.rows
         cols = self.cols
         for r in list(self.cols.get(c2, ())):
@@ -250,26 +262,25 @@ class _SnfWork:
             elif c1 in rows[r]:
                 del rows[r][c1]
                 cols[c1].discard(r)
-        if self.transforms:
-            v1, v2 = self.Vc[c1], self.Vc[c2]
-            for rr, v in v2.items():
-                nv = v1.get(rr, 0) + t * v
-                if nv:
-                    v1[rr] = nv
-                elif rr in v1:
-                    del v1[rr]
-            # Vinv: row c2 -= t * row c1
-            r1, r2 = self.Vir[c1], self.Vir[c2]
-            for cc, v in r1.items():
-                nv = r2.get(cc, 0) - t * v
-                if nv:
-                    r2[cc] = nv
-                elif cc in r2:
-                    del r2[cc]
+        v1, v2 = self.Vc[c1], self.Vc[c2]
+        for rr, v in v2.items():
+            nv = v1.get(rr, 0) + t * v
+            if nv:
+                v1[rr] = nv
+            elif rr in v1:
+                del v1[rr]
+        # Vinv: row c2 -= t * row c1
+        r1, r2 = self.Vir[c1], self.Vir[c2]
+        for cc, v in r1.items():
+            nv = r2.get(cc, 0) - t * v
+            if nv:
+                r2[cc] = nv
+            elif cc in r2:
+                del r2[cc]
 
     def row_negate(self, r: int) -> None:
         self.rows[r] = {c: -v for c, v in self.rows[r].items()}
-        if self.transforms:
+        if self.left:
             self.U[r] = {c: -v for c, v in self.U[r].items()}
             self.Uic[r] = {rr: -v for rr, v in self.Uic[r].items()}
 
@@ -323,11 +334,11 @@ def _snf_work_run(work: _SnfWork):
             for c in list(row):
                 if c == c0:
                     continue
-                if work.transforms:
+                if work.right:
                     work.col_add(c, c0, -(row[c] // v))
                 elif row[c] % v:
-                    # column c0 holds only row r0, so without V to track
-                    # the column operation is a reduction modulo v
+                    # column c0 holds only row r0, so the column operation
+                    # is a reduction modulo v, which col_add does too
                     row[c] %= v
                 else:
                     del row[c]
@@ -394,15 +405,25 @@ def _snf_work_run(work: _SnfWork):
     return pivots, len(pivots) if split is None else split
 
 
-def smith_normal_form(matrix: SparseIntMatrix, transforms: bool = False) -> SNFResult:
+def smith_normal_form(matrix: SparseIntMatrix,
+                      transforms: bool | str = False) -> SNFResult:
     """Smith normal form over the integers.
 
     With transforms=True the result satisfies U @ M @ V == D exactly, with
-    U, V unimodular, and carries the inverses as well.  Factor-only mode
-    skips all transform bookkeeping and is considerably faster; it returns
-    the same invariant factors.
+    U, V unimodular, and carries the inverses as well.  transforms="left"
+    returns only U and U^-1, and transforms="right" only V and V^-1; the
+    other pair is None.  Factor-only mode (False) skips all transform
+    bookkeeping and is considerably faster; it returns the same invariant
+    factors.
 
-    Both modes return the pivots in the order the elimination extracts
+    A one-sided run is as exact as a full one: the matrix evolves the same
+    way in every mode, because a column operation of the elimination only
+    reduces the pivot row modulo the pivot, and factor-only mode makes that
+    reduction in place.  So a left run clears rows as cheaply as factor-only
+    mode, and its U and U^-1 (never touched by column operations) equal
+    those of a full run; a right run likewise matches in V and V^-1.
+
+    Every mode returns the pivots in the order the elimination extracts
     them, and that order already satisfies d_1 | d_2 | ...: every unit
     pivot is extracted before any other, and the general phase extracts a
     non-unit pivot v only once v divides every remaining entry.  Later row
@@ -410,32 +431,34 @@ def smith_normal_form(matrix: SparseIntMatrix, transforms: bool = False) -> SNFR
     entries stay multiples of v and each later pivot is one of them.  No
     gcd/lcm repair of the diagonal is needed; the chain is re-checked.
     """
-    work = _SnfWork(matrix, transforms)
+    if transforms not in _SIDES:
+        raise ValueError(f"transforms={transforms!r}: expected False, True, "
+                         f"'left' or 'right'")
+    left, right = _SIDES[transforms]
+    work = _SnfWork(matrix, left, right)
     pivots, split = _snf_work_run(work)
     diag = [v for _, _, v in pivots]
     if any(b % a for a, b in zip(diag, diag[1:])):
         raise TheoremViolation(f"Smith diagonal {diag} is no divisibility chain")
-    split = tuple(c for _, c, _ in pivots[:split])
-    if not transforms:
-        return SNFResult(diag=diag, nrows=matrix.nrows, ncols=matrix.ncols,
-                         split=split)
-
+    res = SNFResult(diag=diag, nrows=matrix.nrows, ncols=matrix.ncols,
+                    split=tuple(c for _, c, _ in pivots[:split]))
     # move the pivots to the leading diagonal in extraction order
     m, n = work.m, work.n
-    pivot_rows = {r for r, _, _ in pivots}
-    pivot_cols = {c for _, c, _ in pivots}
-    row_order = [r for r, _, _ in pivots] + \
-        [r for r in range(m) if r not in pivot_rows]
-    col_order = [c for _, c, _ in pivots] + \
-        [c for c in range(n) if c not in pivot_cols]
-    Umat = SparseIntMatrix._from_rows(m, m, [work.U[r] for r in row_order])
-    Vinv = SparseIntMatrix._from_rows(n, n, [work.Vir[c] for c in col_order])
-    Uinv = SparseIntMatrix(m, m, {(r, j): v for j, i in enumerate(row_order)
-                                  for r, v in work.Uic[i].items()})
-    Vmat = SparseIntMatrix(n, n, {(r, j): v for j, c in enumerate(col_order)
-                                  for r, v in work.Vc[c].items()})
-    return SNFResult(diag=diag, nrows=m, ncols=n, split=split,
-                     U=Umat, Uinv=Uinv, V=Vmat, Vinv=Vinv)
+    if left:
+        pivot_rows = {r for r, _, _ in pivots}
+        row_order = [r for r, _, _ in pivots] + \
+            [r for r in range(m) if r not in pivot_rows]
+        res.U = SparseIntMatrix._from_rows(m, m, [work.U[r] for r in row_order])
+        res.Uinv = SparseIntMatrix(m, m, {(r, j): v for j, i in enumerate(row_order)
+                                          for r, v in work.Uic[i].items()})
+    if right:
+        pivot_cols = {c for _, c, _ in pivots}
+        col_order = [c for _, c, _ in pivots] + \
+            [c for c in range(n) if c not in pivot_cols]
+        res.Vinv = SparseIntMatrix._from_rows(n, n, [work.Vir[c] for c in col_order])
+        res.V = SparseIntMatrix(n, n, {(r, j): v for j, c in enumerate(col_order)
+                                       for r, v in work.Vc[c].items()})
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +595,9 @@ class HomologyEngine:
     """Homology with generator lifts and coordinates, degree by degree.
 
     Heavier than :func:`homology` because it tracks unimodular transforms;
-    use it only at the degrees where explicit cycles are needed.
+    use it only at the degrees where explicit cycles are needed.  It tracks
+    only the sides it reads: V and V^-1 of d_q, whose columns give the
+    kernel, and U and U^-1 of the relations on the kernel.
     """
 
     def __init__(self, C: ChainComplex):
@@ -583,7 +608,7 @@ class HomologyEngine:
         if q in self._deg:
             return self._deg[q]
         C = self.C
-        lower = smith_normal_form(C.boundary(q), transforms=True)
+        lower = smith_normal_form(C.boundary(q), transforms="right")
         r = lower.rank
         k = C.dim(q) - r  # kernel rank
         # kernel basis: columns r.. of V
@@ -594,7 +619,7 @@ class HomologyEngine:
         if any(image.row(i) for i in range(r)):
             raise ComplexInvalid("boundary image is not a cycle")
         B = SparseIntMatrix._from_rows(k, image.ncols, image._rows[r:])
-        rel = smith_normal_form(B, transforms=True)
+        rel = smith_normal_form(B, transforms="left")
         gens = []
         for i in range(k):
             order = rel.diag[i] if i < rel.rank else 0

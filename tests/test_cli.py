@@ -15,7 +15,7 @@ from hypothesis import event, given, settings, strategies as st
 import cuspk.cli as cli
 from cuspk import cyclicbar, polytopelab, simplicialx, wittlab
 from cuspk.errors import ResourceBound, TheoremViolation
-from cuspk.homlinalg import HomologySummary
+from cuspk.homlinalg import HomologySummary, SparseIntMatrix
 from cuspk.polytopelab import UNDECIDED, Verdict
 from cuspk.simplicialx import ConjectureBReport
 
@@ -239,6 +239,31 @@ class TestExitCodes:
                 "error": "ResourceBound",
                 "reason": f"2^{r['m']} subsets exceed the budget of 524288"}
         assert all(r["result"] != "skipped" for r in rows if r["m"] <= 19)
+
+    def test_connes_image_off_the_cycles_is_a_fail_row(self, tmp_path,
+                                                       monkeypatch):
+        # a cyclic operator with a 1 in row 0 of every column no longer
+        # anticommutes with the boundary, so at m = 5 B(generator) is no
+        # cycle; at m = 1 the one entry of B is already that 1
+        real = cyclicbar.connes_matrix
+
+        def skewed(p, m, q):
+            B = real(p, m, q)
+            entries = dict(B.entries())
+            if B.nrows:
+                entries.update({(0, c): 1 for c in range(B.ncols)})
+            return SparseIntMatrix(B.nrows, B.ncols, entries)
+
+        monkeypatch.setattr(cyclicbar, "connes_matrix", skewed)
+        code, out = run(tmp_path, "verify", "prop51", "--a", "2", "--b", "3",
+                        "--m-max", "5")
+        assert code == 1
+        rows = rows_of(out)
+        hit = [r for r in rows if r["result"] != "pass"]
+        assert [(r["m"], r["statement"], r["result"]) for r in hit] == [
+            (5, "connes-factor", "fail")]
+        assert hit[0]["details"] == {
+            "error": "cyclic operator image is not a cycle in degree 3"}
 
     @pytest.mark.parametrize("error,result,exit_code,details", [
         (TheoremViolation("forced"), "fail", 1, {"error": "forced"}),

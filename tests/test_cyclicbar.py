@@ -5,14 +5,15 @@ routes (bar complex, curve/line cone, closed form) are then compared on
 a sweep, which is the real cross-check.
 """
 
+from itertools import combinations
+
 import pytest
 
 from cuspk import cyclicbar
 from cuspk.errors import PreconditionViolation, ResourceBound, TheoremViolation
 from cuspk.homlinalg import HomologySummary, SparseIntMatrix
-from cuspk.semigroup import Params, ell
+from cuspk.semigroup import Params, ell, is_member
 from cuspk.cyclicbar import (
-    _bar_faces,
     _koszul_image,
     bar_basis,
     connes_factor_bar,
@@ -37,6 +38,59 @@ def H(mapping):
     return HomologySummary.of(mapping)
 
 
+# reference implementations on part tuples (m_0, ..., m_q), which the cut
+# masks of cyclicbar replace
+
+
+def _compositions(total: int, parts: int):
+    """Tuples of `parts` positive integers summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for cuts in combinations(range(1, total), parts - 1):
+        prev = 0
+        out = []
+        for c in cuts + (total,):
+            out.append(c - prev)
+            prev = c
+        yield tuple(out)
+
+
+def _bar_faces(t: tuple):
+    """Hochschild faces of (m_0, ..., m_q); the last one is cyclic."""
+    q = len(t) - 1
+    for i in range(q):
+        yield i, t[:i] + (t[i] + t[i + 1],) + t[i + 2:]
+    yield q, (t[q] + t[0],) + t[1:q]
+
+
+def _connes_terms(t: tuple):
+    """B(x) = sum_i (-1)^{qi} (0, x_i, ..., x_q, x_0, ..., x_{i-1}), zero
+    when x_0 = 0."""
+    q = len(t) - 1
+    if t[0]:
+        for i in range(q + 1):
+            yield (0,) + t[i:] + t[:i], (-1) ** (q * i)
+
+
+def entries_matrix(rows, cols, image):
+    """Matrix of a labelled map from an entries dict filled column by
+    column, so each row lists its columns increasingly."""
+    index = {lbl: i for i, lbl in enumerate(rows)}
+    entries = {}
+    for c, t in enumerate(cols):
+        for face, coeff in image(t):
+            if face in index:
+                key = (index[face], c)
+                entries[key] = entries.get(key, 0) + coeff
+    return SparseIntMatrix(len(rows), len(cols), entries)
+
+
+def row_lists(M):
+    return [list(M.row(r).items()) for r in range(M.nrows)]
+
+
 class TestBarComplex:
     def test_weight_two_frozen(self):
         assert bar_basis(P23, 2) == {1: [(1, 1)], 2: [(0, 1, 1)]}
@@ -56,8 +110,6 @@ class TestBarComplex:
 
     def test_tuple_count_is_power_of_two(self):
         # relative basis plus the all-representable tuples fills 2^m slots
-        from cuspk.cyclicbar import _compositions
-        from cuspk.semigroup import is_member
         for m in (4, 6, 7):
             rel = sum(len(lbls) for lbls in bar_basis(P23, m).values())
             sub = sum(1 for q in range(m + 1) for m0 in range(m - q + 1)
@@ -74,7 +126,21 @@ class TestBarComplex:
         with pytest.raises(ResourceBound):
             bar_basis(P23, 17)
 
-    @pytest.mark.parametrize("a,b", README_PAIRS)
+    def test_basis_is_every_composition_outside_the_semigroup(self):
+        for a, b in README_PAIRS:
+            p = Params(a, b)
+            for m in range(1, 9):
+                want = {}
+                for q in range(m + 1):
+                    lbls = sorted(
+                        (m0,) + rest for m0 in range(m - q + 1)
+                        for rest in _compositions(m - m0, q)
+                        if not all(is_member(p, e) for e in (m0,) + rest))
+                    if lbls:
+                        want[q] = lbls
+                assert bar_basis(p, m) == want
+
+    @pytest.mark.parametrize("a,b", README_PAIRS + [(2, 7), (4, 5)])
     def test_boundaries_match_an_entries_dict(self, a, b):
         p = Params(a, b)
         for m in range(1, 9):
@@ -83,21 +149,27 @@ class TestBarComplex:
             for q in basis:
                 if q - 1 not in basis:
                     continue
-                index = {lbl: i for i, lbl in enumerate(basis[q - 1])}
-                entries = {}
-                for c, t in enumerate(basis[q]):
-                    for i, face in _bar_faces(t):
-                        if face in index:
-                            key = (index[face], c)
-                            entries[key] = entries.get(key, 0) + (-1) ** i
-                want = SparseIntMatrix(len(basis[q - 1]), len(basis[q]), entries)
+                want = entries_matrix(
+                    basis[q - 1], basis[q],
+                    lambda t: ((face, (-1) ** i) for i, face in _bar_faces(t)))
                 got = C.boundary(q)
                 assert got == want
-                assert [list(got.row(r)) for r in range(got.nrows)] == \
-                    [list(want.row(r)) for r in range(want.nrows)]
+                assert row_lists(got) == row_lists(want)
 
 
 class TestConnesOperator:
+    @pytest.mark.parametrize("a,b", README_PAIRS)
+    def test_matches_the_tuple_rotations(self, a, b):
+        p = Params(a, b)
+        for m in range(1, 9):
+            basis = bar_basis(p, m)
+            for q in range(-1, m + 1):
+                want = entries_matrix(basis.get(q + 1, []), basis.get(q, []),
+                                      _connes_terms)
+                got = connes_matrix(p, m, q)
+                assert got == want
+                assert row_lists(got) == row_lists(want)
+
     def test_frozen_values(self):
         B0 = connes_matrix(P23, 1, 0)   # (1) -> (0, 1)
         assert B0.to_dense() == [[1]]

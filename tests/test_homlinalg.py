@@ -106,6 +106,21 @@ class TestSmithNormalForm:
         for i in range(len(res.diag) - 1):
             assert res.diag[i + 1] % res.diag[i] == 0
         assert res.diag == smith_normal_form(M).diag
+        # a one-sided run returns the same diagonal, split and transform
+        # pair as the full run, and None for the other pair
+        left = smith_normal_form(M, transforms="left")
+        right = smith_normal_form(M, transforms="right")
+        for one in (left, right):
+            assert (one.diag, one.split) == (res.diag, res.split)
+        assert (left.U, left.Uinv) == (res.U, res.Uinv)
+        assert (left.V, left.Vinv) == (None, None)
+        assert (right.V, right.Vinv) == (res.V, res.Vinv)
+        assert (right.U, right.Uinv) == (None, None)
+
+    @pytest.mark.parametrize("transforms", ["both", None, 2])
+    def test_unknown_transforms_rejected(self, transforms):
+        with pytest.raises(ValueError, match="transforms="):
+            smith_normal_form(SparseIntMatrix.identity(2), transforms=transforms)
 
 
 class TestConstructor:
@@ -271,6 +286,18 @@ class TestHomology:
                 assert [t for t in range(1, d + 1)
                         if all(t * c % o == 0 for c, o in zip(coords, torsion))
                         ][0] == d
+
+    def test_engine_tracks_only_the_transforms_it_reads(self):
+        # generators and coordinates read V, V^-1 of d_q and U, U^-1 of the
+        # relation matrix, and nothing else
+        for C in (projective_plane_complex(), diagonal_complex(4, 6)):
+            eng = HomologyEngine(C)
+            for q in C.basis:
+                eng.coordinates(q, {})
+                data = eng._data(q)
+                lower, rel = data["lower"], data["rel"]
+                assert (lower.U, lower.Uinv, rel.V, rel.Vinv) == (None,) * 4
+                assert None not in (lower.V, lower.Vinv, rel.U, rel.Uinv)
 
     def test_engine_generators_are_cycles_with_right_orders(self):
         C = projective_plane_complex()

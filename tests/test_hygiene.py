@@ -1,8 +1,10 @@
 """Source hygiene: no module of the package or of the tests imports a name
 it never uses, or holds a Cyrillic letter (such as the look-alike of the
 composition sign that once stood for it), no toolkit module imports a
-sibling, and no package module holds an `assert` statement, which
-`python -O` strips: its re-checks raise toolkit errors instead.
+sibling, no package module holds an `assert` statement, which
+`python -O` strips: its re-checks raise toolkit errors instead, and every
+private top-level function or class of the package is named somewhere in
+the package outside its own definition.
 
 Package ``__init__.py`` files are skipped, because their imports are
 re-exports.  A name counts as used when it appears as an identifier
@@ -151,3 +153,53 @@ def test_no_assert(path):
     # a re-check that `python -O` strips leaves a certificate unchecked, and
     # a failing one is an AssertionError, which no sweep turns into a row
     assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def identifiers(node):
+    """Names, attribute names and string-annotation names under a node."""
+    nodes = list(ast.walk(node))
+    for note in annotations(node):
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            nodes += ast.walk(ast.parse(note.value, mode="eval"))
+    for sub in nodes:
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def unnamed_private(sources):
+    """(module, name, line) of every private top-level function or class
+    of the {module: source} map that no module names, a definition's own
+    body (recursion) not counting."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    named = set()
+    defined = []
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            named.update(n for n in identifiers(stmt) if n != own)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__"):
+                defined.append((mod, stmt.name, stmt.lineno))
+    return [d for d in defined if d[1] not in named]
+
+
+def test_scan_flags_an_unnamed_private_helper():
+    sources = {
+        "a": ("def _used():\n    return 1\n\n"
+              "def _unused():\n    return _used()\n\n"
+              "def _self(n):\n    return _self(n - 1) if n else 0\n\n"
+              "class _Cls:\n    pass\n\n"
+              "def __getattr__(name):\n    return name\n"),
+        "b": ("from a import _Cls, _self\nimport a\n\n"
+              "def f() -> '_Cls':\n    return a._used()\n"),
+    }
+    assert unnamed_private(sources) == [("a", "_unused", 4), ("a", "_self", 7)]
+
+
+def test_every_private_helper_is_named():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unnamed_private(sources) == []
