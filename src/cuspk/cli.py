@@ -13,7 +13,7 @@ fixed seeds.
 A suite imports its toolkit modules when its first cell runs, and the
 process pool is imported only for --jobs above 1, so a command loads only
 what it runs: `report` and `verify semigroup` stop at `semigroup`, and
-mpmath comes in with the first `conjC` cell.
+`polytopelab` and its LP come in with the first `conjC` cell.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ finding.
 
 The verdict statuses of the conjecture C checks and the default precision
 and enumeration budget live here too, so that the command line can read
-them without importing `polytopelab` (and mpmath) or `simplicialx`.  Those
+them without importing `polytopelab` (and its LP) or `simplicialx`.  Those
 modules import them from here and re-export them.  This module imports
 nothing.
 """
@@ -18,7 +18,7 @@ FAILS_CANDIDATE = "FAILS_CANDIDATE"
 UNDECIDED = "UNDECIDED"
 UNSUPPORTED = "UNSUPPORTED"
 
-# bits of interval precision for the c1 certificate: first try and cap
+# bits of midpoint precision for the c1 certificate: first try and cap
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
 

@@ -5,11 +5,25 @@ residues e mod m standing for the point (zeta_m^(e*n))_n indexed by the
 weight set.  Geometry appears only in the convexity tests.  The origin
 check (c1) runs one exact simplex tableau over {h : h . v >= 1 for every
 dyadic midpoint approximation v of a vertex}.  When it is feasible, the
-l1-least such h is a candidate separating functional, certified with
-interval enclosures of the root-of-unity coordinates; when it is
+l1-least such h is a candidate separating functional; when it is
 infeasible, its Farkas functional is an exact convex combination of the
-midpoints at the origin, and the same enclosures bound the image of that
-combination under the true vertices.
+midpoints at the origin.
+
+Every vertex coordinate is cos or sin of 2*pi*k/m for one of m residues
+k, so one table per (m, bits) holds them all (_root_table).  Each value
+is an integer C with a proven error bound E at the scale 2^-shift, shift
+= bits plus at least 32 guard bits: pi from Machin's formula in
+fixed-point integers, an exact octant reduction on the rational k/m, and
+Taylor series on [0, pi/4] whose truncation and tail errors are counted
+term by term (Brent and Zimmermann, Modern Computer Arithmetic, 2010,
+ch. 4).  The midpoints are the nearest multiples of 2^-bits, which the
+table adds guard bits to decide.  The certificate is exact over the
+boxes [C - E, C + E]: the separator's margin, the least h . v over the
+boxes of the vertices, is a rational that must be > 0, and the
+combination's image must lie within 2^-(bits//2) of the origin in every
+coordinate.  The witness of a separator thus holds its margin as an
+exact rational; no report row shows it, because HOLDS rows carry no
+witness.  No floating point enters.
 
 Both checks certify one polytope per orbit of the dihedral group of Z/m,
 which acts on exponents by e -> s*e + g with s = +-1 and maps the
@@ -40,13 +54,11 @@ is open.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-
-import mpmath
+from math import lcm
 
 from .errors import (DEFAULT_PRECISION, FAILS_CANDIDATE, HOLDS, MAX_PRECISION,
                      UNDECIDED, UNSUPPORTED, PreconditionViolation,
@@ -194,48 +206,152 @@ def _orbits(polys: list, m: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# interval geometry
+# exact root-of-unity enclosures
 
 
-@contextmanager
-def _interval_prec(bits: int):
-    old = mpmath.iv.prec
-    mpmath.iv.prec = bits
-    try:
-        yield mpmath.iv
-    finally:
-        mpmath.iv.prec = old
+def _arctan_inv(x: int, prec: int) -> tuple:
+    """(A, err) with |arctan(1/x) * 2^prec - A| < err, for an integer x >= 2.
+
+    The powers p_n = floor(p_(n-1) / x^2), from p_0 = floor(2^prec / x),
+    fall short of t_n = 2^prec / x^(2n+1) by d_n in [0, 2): d_0 < 1 and
+    d_n < d_(n-1) / x^2 + 1 <= d_(n-1) / 4 + 1.  Each term floor(p_n /
+    (2n+1)) then falls short of t_n / (2n+1) by less than 3, so the N terms
+    summed before p_N = 0 carry less than 3N.  The tail of the alternating
+    series, whose terms decrease, is at most t_N / (2N+1) <= d_N < 2.
+    """
+    power = (1 << prec) // x
+    x2 = x * x
+    total = n = 0
+    while power:
+        term = power // (2 * n + 1)
+        total += -term if n % 2 else term
+        power //= x2
+        n += 1
+    return total, 3 * n + 2
 
 
-def _dyadic(x, bits: int) -> Fraction:
-    # round x to the nearest multiple of 2^-bits
-    return Fraction(int(mpmath.nint(mpmath.ldexp(x, bits))), 1 << bits)
+def _machin_pi(prec: int) -> tuple:
+    """(Pi, err) with |pi * 2^prec - Pi| < err, from Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239)."""
+    a5, e5 = _arctan_inv(5, prec)
+    a239, e239 = _arctan_inv(239, prec)
+    return 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+
+
+def _cos_sin(X: int, prec: int) -> list:
+    """(cos, err) and (sin, err) of phi = X / 2^prec for 0 <= X < 2^prec:
+    each value times 2^prec is within err of the integer.
+
+    Each Taylor series steps its terms by t_(n+1) = floor(floor(t_n * X^2
+    / 4^prec) / D), which is floor(t_n * X^2 / (D * 4^prec)), with D =
+    (2n+1)(2n+2) for cos and (2n+2)(2n+3) for sin, from the exact t_0 =
+    2^prec resp. X.  The shortfall d_n of t_n below the true term T_n is
+    then in [0, 2): d_(n+1) < d_n * phi^2 / D + 1 <= d_n / 2 + 1, as
+    phi < 1 and D >= 2.  The N terms summed before t_N = 0 carry less than
+    2N, and the tail of the alternating series, whose terms decrease, is
+    at most T_N = d_N < 2.
+    """
+    x2 = X * X
+    out = []
+    for term, first in ((1 << prec, 1), (X, 2)):
+        total = n = 0
+        while term:
+            total += -term if n % 2 else term
+            j = 2 * n + first
+            term = (term * x2 >> 2 * prec) // (j * (j + 1))
+            n += 1
+        out.append((total, 2 * n + 2))
+    return out
+
+
+def _octant_boxes(m: int, prec: int) -> list:
+    """cos and sin of 2*pi*k/m for k < m, each as a (C, E) pair with the
+    value times 2^prec in [C - E, C + E].
+
+    Write 4k = q*m + r with 0 <= r < m: the angle is q quarter turns plus
+    (pi/2) * r/m.  With a = min(r, m - r), phi = pi*a / (2m) lies in
+    [0, pi/4]; for r > m/2 the angle past the quarter turns is pi/2 - phi,
+    which swaps cos and sin, and each quarter turn maps (cos, sin) to
+    (-sin, cos).  These steps are exact on the rational k/m, so a box
+    carries the error of phi alone.  X = floor(Pi * a / (2m)) is off from
+    phi * 2^prec by less than err_pi * a / (2m) + 1, and cos and sin are
+    1-Lipschitz, so E adds that bound to the error of _cos_sin.  Its
+    phi = X / 2^prec is below pi/4 + err_pi / 2^prec < 1, as err_pi is
+    about 12 * prec.  At a = 0 the values 1 and 0 are exact.
+    """
+    pi, err_pi = _machin_pi(prec)
+    reduced = {0: ((1 << prec, 0), (0, 0))}
+    out = []
+    for k in range(m):
+        q, r = divmod(4 * k, m)
+        a = min(r, m - r)
+        if a not in reduced:
+            slack = -(-err_pi * a // (2 * m)) + 1
+            reduced[a] = tuple((v, err + slack) for v, err in
+                               _cos_sin(pi * a // (2 * m), prec))
+        cos, sin = reduced[a]
+        if 2 * r > m:
+            cos, sin = sin, cos
+        for _ in range(q):
+            cos, sin = (-sin[0], sin[1]), cos
+        out.append((cos, sin))
+    return out
+
+
+@dataclass(frozen=True)
+class _RootTable:
+    """cos and sin of 2*pi*k/m for k < m (see _root_table).
+
+    boxes[k] holds a (C, E) pair for each of cos and sin: the value times
+    2^shift lies in [C - E, C + E].  midpoints[k] holds the nearest
+    multiples of 2^-bits to the two values, as Fractions.
+    """
+
+    shift: int
+    boxes: tuple
+    midpoints: tuple
+
+
+@lru_cache(maxsize=None)
+def _root_table(m: int, bits: int) -> _RootTable:
+    """Exact integer enclosures of the m-th roots of unity, bits >= 1.
+
+    The boxes are at scale 2^-(bits + g), with g = 32 guard bits, and 32
+    more until every box decides its midpoint: both ends of [C - E, C + E]
+    round half up to the same multiple of 2^-bits.  Then every point of the
+    box rounds to it, the true value included, and the true value is no
+    tie: a tie is a rational with denominator 2^(bits+1), and by Niven's
+    theorem the only rational values of cos and sin at rational multiples
+    of pi are 0, +-1/2 and +-1.  So the midpoint is the nearest multiple of
+    2^-bits.  The loop ends, because E grows only linearly in bits + g.
+    """
+    if bits < 1:
+        raise PreconditionViolation("dyadic midpoints need bits >= 1")
+    guard = 32
+    while True:
+        boxes = _octant_boxes(m, bits + guard)
+        half = 1 << (guard - 1)
+        ends = [[((c - e + half) >> guard, (c + e + half) >> guard)
+                 for c, e in pair] for pair in boxes]
+        if all(lo == hi for pair in ends for lo, hi in pair):
+            break
+        guard += 32
+    midpoints = tuple(tuple(Fraction(lo, 1 << bits) for lo, _ in pair)
+                      for pair in ends)
+    return _RootTable(shift=bits + guard, boxes=tuple(boxes),
+                      midpoints=midpoints)
 
 
 def _midpoint_vertex(m: int, e: int, ws, bits: int) -> list:
-    """Dyadic approximation of the vertex with exponent e, flattened to reals."""
-    coords = []
-    with mpmath.workprec(bits + 8):
-        for n in ws:
-            k = (e * n) % m
-            angle = 2 * mpmath.pi * k / m
-            coords.append(_dyadic(mpmath.cos(angle), bits))
-            coords.append(_dyadic(mpmath.sin(angle), bits))
-    return coords
+    """Nearest multiples of 2^-bits to the coordinates of the vertex with
+    exponent e, flattened to reals."""
+    mids = _root_table(m, bits).midpoints
+    return [x for n in ws for x in mids[(e * n) % m]]
 
 
-def _iv_fraction(f: Fraction):
-    return mpmath.iv.mpf(f.numerator) / mpmath.iv.mpf(f.denominator)
-
-
-def _iv_vertex(m: int, e: int, ws) -> list:
-    coords = []
-    for n in ws:
-        k = (e * n) % m
-        angle = 2 * mpmath.iv.pi * k / m
-        coords.append(mpmath.iv.cos(angle))
-        coords.append(mpmath.iv.sin(angle))
-    return coords
+def _vertex_boxes(table: _RootTable, m: int, e: int, ws) -> list:
+    """The (C, E) boxes of the coordinates of the vertex with exponent e."""
+    return [box for n in ws for box in table.boxes[(e * n) % m]]
 
 
 def _separate_origin(Q: ExponentPolytope, bits: int):
@@ -251,10 +367,12 @@ def _separate_origin(Q: ExponentPolytope, bits: int):
     so y / sum y is an exact convex combination of the midpoints at the
     origin.  Returns ("holds", witness), ("candidate", witness) or
     ("undecided", note).  The separator and the combination are exact
-    rational data; only their images under the true vertices are interval
-    arithmetic.
+    rational data, and so are their bounds over the boxes of _root_table
+    that hold the true vertices: the least h . v (the margin) and the
+    largest |sum_i lam_i v_i| in any coordinate (the norm bound).
     """
     m, ws, exps = Q.m, Q.weights, Q.vertex_exponents
+    table = _root_table(m, bits)
     mids = [_midpoint_vertex(m, e, ws, bits) for e in exps]
     npts, dim = len(mids), len(mids[0])
     plus = [[v[j] for v in mids] for j in range(dim)]
@@ -267,41 +385,35 @@ def _separate_origin(Q: ExponentPolytope, bits: int):
             raise TheoremViolation("the l1 norm is bounded below, but its "
                                    f"LP is {status}")
         h = [lam[j] - lam[dim + j] for j in range(dim)]
-        with _interval_prec(bits):
-            hv = [_iv_fraction(v) for v in h]
-            margin = None
-            for e in exps:
-                dot = mpmath.iv.mpf(0)
-                for hi, ci in zip(hv, _iv_vertex(m, e, ws)):
-                    dot += hi * ci
-                if margin is None or dot.a < margin:
-                    margin = dot.a
-        if margin > 0:
+        # h . v over a box is least where each coordinate sits at the end
+        # that h weighs down; all in units of 1 / (den * 2^shift)
+        den = lcm(*(v.denominator for v in h))
+        scaled = [v.numerator * (den // v.denominator) for v in h]
+        low = min(sum(w * c - abs(w) * err for w, (c, err)
+                      in zip(scaled, _vertex_boxes(table, m, e, ws)))
+                  for e in exps)
+        if low > 0:
             return "holds", {"vertices": list(exps),
                              "functional": [str(v) for v in h],
-                             "margin": str(margin)}
+                             "margin": str(Fraction(low, den << table.shift))}
         return "undecided", {"vertices": list(exps),
                              "reason": "separator margin not certified"}
-    # the midpoints place the origin in their hull; enclose the true image
-    # of the exact convex combination
+    # the midpoints place the origin in their hull; bound the true image
+    # of the exact convex combination, in units of 1 / (den * 2^shift)
     total = sum(tab.farkas)
     coefficients = [y / total for y in tab.farkas]
-    eps = Fraction(1, 1 << (bits // 2))
-    with _interval_prec(bits):
-        points = [_iv_vertex(m, e, ws) for e in exps]
-        worst = None
-        for j in range(dim):
-            acc = mpmath.iv.mpf(0)
-            for lam, pt in zip(coefficients, points):
-                if lam:
-                    acc += _iv_fraction(lam) * pt[j]
-            bound = max(abs(acc.a), abs(acc.b))
-            if worst is None or bound > worst:
-                worst = bound
-        if worst < _iv_fraction(eps).a:
-            return "candidate", {"vertices": list(exps),
-                                 "coefficients": [str(v) for v in coefficients],
-                                 "norm_bound": str(worst)}
+    den = lcm(*(c.denominator for c in coefficients))
+    terms = [(c.numerator * (den // c.denominator),
+              _vertex_boxes(table, m, e, ws))
+             for c, e in zip(coefficients, exps) if c]
+    worst = max(abs(sum(w * boxes[j][0] for w, boxes in terms))
+                + sum(abs(w) * boxes[j][1] for w, boxes in terms)
+                for j in range(dim))
+    bound = Fraction(worst, den << table.shift)
+    if bound < Fraction(1, 1 << (bits // 2)):
+        return "candidate", {"vertices": list(exps),
+                             "coefficients": [str(v) for v in coefficients],
+                             "norm_bound": str(bound)}
     return "undecided", {"vertices": list(exps),
                          "reason": "combination not pinned to the origin"}
 

@@ -424,11 +424,12 @@ class TestStartup:
             "['cuspk.simplicialx']"
 
     def test_conjc_loads_no_homology_module(self, tmp_path):
-        """conjC runs its LPs on the exactlp tableau alone; the Smith form,
-        the chain complexes and the other suites stay unloaded."""
+        """conjC runs its LPs on the exactlp tableau alone and its roots of
+        unity on integers; the Smith form, the chain complexes, the other
+        suites and mpmath stay unloaded."""
         argvs = [["verify", "conjC", "--a", "2", "--b", "3", "--m-max", "5"]]
-        names = ["cuspk.homlinalg", "cuspk.cyclicbar", "cuspk.simplicialx",
-                 "cuspk.wittlab", "cuspk.exactlp"]
+        names = ["mpmath", "cuspk.homlinalg", "cuspk.cyclicbar",
+                 "cuspk.simplicialx", "cuspk.wittlab", "cuspk.exactlp"]
         assert loaded_modules(tmp_path, argvs, names) == "['cuspk.exactlp']"
 
 

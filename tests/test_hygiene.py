@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a name
 it never uses, or holds a Cyrillic letter (such as the look-alike of the
 composition sign that once stood for it), no toolkit module imports a
-sibling, no package module holds an `assert` statement, which
+sibling, no package module imports anything outside the standard library
+and the package itself, no package module holds an `assert` statement, which
 `python -O` strips: its re-checks raise toolkit errors instead, and every
 private top-level function or class of the package is named somewhere in
 the package outside its own definition.
@@ -12,6 +13,7 @@ anywhere in the module or inside a string annotation.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,6 +126,37 @@ def test_scan_flags_a_sibling_import():
 def test_toolkit_imports_only_shared_modules(name):
     source = (ROOT / "src" / "cuspk" / f"{name}.py").read_text(encoding="utf-8")
     assert sibling_imports(source) == []
+
+
+def foreign_imports(source):
+    """(module, line) of every import of a top-level module that is
+    neither in the standard library nor `cuspk`; relative imports are the
+    package's own."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            tops = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops = [node.module.split(".")[0]]
+        else:
+            continue
+        for top in tops:
+            if top != "cuspk" and top not in sys.stdlib_module_names:
+                yield top, node.lineno
+
+
+def test_scan_flags_a_foreign_import():
+    source = ("from __future__ import annotations\nimport os.path, mpmath\n"
+              "from .errors import CuspkError\nfrom cuspk.semigroup import ell\n"
+              "from numpy.linalg import norm\nimport cuspk.exactlp\n"
+              "from fractions import Fraction\n")
+    assert list(foreign_imports(source)) == [("mpmath", 2), ("numpy", 5)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_package_imports_only_the_standard_library(path):
+    # the package installs with no dependency, so a command runs wherever
+    # Python does; mpmath is a test-only oracle
+    assert list(foreign_imports(path.read_text(encoding="utf-8"))) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -10,7 +10,7 @@ from cuspk import polytopelab
 from cuspk.errors import PreconditionViolation, WeightOutOfRange
 from cuspk.polytopelab import (FAILS_CANDIDATE, HOLDS, UNDECIDED, UNSUPPORTED,
                                ExponentPolytope, Verdict,
-                               _cyclotomic, _interval_prec, _midpoint_vertex,
+                               _cyclotomic, _midpoint_vertex, _root_table,
                                _separate_origin,
                                _summand_hit, _summand_hits, _zeta_powers,
                                check_c1, check_c2_c3, check_c4, escalate,
@@ -179,20 +179,108 @@ class TestDihedralOrbits:
             image = sorted((s * x + e["translate"]) % m
                            for x in e["representative"])
             assert image == e["vertices"]
-        # each representative's functional is positive on its vertices
+        # each representative's functional is positive on its vertices, by
+        # mpmath's interval arithmetic at 128 bits in a context of its own
         ws = weights(p, m).closed_weights
-        iv = mpmath.iv
-        with _interval_prec(128):
-            for e in certified:
-                h = [iv.mpf(f.numerator) / iv.mpf(f.denominator)
-                     for f in map(Fraction, e["functional"])]
-                for x in e["vertices"]:
-                    dot = iv.mpf(0)
-                    for k, n in enumerate(ws):
-                        angle = 2 * iv.pi * ((x * n) % m) / m
-                        dot += h[2 * k] * iv.cos(angle)
-                        dot += h[2 * k + 1] * iv.sin(angle)
-                    assert dot.a > 0
+        iv = type(mpmath.iv)()
+        iv.prec = 128
+        for e in certified:
+            h = [iv.mpf(f.numerator) / iv.mpf(f.denominator)
+                 for f in map(Fraction, e["functional"])]
+            for x in e["vertices"]:
+                dot = iv.mpf(0)
+                for k, n in enumerate(ws):
+                    angle = 2 * iv.pi * ((x * n) % m) / m
+                    dot += h[2 * k] * iv.cos(angle)
+                    dot += h[2 * k + 1] * iv.sin(angle)
+                assert dot.a > 0
+
+
+# cos and sin of 2*pi*k/m from mpmath, the test-only oracle, at this many
+# bits: 64 and more beyond every precision the root table is tested at
+ORACLE_BITS = 1024 + 128
+
+
+@pytest.fixture(scope="module")
+def root_oracle():
+    """(cos, sin) of 2*pi*k/m for k < m <= 60, each an integer V within
+    2^-1100 of the value times 2^ORACLE_BITS."""
+    out = {}
+    with mpmath.workprec(ORACLE_BITS):
+        for m in range(1, 61):
+            for k in range(m):
+                angle = 2 * mpmath.pi * k / m
+                out[m, k] = tuple(int(mpmath.nint(mpmath.ldexp(v, ORACLE_BITS)))
+                                  for v in (mpmath.cos(angle), mpmath.sin(angle)))
+    return out
+
+
+class TestRootTable:
+    @pytest.mark.parametrize("bits", [8, 64, 128, 256, 1024])
+    def test_boxes_hold_the_roots_and_midpoints_are_nearest(self, root_oracle,
+                                                             bits):
+        # all in units of 2^-ORACLE_BITS; the oracle is off by under
+        # 2^-1100, so a box may miss it by the larger slack 2^-(bits+64)
+        slack = 1 << (ORACLE_BITS - bits - 64)
+        half = 1 << (ORACLE_BITS - bits - 1)
+        for m in range(1, 61):
+            table = _root_table(m, bits)
+            up = ORACLE_BITS - table.shift
+            assert up >= 64
+            for k in range(m):
+                for V, (c, err), mid in zip(root_oracle[m, k], table.boxes[k],
+                                            table.midpoints[k]):
+                    assert ((c - err) << up) - slack <= V
+                    assert V <= ((c + err) << up) + slack
+                    M = mid * (1 << bits)
+                    assert M.denominator == 1
+                    nearest = M.numerator << (ORACLE_BITS - bits)
+                    assert abs(V - nearest) < half, (m, k, bits)
+
+    @pytest.mark.parametrize("bits", [8, 128, 1024])
+    def test_no_box_is_wider_than_the_mpmath_interval(self, bits):
+        # the certification sums exactly over the boxes, so narrower boxes
+        # than the intervals it replaced keep every HOLDS verdict
+        iv = type(mpmath.iv)()
+        iv.prec = bits
+        for m in range(1, 31):
+            table = _root_table(m, bits)
+            for k in range(m):
+                angle = 2 * iv.pi * k / m
+                for x, (_, err) in zip((iv.cos(angle), iv.sin(angle)),
+                                       table.boxes[k]):
+                    with mpmath.workprec(2 * bits + 64):
+                        width = mpmath.mpf(x.b) - mpmath.mpf(x.a)
+                        assert mpmath.ldexp(2 * err, -table.shift) <= width
+
+    def test_nearest_midpoint_where_double_rounding_misses(self):
+        # sin(2*pi*14/15) * 2^64 has the fractional part 0.50114; rounding
+        # it to bits + 8 = 72 bits first, then to an integer, rounds down
+        cos, sin = _midpoint_vertex(15, 14, (1,), 64)
+        assert sin == Fraction(-7502966760219034614, 1 << 64)
+        assert cos == Fraction(16851939256832928277, 1 << 64)
+
+    def test_guard_bits_grow_until_every_midpoint_is_decided(self, monkeypatch):
+        # boxes that are too wide at the first guard get 32 more bits
+        real = polytopelab._octant_boxes
+        seen = []
+
+        def blurred(m, prec):
+            seen.append(prec)
+            boxes = real(m, prec)
+            if len(seen) > 1:
+                return boxes
+            return [tuple((c, err << 40) for c, err in pair) for pair in boxes]
+
+        monkeypatch.setattr(polytopelab, "_octant_boxes", blurred)
+        table = polytopelab._root_table.__wrapped__(7, 64)
+        assert seen == [96, 128]
+        assert table.shift == 128
+        assert table.midpoints == _root_table(7, 64).midpoints
+
+    def test_rejects_bits_below_one(self):
+        with pytest.raises(PreconditionViolation):
+            _root_table(5, 0)
 
 
 class TestOriginCheck:
@@ -225,6 +313,22 @@ class TestOriginCheck:
             mids = [_midpoint_vertex(m, e, (1,), 128) for e in E]
             assert [sum(c * v[j] for c, v in zip(lam, mids))
                     for j in range(2)] == [0, 0]
+
+    @pytest.mark.parametrize("E,state", [((0, 2), "holds"),
+                                         ((0, 1, 2), "candidate")])
+    def test_box_radii_enter_the_certificate(self, monkeypatch, E, state):
+        # with every coordinate only known to within +-1, h . v - |h|_1 <= 0
+        # bounds the margin and sum lam_i = 1 the norm, so neither is proven
+        Q = ExponentPolytope(m=3, weights=(1,), vertex_exponents=E)
+        assert _separate_origin(Q, 128)[0] == state
+        real = _root_table(3, 128)
+        radius = 1 << real.shift
+        wide = polytopelab._RootTable(
+            shift=real.shift, midpoints=real.midpoints,
+            boxes=tuple(tuple((c, radius) for c, _ in pair)
+                        for pair in real.boxes))
+        monkeypatch.setattr(polytopelab, "_root_table", lambda *args: wide)
+        assert _separate_origin(Q, 128)[0] == "undecided"
 
     def test_starting_precision_suffices(self):
         # an unnormalised separator follows the dyadic rounding noise of a
