@@ -109,10 +109,15 @@ def _cell_semigroup(a, b, m_max, r_max):
 def _cell_ghost_identities(cases):
     from .wittlab import identity_failures
 
-    failures = identity_failures(cases, seed=20240811)
-    return [_row("witt", stmt, "pass" if bad == 0 else "fail",
-                 details={"cases": cases, "failures": bad})
-            for stmt, bad in sorted(failures.items())]
+    def identities():
+        failures = identity_failures(cases, seed=20240811)
+        return {stmt: ("pass" if bad == 0 else "fail",
+                       {"cases": cases, "failures": bad})
+                for stmt, bad in failures.items()}
+
+    rows = []
+    _attempt(rows, "witt", "identities", identities)
+    return rows
 
 
 def _attempt(rows, suite, statement, compute, **coords):

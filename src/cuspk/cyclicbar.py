@@ -24,10 +24,12 @@ be played against each other:
   the integral members of {m/ab, m/a, m/b, m}, each contributing Z in
   degrees 2l and 2l+1 with l = ell(a, b, m), glued as an iterated cone.
 
-On top of the first two sit degree-raising Connes-type operators (the
-cyclic B operator, and the de Rham differential of the small model); the
-induced map from H_{2l} to H_{2l+1} is multiplication by +-m whenever
-neither a nor b divides m.
+On top of the first two sit degree-raising Connes-type operators: the
+cyclic B operator on the bar complex, and on the relative cone the de Rham
+differential of the curve model beside t^m -> -m t^{m-1} dt on the line.
+One routine pushes the generator of H_{2l} = Z through either operator
+and reads the coefficient in the generator of H_{2l+1} = Z; it is +-m
+whenever neither a nor b divides m.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from cuspk.homlinalg import (
     SparseIntMatrix,
     homology,
     mapping_cone,
-    smith_normal_form,
 )
 from cuspk.semigroup import Params, ell, is_member
 
@@ -233,20 +234,6 @@ def small_complex_line(p: Params, m: int) -> ChainComplex:
     return ChainComplex({0: [("t", m)], 1: [("dt", m - 1)]}, {})
 
 
-def de_rham_matrix(p: Params, m: int, q: int) -> SparseIntMatrix:
-    """Matrix of the de Rham operator from curve degree q to q + 1."""
-    basis = curve_basis(p, m)
-    return SparseIntMatrix.of_map(basis.get(q + 1, []), basis.get(q, []),
-                                  lambda lbl: _de_rham_image(p, lbl).items())
-
-
-def line_de_rham_matrix(p: Params, m: int, q: int) -> SparseIntMatrix:
-    """t^m -> m t^{m-1} dt in degree 0; zero above."""
-    line = small_complex_line(p, m)
-    entries = {(0, 0): m} if q == 0 else {}
-    return SparseIntMatrix(line.dim(q + 1), line.dim(q), entries)
-
-
 @lru_cache(maxsize=None)
 def parametrization_map(p: Params, m: int) -> ChainMap:
     """f : curve model -> line model; x^i y^j -> t^m, the dx and dy
@@ -270,6 +257,23 @@ def parametrization_map(p: Params, m: int) -> ChainMap:
 @lru_cache(maxsize=None)
 def relative_cone(p: Params, m: int) -> ChainComplex:
     return mapping_cone(parametrization_map(p, m))
+
+
+def cone_de_rham_matrix(p: Params, m: int, q: int) -> SparseIntMatrix:
+    """The de Rham operator of the cone from degree q to q + 1: d_R on the
+    curve block and t^m -> -m t^{m-1} dt on the line block.  The sign makes
+    it anticommute with the cone boundary, since d_R f = f d_R."""
+    basis = relative_cone(p, m).basis
+
+    def image(lbl):
+        side, x = lbl
+        if side == "dom":
+            for y, c in _de_rham_image(p, x).items():
+                yield ("dom", y), c
+        elif x[0] == "t":
+            yield ("cod", ("dt", m - 1)), -m
+
+    return SparseIntMatrix.of_map(basis.get(q + 1, []), basis.get(q, []), image)
 
 
 # ---------------------------------------------------------------------------
@@ -401,80 +405,39 @@ def _factor(eng: HomologyEngine, q: int, image: dict, name: str, m: int) -> int:
     return c
 
 
+def _operator_factor(C: ChainComplex, op: SparseIntMatrix, q: int, name: str,
+                     m: int) -> int:
+    """Push the generator of H_q(C) = Z through op : C_q -> C_{q+1} and
+    return its coefficient in the generator of H_{q+1}(C) = Z, +-m."""
+    eng = HomologyEngine(C)
+    g = _single_free_generator(eng, q)
+    img = C.chain_from_vector(q + 1, op.matvec(C.vector_from_chain(q, g)))
+    return _factor(eng, q + 1, img, name, m)
+
+
 def connes_factor_bar(p: Params, m: int) -> int:
     """Apply the cyclic B operator to the generator of H_{2l} of the
     relative bar complex and express it in the generator of H_{2l+1};
     the coefficient must be +-m."""
     _require_nondivisible(p, m)
-    l = ell(p, m)
-    C = relative_bar_complex(p, m)
-    eng = HomologyEngine(C)
-    g = _single_free_generator(eng, 2 * l)
-    B = connes_matrix(p, m, 2 * l)
-    img = C.chain_from_vector(2 * l + 1, B.matvec(C.vector_from_chain(2 * l, g)))
-    return _factor(eng, 2 * l + 1, img, "cyclic operator", m)
-
-
-def _kernel_generator(M: SparseIntMatrix):
-    """Generator of the rank-one kernel of an integer matrix."""
-    res = smith_normal_form(M, transforms="right")
-    null = M.ncols - res.rank
-    if null != 1:
-        raise TheoremViolation(f"kernel rank {null}, expected 1")
-    return [res.V.row(r).get(M.ncols - 1, 0) for r in range(M.ncols)]
+    q = 2 * ell(p, m)
+    return _operator_factor(relative_bar_complex(p, m), connes_matrix(p, m, q), q,
+                            "cyclic operator", m)
 
 
 def connes_factor_small(p: Params, m: int) -> int:
-    """Same factor, read off the small model.
+    """Same factor, read off the relative cone of the small model.
 
-    For l = ell(a, b, m) >= 1: the kernel of the parametrization map on
-    H_{2l-1} of the curve model is infinite cyclic; pushing its generator
-    through the de Rham operator lands in H_{2l} with coefficient +-m.
-    For l = 0 the weight is a gap, the curve model is empty in low
-    degrees, and the factor is read off the line model t^m -> m t^{m-1}dt
-    inside the cone.
+    The cone de Rham operator takes the generator of H_{2l}(cone) to +-m
+    times the generator of H_{2l+1}(cone), for every l = ell(a, b, m).  At
+    l = 0 the weight is a gap, the curve model is empty in degrees below
+    1, and the operator is t^m -> -m t^{m-1} dt on the line block.  For
+    l >= 1 the line model is 0 in degrees 2l and 2l+1, so H_{2l}(cone) is
+    the kernel of f_* on H_{2l-1}(curve), H_{2l+1}(cone) is H_{2l}(curve),
+    and the operator is d_R on the curve block.  It anticommutes with the
+    cone boundary because d_R f = f d_R, so it maps cycles to cycles.
     """
     _require_nondivisible(p, m)
-    l = ell(p, m)
-    if l == 0:
-        cone = relative_cone(p, m)
-        eng = HomologyEngine(cone)
-        g = _single_free_generator(eng, 0)
-        img = {}
-        for (side, lbl), coeff in g.items():
-            if side == "cod":
-                vec = line_de_rham_matrix(p, m, 0).matvec(
-                    small_complex_line(p, m).vector_from_chain(0, {lbl: coeff}))
-                for tgt, v in small_complex_line(p, m).chain_from_vector(1, vec).items():
-                    img[("cod", tgt)] = img.get(("cod", tgt), 0) - v
-            else:
-                raise TheoremViolation("curve model unexpectedly nonempty for a gap weight")
-        return _factor(eng, 1, img, "de Rham", m)
-
-    curve = small_complex_curve(p, m)
-    line = small_complex_line(p, m)
-    eng_a = HomologyEngine(curve)
-    eng_b = HomologyEngine(line)
-    q = 2 * l - 1
-    gens_a = eng_a.generators(q)
-    if any(o for o, _ in gens_a):
-        raise TheoremViolation(f"H_{q} of the curve model has unexpected torsion")
-    gens_b = eng_b.generators(q)
-    f = parametrization_map(p, m)
-    entries = {}
-    for c_idx, (_, chain) in enumerate(gens_a):
-        vec = f.matrix(q).matvec(curve.vector_from_chain(q, chain))
-        coords = eng_b.coordinates(q, line.chain_from_vector(q, vec))
-        for r_idx, v in enumerate(coords):
-            if v:
-                entries[(r_idx, c_idx)] = v
-    M = SparseIntMatrix(len(gens_b), len(gens_a), entries)
-    kernel = _kernel_generator(M)
-    z = {}
-    for coeff, (_, chain) in zip(kernel, gens_a):
-        for lbl, v in chain.items():
-            z[lbl] = z.get(lbl, 0) + coeff * v
-    z = {lbl: v for lbl, v in z.items() if v}
-    dz_vec = de_rham_matrix(p, m, q).matvec(curve.vector_from_chain(q, z))
-    dz = curve.chain_from_vector(q + 1, dz_vec)
-    return _factor(eng_a, q + 1, dz, "de Rham", m)
+    q = 2 * ell(p, m)
+    return _operator_factor(relative_cone(p, m), cone_de_rham_matrix(p, m, q), q,
+                            "de Rham", m)

@@ -6,9 +6,10 @@ objectives over that set.  Phase 1 runs once; every objective warm-starts
 phase 2 from the basis the previous one left.  The pivots are the
 integer-preserving pivots of Edmonds (J. Res. NBS 71B, 1967) and Bareiss
 (Math. Comp. 22, 1968), so the tableau holds Python ints and every
-division is exact.  Each certificate is re-checked in Fraction against the
-original columns before it is handed out; a failed re-check raises
-TheoremViolation, never an `assert`, which `python -O` would strip.
+division is exact.  Each certificate is re-checked in ints against the
+original columns times the lcm of their denominators before it is handed
+out; a failed re-check raises TheoremViolation, never an `assert`, which
+`python -O` would strip.
 
 The module imports only the error types, so a suite that runs LPs loads
 neither the Smith form nor the chain complexes.  No floating point enters.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from cuspk.errors import (DimensionMismatch, PreconditionViolation,
                           TheoremViolation)
@@ -77,17 +79,20 @@ class SimplexTableau:
         for col in columns:
             if len(col) != m:
                 raise DimensionMismatch("column length mismatch")
-        self.columns, self.rhs = columns, rhs
+        self.columns = columns
         L = lcm(_common_denominator((x for col in columns for x in col), "column"),
                 _common_denominator(rhs, "rhs"))
-        flip = [-1 if rhs[i] < 0 else 1 for i in range(m)]
+        # the input times L, in ints: the re-checks run on these
+        self._cols = [[x.numerator * (L // x.denominator) for x in col]
+                      for col in columns]
+        self._rhs = [x.numerator * (L // x.denominator) for x in rhs]
+        flip = [-1 if r < 0 else 1 for r in rhs]
         # rows of the tableau: n real columns, m artificial columns, rhs
         self.T = []
         for i in range(m):
-            s = flip[i] * L
-            row = [col[i].numerator * (s // col[i].denominator) for col in columns]
+            row = [flip[i] * col[i] for col in self._cols]
             row += [1 if k == i else 0 for k in range(m)]
-            row.append(rhs[i].numerator * (s // rhs[i].denominator))
+            row.append(flip[i] * self._rhs[i])
             self.T.append(row)
         self.D = 1
         self.basis = [n + i for i in range(m)]
@@ -101,14 +106,15 @@ class SimplexTableau:
                                    "is bounded below by 0")
         if any(row[-1] for b, row in zip(self.basis, self.T) if b >= n):
             self.status = "infeasible"
-            # the price of artificial i is its cost 1 minus its reduced cost
+            # the price of artificial i is its cost 1 minus its reduced
+            # cost: y = Y / D with D > 0, checked on the input times L > 0
             D = self.D
-            y = [Fraction(D - d[n + i], D) * flip[i] for i in range(m)]
-            if any(sum(y[i] * col[i] for i in range(m)) > 0 for col in columns):
+            Y = [(D - d[n + i]) * flip[i] for i in range(m)]
+            if any(sum(map(mul, Y, col)) > 0 for col in self._cols):
                 raise TheoremViolation("Farkas functional is positive on a column")
-            if sum(y[i] * rhs[i] for i in range(m)) <= 0:
+            if sum(map(mul, Y, self._rhs)) <= 0:
                 raise TheoremViolation("Farkas functional is not positive on the rhs")
-            self.farkas = y
+            self.farkas = [Fraction(v, D) for v in Y]
             return
         self.status = "feasible"
         # artificials never re-enter, so their columns are dropped
@@ -175,15 +181,19 @@ class SimplexTableau:
         """The current basic solution lam, re-checked against the columns."""
         if self.status != "feasible":
             raise PreconditionViolation("an infeasible tableau has no solution")
+        # lam_b = T_b[-1] / D, so sum lam_b col_b = rhs reads
+        # sum T_b[-1] * L col_b = D * L rhs in ints
+        D = self.D
+        used = [(row[-1], self._cols[b]) for b, row in zip(self.basis, self.T)
+                if row[-1]]
+        if any(v < 0 for v, _ in used):
+            raise TheoremViolation("basic solution has a negative entry")
+        if any(sum(v * col[i] for v, col in used) != D * r
+               for i, r in enumerate(self._rhs)):
+            raise TheoremViolation("basic solution does not meet the rhs")
         lam = [Fraction(0)] * len(self.columns)
         for b, row in zip(self.basis, self.T):
-            lam[b] = Fraction(row[-1], self.D)
-        if any(v < 0 for v in lam):
-            raise TheoremViolation("basic solution has a negative entry")
-        used = [(v, col) for v, col in zip(lam, self.columns) if v]
-        if any(sum(v * col[i] for v, col in used) != r
-               for i, r in enumerate(self.rhs)):
-            raise TheoremViolation("basic solution does not meet the rhs")
+            lam[b] = Fraction(row[-1], D)
         return lam
 
     def optimize(self, objective, maximize=False):

@@ -14,7 +14,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import cuspk.cli as cli
 from cuspk import cyclicbar, polytopelab, simplicialx, wittlab
-from cuspk.errors import ResourceBound, TheoremViolation
+from cuspk.errors import IntegralityViolation, ResourceBound, TheoremViolation
 from cuspk.homlinalg import HomologySummary, SparseIntMatrix
 from cuspk.polytopelab import UNDECIDED, Verdict
 from cuspk.simplicialx import ConjectureBReport
@@ -244,26 +244,32 @@ class TestExitCodes:
                                                        monkeypatch):
         # a cyclic operator with a 1 in row 0 of every column no longer
         # anticommutes with the boundary, so at m = 5 B(generator) is no
-        # cycle; at m = 1 the one entry of B is already that 1
-        real = cyclicbar.connes_matrix
+        # cycle; at m = 1 the one entry of B is already that 1.  The cone
+        # is Z with zero boundary in degree 2l + 1, so every image there is
+        # a cycle, and the same skew of the de Rham operator fails on its
+        # factor instead: 1 at m = 5, while at m = 1 it turns -1 into 1
+        def skewed(real):
+            def op(p, m, q):
+                M = real(p, m, q)
+                entries = dict(M.entries())
+                if M.nrows:
+                    entries.update({(0, c): 1 for c in range(M.ncols)})
+                return SparseIntMatrix(M.nrows, M.ncols, entries)
+            return op
 
-        def skewed(p, m, q):
-            B = real(p, m, q)
-            entries = dict(B.entries())
-            if B.nrows:
-                entries.update({(0, c): 1 for c in range(B.ncols)})
-            return SparseIntMatrix(B.nrows, B.ncols, entries)
-
-        monkeypatch.setattr(cyclicbar, "connes_matrix", skewed)
-        code, out = run(tmp_path, "verify", "prop51", "--a", "2", "--b", "3",
-                        "--m-max", "5")
-        assert code == 1
-        rows = rows_of(out)
-        hit = [r for r in rows if r["result"] != "pass"]
-        assert [(r["m"], r["statement"], r["result"]) for r in hit] == [
-            (5, "connes-factor", "fail")]
-        assert hit[0]["details"] == {
-            "error": "cyclic operator image is not a cycle in degree 3"}
+        for name, error in [
+                ("connes_matrix", "cyclic operator image is not a cycle in degree 3"),
+                ("cone_de_rham_matrix", "de Rham factor 1, expected +-5")]:
+            with monkeypatch.context() as patch:
+                patch.setattr(cyclicbar, name, skewed(getattr(cyclicbar, name)))
+                code, out = run(tmp_path / name, "verify", "prop51", "--a", "2",
+                                "--b", "3", "--m-max", "5")
+            assert code == 1
+            rows = rows_of(out)
+            hit = [r for r in rows if r["result"] != "pass"]
+            assert [(r["m"], r["statement"], r["result"]) for r in hit] == [
+                (5, "connes-factor", "fail")]
+            assert hit[0]["details"] == {"error": error}
 
     @pytest.mark.parametrize("error,result,exit_code,details", [
         (TheoremViolation("forced"), "fail", 1, {"error": "forced"}),
@@ -282,6 +288,22 @@ class TestExitCodes:
         assert [r["q"] for r in rows] == [0, 2, 4]
         assert all(r["result"] == result for r in rows)
         assert all(r["details"] == details for r in rows)
+
+    @pytest.mark.parametrize("error,result,exit_code,details", [
+        (TheoremViolation("forced"), "fail", 1, {"error": "forced"}),
+        (IntegralityViolation("coordinate 2 needs 1/2"), "skipped", 4,
+         {"error": "IntegralityViolation", "reason": "coordinate 2 needs 1/2"})])
+    def test_witt_errors_become_rows(self, tmp_path, monkeypatch, error,
+                                     result, exit_code, details):
+        def broken(cases, seed):
+            raise error
+
+        monkeypatch.setattr(wittlab, "identity_failures", broken)
+        code, out = run(tmp_path, "verify", "witt")
+        assert code == exit_code
+        rows = rows_of(out)
+        assert [(r["suite"], r["statement"], r["result"], r["details"])
+                for r in rows] == [("witt", "identities", result, details)]
 
     @pytest.mark.parametrize("error,result,exit_code,details", [
         (TheoremViolation("forced"), "fail", 1, {"error": "forced"}),

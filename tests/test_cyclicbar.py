@@ -16,14 +16,15 @@ from cuspk.semigroup import Params, ell, is_member
 from cuspk.cyclicbar import (
     _koszul_image,
     bar_basis,
+    cone_de_rham_matrix,
     connes_factor_bar,
     connes_factor_small,
     connes_matrix,
     curve_basis,
-    de_rham_matrix,
     expected_ty_homology,
     parametrization_map,
     relative_bar_complex,
+    relative_cone,
     relative_homology_bar,
     relative_homology_small,
     small_complex_curve,
@@ -222,21 +223,24 @@ class TestSmallModel:
         assert col == [[-2], [3]]
 
     def test_de_rham_anticommutes_with_koszul(self):
+        # on the cone: its "dom" block is the identity on the curve model
         for m in range(1, 13):
-            C = small_complex_curve(P23, m)
+            C = relative_cone(P23, m)
             degs = list(C.basis) or [0]
             for q in range(0, max(degs) + 2):
-                anti = C.boundary(q + 1) @ de_rham_matrix(P23, m, q)
-                other = de_rham_matrix(P23, m, q - 1) @ C.boundary(q)
+                anti = C.boundary(q + 1) @ cone_de_rham_matrix(P23, m, q)
+                other = cone_de_rham_matrix(P23, m, q - 1) @ C.boundary(q)
                 total = {}
                 for k, v in list(anti.entries()) + list(other.entries()):
                     total[k] = total.get(k, 0) + v
                 assert not any(total.values())
 
     def test_de_rham_squares_to_zero(self):
+        # cone degree q + 1 holds curve degree q, so the range is one longer
         for m in range(1, 13):
-            for q in range(0, 2 * (m // 6) + 3):
-                prod = de_rham_matrix(P23, m, q + 1) @ de_rham_matrix(P23, m, q)
+            for q in range(0, 2 * (m // 6) + 4):
+                prod = (cone_de_rham_matrix(P23, m, q + 1)
+                        @ cone_de_rham_matrix(P23, m, q))
                 assert prod.is_zero()
 
     def test_parametrization_is_chain_map(self):
@@ -292,12 +296,26 @@ class TestConnesFactor:
             connes_factor_small(P23, 9)
 
     def test_de_rham_image_of_odd_degree_is_cycle(self):
-        # the factor computation relies on d_R sending cycles to cycles
-        for m in (5, 7, 11):
-            C = small_complex_curve(P23, m)
-            l = ell(P23, m)
-            q = 2 * l - 1
-            if q < 0:
-                continue
-            prod = C.boundary(q + 1) @ de_rham_matrix(P23, m, q)
+        # the factor computation relies on d_R sending cycles to cycles; on
+        # the cone this holds at l = 0 too (m = 1)
+        for m in (1, 5, 7, 11):
+            C = relative_cone(P23, m)
+            q = 2 * ell(P23, m)
+            prod = C.boundary(q + 1) @ cone_de_rham_matrix(P23, m, q)
             assert prod.is_zero()
+
+    @pytest.mark.parametrize("a,b,m,bar,small", [
+        (2, 3, 1, 1, -1), (2, 3, 5, 5, -5), (2, 3, 7, 7, -7),
+        (2, 3, 11, -11, -11),
+        (2, 5, 1, 1, -1), (2, 5, 3, 3, -3), (2, 5, 7, -7, -7),
+        (2, 5, 9, -9, -9), (2, 5, 11, 11, -11),
+        (3, 4, 1, 1, -1), (3, 4, 2, 2, -2), (3, 4, 5, 5, -5),
+        (3, 4, 7, 7, -7), (3, 4, 10, -10, -10), (3, 4, 11, 11, -11),
+        (3, 5, 1, 1, -1), (3, 5, 2, 2, -2), (3, 5, 4, 4, -4),
+        (3, 5, 7, 7, -7), (3, 5, 8, -8, 8), (3, 5, 11, -11, 11),
+    ])
+    def test_signed_factors_frozen(self, a, b, m, bar, small):
+        # the signs depend on the generators the engines pick; the prop51
+        # report rows carry them, so a flip changes the report
+        p = Params(a, b)
+        assert (connes_factor_bar(p, m), connes_factor_small(p, m)) == (bar, small)

@@ -205,7 +205,12 @@ def add_D_to_prices(tab, leave, d):
 @pytest.mark.parametrize("cols,rhs,corrupt,check", [
     ([[1, 0], [0, 1]], [1, 1], add_D_to_rhs, "does not meet the rhs"),
     ([[1, 2], [2, 1]], [1, -1], add_D_to_prices, "Farkas functional"),
-], ids=["solution", "farkas"])
+    # the re-checks run on the input times the lcm of its denominators
+    ([[Fraction(1, 2), 0], [0, Fraction(1, 3)]], [1, Fraction(2, 3)],
+     add_D_to_rhs, "does not meet the rhs"),
+    ([[Fraction(1, 2), 1], [1, Fraction(1, 2)]], [Fraction(1, 3), -1],
+     add_D_to_prices, "Farkas functional"),
+], ids=["solution", "farkas", "solution-fraction", "farkas-fraction"])
 def test_a_corrupted_pivot_raises(monkeypatch, cols, rhs, corrupt, check):
     pivot = SimplexTableau._pivot
     calls = []

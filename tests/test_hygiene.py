@@ -236,3 +236,16 @@ def test_scan_flags_an_unnamed_private_helper():
 def test_every_private_helper_is_named():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unnamed_private(sources) == []
+
+
+def test_every_tracer_target_exists():
+    # perfbench/tracer.py wraps these by name and install() calls getattr
+    # on each, so removing one breaks every traced benchmark run; the
+    # source is executed from its text, so nothing is written beside it
+    path = ROOT / "perfbench" / "tracer.py"
+    tracer = {"__name__": "tracer"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer)
+    targets = tracer["_targets"]()
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, _, _ in targets if not hasattr(owner, attr)]
+    assert targets and missing == []
