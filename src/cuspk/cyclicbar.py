@@ -436,6 +436,19 @@ def connes_factor_small(p: Params, m: int) -> int:
     the kernel of f_* on H_{2l-1}(curve), H_{2l+1}(cone) is H_{2l}(curve),
     and the operator is d_R on the curve block.  It anticommutes with the
     cone boundary because d_R f = f d_R, so it maps cycles to cycles.
+
+    In degree 2l+1 the cone is Z with zero boundary, so every image there
+    is a cycle and `_factor`'s cycle check is only a guard.  Proof: with m
+    prime to a and b, m = ai + bj has no solution with i = 0 or j = 0, so
+    it has exactly l solutions with i, j >= 0, and so has m - a - b.
+    Subtracting ab removes one solution (the one with j < a) while there
+    is one, so m - ab*l is no member of the semigroup and, for l >= 1,
+    m - a - b - ab*(l-1) has exactly one solution.  Hence curve degree 2l
+    has no label x^i y^j z^[l] and, for l >= 1, exactly one label
+    x^i y^j dx dy z^[l-1]; the line block reaches cone degree 2l+1 only
+    at l = 0, with t^{m-1} dt.  The boundary of the one label vanishes:
+    dx dy times a one-form is 0, f is 0 in curve degrees >= 2, and the
+    line model has no boundary.
     """
     _require_nondivisible(p, m)
     q = 2 * ell(p, m)

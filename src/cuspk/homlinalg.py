@@ -4,8 +4,8 @@ Provides the machinery every homology computation in the toolkit runs on:
 sparse integer matrices, Smith normal form with optional unimodular
 transforms, chain complexes with integral homology (ranks, torsion and
 generator lifts) and mapping cones.  The LP helpers at the end wrap the
-simplex tableau of `cuspk.exactlp`, imported on first use so that the
-homology suites never load it.
+simplex tableau of `cuspk.exactlp`, imported on first use, as `fractions`
+is, so that the homology suites load neither.
 
 The Smith form needs no divisibility repair: the elimination extracts
 its pivots in an order where each divides the next (unit pivots first,
@@ -32,8 +32,7 @@ LP certificates can be re-verified by direct substitution.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from cuspk.errors import (ComplexInvalid, DimensionMismatch, NotAChainMap,
                           TheoremViolation)
@@ -141,8 +140,9 @@ class SparseIntMatrix:
             out.append(sum(v * x[c] for c, v in row.items()))
         return out
 
-    def column_vector(self, c: int) -> list:
-        return [row.get(c, 0) for row in self._rows]
+    def column(self, c: int) -> dict:
+        """Column c as {row: value}, nonzero entries only."""
+        return {r: row[c] for r, row in enumerate(self._rows) if c in row}
 
     def is_zero(self) -> bool:
         return all(not row for row in self._rows)
@@ -160,7 +160,6 @@ class SparseIntMatrix:
         return f"SparseIntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
-@dataclass
 class SNFResult:
     """U @ M @ V == D with U, V unimodular and D = diag(invariant factors).
 
@@ -171,14 +170,21 @@ class SNFResult:
     side (see smith_normal_form).
     """
 
-    diag: list
-    nrows: int
-    ncols: int
-    split: tuple = ()
-    U: SparseIntMatrix | None = None
-    Uinv: SparseIntMatrix | None = None
-    V: SparseIntMatrix | None = None
-    Vinv: SparseIntMatrix | None = None
+    __slots__ = ("diag", "nrows", "ncols", "split", "U", "Uinv", "V", "Vinv")
+
+    def __init__(self, diag: list, nrows: int, ncols: int, split: tuple = (),
+                 U: SparseIntMatrix | None = None,
+                 Uinv: SparseIntMatrix | None = None,
+                 V: SparseIntMatrix | None = None,
+                 Vinv: SparseIntMatrix | None = None) -> None:
+        self.diag = diag
+        self.nrows = nrows
+        self.ncols = ncols
+        self.split = split
+        self.U = U
+        self.Uinv = Uinv
+        self.V = V
+        self.Vinv = Vinv
 
     @property
     def rank(self) -> int:
@@ -440,25 +446,33 @@ def smith_normal_form(matrix: SparseIntMatrix,
     diag = [v for _, _, v in pivots]
     if any(b % a for a, b in zip(diag, diag[1:])):
         raise TheoremViolation(f"Smith diagonal {diag} is no divisibility chain")
-    res = SNFResult(diag=diag, nrows=matrix.nrows, ncols=matrix.ncols,
-                    split=tuple(c for _, c, _ in pivots[:split]))
     # move the pivots to the leading diagonal in extraction order
-    m, n = work.m, work.n
+    U = Uinv = V = Vinv = None
     if left:
-        pivot_rows = {r for r, _, _ in pivots}
-        row_order = [r for r, _, _ in pivots] + \
-            [r for r in range(m) if r not in pivot_rows]
-        res.U = SparseIntMatrix._from_rows(m, m, [work.U[r] for r in row_order])
-        res.Uinv = SparseIntMatrix(m, m, {(r, j): v for j, i in enumerate(row_order)
-                                          for r, v in work.Uic[i].items()})
+        row_order = _pivots_first([r for r, _, _ in pivots], work.m)
+        U = SparseIntMatrix._from_rows(work.m, work.m, [work.U[r] for r in row_order])
+        Uinv = _from_columns(work.m, [work.Uic[r] for r in row_order])
     if right:
-        pivot_cols = {c for _, c, _ in pivots}
-        col_order = [c for _, c, _ in pivots] + \
-            [c for c in range(n) if c not in pivot_cols]
-        res.Vinv = SparseIntMatrix._from_rows(n, n, [work.Vir[c] for c in col_order])
-        res.V = SparseIntMatrix(n, n, {(r, j): v for j, c in enumerate(col_order)
-                                       for r, v in work.Vc[c].items()})
-    return res
+        col_order = _pivots_first([c for _, c, _ in pivots], work.n)
+        Vinv = SparseIntMatrix._from_rows(work.n, work.n, [work.Vir[c] for c in col_order])
+        V = _from_columns(work.n, [work.Vc[c] for c in col_order])
+    return SNFResult(diag, matrix.nrows, matrix.ncols,
+                     tuple(c for _, c, _ in pivots[:split]), U, Uinv, V, Vinv)
+
+
+def _pivots_first(pivots: list, n: int) -> list:
+    """The pivot indices in extraction order, then the rest of range(n)."""
+    taken = set(pivots)
+    return pivots + [i for i in range(n) if i not in taken]
+
+
+def _from_columns(n: int, columns: list) -> SparseIntMatrix:
+    """The n x len(columns) matrix whose column j is the dict columns[j]."""
+    rows = [{} for _ in range(n)]
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            rows[r][j] = v
+    return SparseIntMatrix._from_rows(n, len(columns), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +531,7 @@ class ChainComplex:
         return {lbls[i]: v for i, v in enumerate(vec) if v}
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(NamedTuple):
     """Homology groups by degree: degree -> (free rank, torsion orders).
 
     Torsion orders are > 1 and sorted by divisibility.  Degrees with
@@ -611,8 +624,6 @@ class HomologyEngine:
         lower = smith_normal_form(C.boundary(q), transforms="right")
         r = lower.rank
         k = C.dim(q) - r  # kernel rank
-        # kernel basis: columns r.. of V
-        kernel_cols = [lower.V.column_vector(r + i) for i in range(k)]
         # image of d_{q+1} in the coordinates of V; d_q ∘ d_{q+1} = 0 forces
         # rows ..r-1 to vanish, and rows r.. are the relations on the kernel
         image = lower.Vinv @ C.boundary(q + 1)
@@ -620,17 +631,21 @@ class HomologyEngine:
             raise ComplexInvalid("boundary image is not a cycle")
         B = SparseIntMatrix._from_rows(k, image.ncols, image._rows[r:])
         rel = smith_normal_form(B, transforms="left")
+        # generator i is column i of U^-1 in the kernel basis, columns r..
+        # of V; read only the kernel columns that some generator touches
         gens = []
+        kernel = {}
         for i in range(k):
             order = rel.diag[i] if i < rel.rank else 0
             if order == 1:
                 continue
-            coeffs = rel.Uinv.column_vector(i)
             vec = [0] * C.dim(q)
-            for t, cval in enumerate(coeffs):
-                if cval:
-                    for rowi, kval in enumerate(kernel_cols[t]):
-                        vec[rowi] += cval * kval
+            for t, cval in rel.Uinv.column(i).items():
+                col = kernel.get(t)
+                if col is None:
+                    col = kernel[t] = lower.V.column(r + t)
+                for rowi, kval in col.items():
+                    vec[rowi] += cval * kval
             gens.append((order, vec))
         gens.sort(key=lambda g: (g[0] == 0, g[0]))
         data = {"lower": lower, "rel": rel, "rank_lower": r, "kernel_rank": k,
@@ -682,15 +697,15 @@ class HomologyEngine:
         return HomologySummary.of({q: self.group(q) for q in self.C.basis})
 
 
-@dataclass
 class ChainMap:
     """Degreewise matrices commuting with the boundaries."""
 
-    dom: ChainComplex
-    cod: ChainComplex
-    maps: dict
+    __slots__ = ("dom", "cod", "maps")
 
-    def __post_init__(self):
+    def __init__(self, dom: ChainComplex, cod: ChainComplex, maps: dict) -> None:
+        self.dom = dom
+        self.cod = cod
+        self.maps = maps
         for q in set(self.dom.basis) | set(self.maps):
             f_q = self.matrix(q)
             want = (self.cod.dim(q), self.dom.dim(q))
@@ -746,8 +761,7 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
 # exact rational linear programming
 
 
-@dataclass(frozen=True)
-class SeparationResult:
+class SeparationResult(NamedTuple):
     """Outcome of a convex separation query.
 
     kind == "combination": coefficients are barycentric weights expressing
@@ -784,6 +798,8 @@ def lp_separate(points, target) -> SeparationResult:
     and otherwise a separating functional (h, delta) with h.p >= delta for
     every point and h.target < delta.
     """
+    from fractions import Fraction
+
     points = [list(map(Fraction, p)) for p in points]
     target = list(map(Fraction, target))
     d = len(target)

@@ -54,11 +54,11 @@ is open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
+from typing import NamedTuple
 
 from .errors import (DEFAULT_PRECISION, FAILS_CANDIDATE, HOLDS, MAX_PRECISION,
                      UNDECIDED, UNSUPPORTED, PreconditionViolation,
@@ -67,8 +67,7 @@ from .exactlp import SimplexTableau
 from .semigroup import Params, bezout, is_member, weights
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one conjecture statement at one weight.
 
     HOLDS carries a verification witness (a certified separator, the
@@ -87,8 +86,7 @@ class Verdict:
                 "witness": self.witness}
 
 
-@dataclass(frozen=True)
-class IndexFunction:
+class IndexFunction(NamedTuple):
     """One periodic increment pattern at a given weight.
 
     The word lists the increments of one period in order, alpha copies
@@ -105,8 +103,7 @@ class IndexFunction:
     vertex_exponents: tuple
 
 
-@dataclass(frozen=True)
-class ExponentPolytope:
+class ExponentPolytope(NamedTuple):
     """Convex hull of the points (zeta_m^(e*n))_n for e in the exponent set."""
 
     m: int
@@ -298,8 +295,7 @@ def _octant_boxes(m: int, prec: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class _RootTable:
+class _RootTable(NamedTuple):
     """cos and sin of 2*pi*k/m for k < m (see _root_table).
 
     boxes[k] holds a (C, E) pair for each of cos and sin: the value times

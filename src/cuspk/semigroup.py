@@ -14,28 +14,38 @@ is what makes the Witt-group computations in :mod:`cuspk.wittlab` finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import PreconditionViolation, TheoremViolation
 
 
-@dataclass(frozen=True)
 class Params:
-    """A coprime pair 1 < a < b."""
+    """A coprime pair 1 < a < b; equal pairs are equal and hash alike."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if not (1 < self.a < self.b):
-            raise ValueError(f"need 1 < a < b, got a={self.a}, b={self.b}")
-        if math.gcd(self.a, self.b) != 1:
-            raise ValueError(f"a={self.a} and b={self.b} are not coprime")
+    def __init__(self, a: int, b: int) -> None:
+        if not (1 < a < b):
+            raise ValueError(f"need 1 < a < b, got a={a}, b={b}")
+        if math.gcd(a, b) != 1:
+            raise ValueError(f"a={a} and b={b} are not coprime")
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Params:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"Params(a={self.a!r}, b={self.b!r})"
 
 
-@dataclass(frozen=True)
-class BezoutPair:
+class BezoutPair(NamedTuple):
     """The canonical solution of a*d - b*c = 1 with 1 <= c < a."""
 
     c: int
@@ -150,8 +160,7 @@ def divide_set(S: TruncationSet, n: int) -> TruncationSet:
                          if n * s in S)
 
 
-@dataclass(frozen=True)
-class WeightEntry:
+class WeightEntry(NamedTuple):
     """Exact data attached to one weight n of the pair (a, b) at level m.
 
     With (c, d) the canonical Bezout pair, i = d*m - b*n and j = a*n - c*m
@@ -175,8 +184,7 @@ class WeightEntry:
     l: int
 
 
-@dataclass(frozen=True)
-class WeightData:
+class WeightData(NamedTuple):
     m: int
     open_weights: tuple[int, ...]
     closed_weights: tuple[int, ...]

@@ -17,10 +17,10 @@ which this module does not import.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import (DEFAULT_BUDGET, PreconditionViolation, ResourceBound,
                      TheoremViolation)
@@ -71,12 +71,14 @@ def cyclic_gaps(mask: int, m: int) -> tuple[int, ...]:
     return vertex_gaps(mask_vertices(mask), m)
 
 
-@dataclass(frozen=True)
 class CmComplex:
     """A rotation-invariant simplicial complex on the vertex set C_m."""
 
-    m: int
-    faces: frozenset
+    __slots__ = ("m", "faces")
+
+    def __init__(self, m: int, faces: frozenset) -> None:
+        self.m = m
+        self.faces = faces
 
     def __contains__(self, mask: int) -> bool:
         return mask in self.faces
@@ -218,8 +220,7 @@ def expected_y_homology(p: Params, m: int) -> HomologySummary:
     return HomologySummary.of({2 * r: (1, ())})
 
 
-@dataclass(frozen=True)
-class ConjectureBReport:
+class ConjectureBReport(NamedTuple):
     """Homology comparison of the two candidate models at one weight.
 
     The agreement flag is evidence, not a verdict: matching groups are

@@ -22,9 +22,8 @@ both run it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from cuspk.errors import IntegralityViolation, TheoremViolation
 from cuspk.semigroup import Params, TruncationSet, divide_set, truncation_S
@@ -39,7 +38,6 @@ def _split_prime(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-@dataclass(frozen=True)
 class PTypicalProfile:
     """Orbit decomposition of W_S(F_p): orbits (e, n_e) with p not dividing e.
 
@@ -47,8 +45,12 @@ class PTypicalProfile:
     cardinality of S because m = e * p^i is unique.
     """
 
-    prime: int
-    orbits: tuple
+    __slots__ = ("prime", "orbits", "_positions")
+
+    def __init__(self, prime: int, orbits: tuple) -> None:
+        self.prime = prime
+        self.orbits = orbits
+        self._positions = {e: i for i, (e, _) in enumerate(orbits)}
 
     @property
     def orders(self) -> tuple:
@@ -57,10 +59,6 @@ class PTypicalProfile:
     @property
     def length(self) -> int:
         return sum(n for _, n in self.orbits)
-
-    @cached_property
-    def _positions(self) -> dict:
-        return {e: i for i, (e, _) in enumerate(self.orbits)}
 
     def index(self, e: int) -> int:
         return self._positions[e]
@@ -83,7 +81,6 @@ def profile(S: TruncationSet, prime: int) -> PTypicalProfile:
     return prof
 
 
-@dataclass(frozen=True)
 class AbelianMap:
     """Homomorphism between products of cyclic groups that sends each
     domain generator into a single codomain factor.
@@ -95,19 +92,20 @@ class AbelianMap:
     construction.
     """
 
-    dom: tuple
-    cod: tuple
-    image: tuple
+    __slots__ = ("dom", "cod", "image")
 
-    def __post_init__(self):
-        if len(self.image) != len(self.dom):
+    def __init__(self, dom: tuple, cod: tuple, image: tuple) -> None:
+        if len(image) != len(dom):
             raise ValueError("image table length does not match the domain")
-        for j, target in enumerate(self.image):
+        for j, target in enumerate(image):
             if target is not None:
                 i, c = target
-                if not 0 <= i < len(self.cod) or (c * self.dom[j]) % self.cod[i]:
+                if not 0 <= i < len(cod) or (c * dom[j]) % cod[i]:
                     raise ValueError(f"generator {j} -> {c} * generator {i} "
                                      "is not a homomorphism")
+        self.dom = dom
+        self.cod = cod
+        self.image = image
 
     def compose(self, other: "AbelianMap") -> "AbelianMap":
         """self ∘ other."""
@@ -211,8 +209,7 @@ def cokernel_factors(orders, maps) -> list:
     return factors
 
 
-@dataclass(frozen=True)
-class KGroupResult:
+class KGroupResult(NamedTuple):
     """Relative K-group in one even degree, as a finite abelian group."""
 
     a: int
@@ -288,8 +285,7 @@ def _p_length(d: int, prime: int) -> int:
 # ghost arithmetic over the integers
 
 
-@dataclass(frozen=True)
-class GhostWittElement:
+class GhostWittElement(NamedTuple):
     """A Witt vector over Z on a truncation set, in Witt coordinates."""
 
     S: TruncationSet

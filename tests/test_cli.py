@@ -437,13 +437,35 @@ class TestStartup:
         assert loaded_modules(tmp_path, argvs, names) == "[]"
 
     def test_conjb_loads_no_other_toolkit_module(self, tmp_path):
-        """conjB compares spaces only; the bar complexes and the LP stay
-        unloaded."""
+        """conjB compares spaces only; the bar complexes, the LP and the
+        rationals stay unloaded."""
         argvs = [["verify", "conjB", "--a", "2", "--b", "3", "--m-max", "5"]]
         names = ["mpmath", "cuspk.cyclicbar", "cuspk.polytopelab",
-                 "cuspk.wittlab", "cuspk.simplicialx", "cuspk.exactlp"]
+                 "cuspk.wittlab", "cuspk.simplicialx", "cuspk.exactlp",
+                 "fractions", "decimal"]
         assert loaded_modules(tmp_path, argvs, names) == \
             "['cuspk.simplicialx']"
+
+    def test_prop51_loads_no_other_toolkit_module(self, tmp_path):
+        """prop51 runs Smith forms on integers; the spaces of conjB, the LP
+        and the rationals stay unloaded."""
+        argvs = [["verify", "prop51", "--a", "2", "--b", "3", "--m-max", "5"]]
+        names = ["mpmath", "cuspk.cyclicbar", "cuspk.polytopelab",
+                 "cuspk.wittlab", "cuspk.simplicialx", "cuspk.exactlp",
+                 "fractions", "decimal"]
+        assert loaded_modules(tmp_path, argvs, names) == "['cuspk.cyclicbar']"
+
+    def test_no_suite_loads_dataclasses(self, tmp_path):
+        """Records are NamedTuples and slotted classes, so no suite pays
+        for importing dataclasses and the inspect module it pulls in."""
+        pair = ["--a", "2", "--b", "3"]
+        argvs = [["verify", "semigroup", *pair],
+                 ["verify", "witt"],
+                 ["verify", "kgroups", *pair, "--p", "5", "--r-max", "1"],
+                 ["verify", "prop51", *pair, "--m-max", "5"],
+                 ["verify", "conjB", *pair, "--m-max", "5"],
+                 ["verify", "conjC", *pair, "--m-max", "5"]]
+        assert loaded_modules(tmp_path, argvs, ["dataclasses", "inspect"]) == "[]"
 
     def test_conjc_loads_no_homology_module(self, tmp_path):
         """conjC runs its LPs on the exactlp tableau alone and its roots of

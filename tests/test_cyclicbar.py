@@ -296,13 +296,23 @@ class TestConnesFactor:
             connes_factor_small(P23, 9)
 
     def test_de_rham_image_of_odd_degree_is_cycle(self):
-        # the factor computation relies on d_R sending cycles to cycles; on
-        # the cone this holds at l = 0 too (m = 1)
-        for m in (1, 5, 7, 11):
-            C = relative_cone(P23, m)
-            q = 2 * ell(P23, m)
-            prod = C.boundary(q + 1) @ cone_de_rham_matrix(P23, m, q)
-            assert prod.is_zero()
+        # every chain of degree 2l+1 is a cycle: the cone there is Z with
+        # zero boundary (the proof is in connes_factor_small's docstring),
+        # spanned by the top form dx dy z^[l-1] for l >= 1 and by dt at l = 0
+        for a, b in README_PAIRS:
+            p = Params(a, b)
+            for m in range(1, 30):
+                if m % a == 0 or m % b == 0:
+                    continue
+                l = ell(p, m)
+                C = relative_cone(p, m)
+                (label,) = C.basis[2 * l + 1]
+                if l:
+                    side, (_, _, ex, ey, r) = label
+                    assert (side, ex, ey, r) == ("dom", 1, 1, l - 1)
+                else:
+                    assert label == ("cod", ("dt", m - 1))
+                assert C.boundary(2 * l + 1).nnz == 0
 
     @pytest.mark.parametrize("a,b,m,bar,small", [
         (2, 3, 1, 1, -1), (2, 3, 5, 5, -5), (2, 3, 7, 7, -7),
