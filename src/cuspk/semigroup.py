@@ -21,7 +21,8 @@ from .errors import PreconditionViolation, TheoremViolation
 
 
 class Params:
-    """A coprime pair 1 < a < b; equal pairs are equal and hash alike."""
+    """A coprime pair 1 < a < b, compared and hashed by value: it keys
+    lru_caches throughout, so a and b are never reassigned."""
 
     __slots__ = ("a", "b")
 
