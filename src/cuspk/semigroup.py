@@ -102,26 +102,40 @@ def conductor(p: Params) -> int:
 
 
 class TruncationSet:
-    """A finite set of positive integers closed under divisors."""
+    """A finite set of positive integers closed under divisors.
 
-    __slots__ = ("members",)
+    Members must be ints, bools refused.  Closure is checked by multiples:
+    S is divisor-closed exactly when no multiple of a non-member
+    d <= max(S) // 2 lies in S, because a missing divisor of a member m is
+    a proper one, and every proper divisor of m is at most m/2.  That costs
+    O(max(S) log max(S)) set lookups.  S iterates in ascending order, which
+    is sorted once here.
+    """
+
+    __slots__ = ("members", "_order")
 
     def __init__(self, members) -> None:
-        ms = frozenset(int(m) for m in members)
-        for m in ms:
-            if m < 1:
-                raise ValueError(f"truncation sets contain positive integers, got {m}")
-        for m in ms:
-            for d in range(1, int(math.isqrt(m)) + 1):
-                if m % d == 0 and (d not in ms or (m // d) not in ms):
-                    raise ValueError(f"not divisor-closed: {m} in set but a divisor is not")
-        object.__setattr__(self, "members", ms)
+        items = tuple(members)
+        if set(map(type, items)) - {int}:
+            bad = next(m for m in items if type(m) is not int)
+            raise ValueError(f"truncation set member {bad!r} is not an int")
+        ms = frozenset(items)
+        order = tuple(sorted(ms))
+        if order and order[0] < 1:
+            raise ValueError(f"truncation sets contain positive integers, got {order[0]}")
+        top = order[-1] if order else 0
+        for d in sorted(set(range(1, top // 2 + 1)) - ms):
+            hit = ms.intersection(range(2 * d, top + 1, d))
+            if hit:
+                raise ValueError(f"not divisor-closed: {min(hit)} in set but a divisor is not")
+        self.members = ms
+        self._order = order
 
     def __contains__(self, m: int) -> bool:
         return m in self.members
 
     def __iter__(self):
-        return iter(sorted(self.members))
+        return iter(self._order)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -130,14 +144,14 @@ class TruncationSet:
         if isinstance(other, TruncationSet):
             return self.members == other.members
         if isinstance(other, (set, frozenset)):
-            return self.members == frozenset(other)
+            return self.members == other
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.members)
 
     def __repr__(self) -> str:
-        return f"TruncationSet({sorted(self.members)})"
+        return f"TruncationSet({list(self._order)})"
 
 
 @lru_cache(maxsize=None)
@@ -154,11 +168,11 @@ def truncation_S(p: Params, r: int) -> TruncationSet:
 
 
 def divide_set(S: TruncationSet, n: int) -> TruncationSet:
-    """S/n = { s : n*s in S }; divisor-closed whenever S is."""
+    """S/n = { s : n*s in S }, read off the members of S that n divides;
+    divisor-closed whenever S is, and checked again on construction."""
     if n < 1:
         raise ValueError("n must be positive")
-    return TruncationSet(s for s in range(1, max(S.members, default=0) // n + 1)
-                         if n * s in S)
+    return TruncationSet(s // n for s in S if s % n == 0)
 
 
 class WeightEntry(NamedTuple):

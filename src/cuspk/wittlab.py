@@ -41,40 +41,37 @@ def _split_prime(n: int, p: int) -> tuple[int, int]:
 class PTypicalProfile:
     """Orbit decomposition of W_S(F_p): orbits (e, n_e) with p not dividing e.
 
-    The group is the product of Z/p^{n_e}; the total p-length equals the
-    cardinality of S because m = e * p^i is unique.
+    The group is the product of Z/p^{n_e}, whose orders and total p-length
+    are set on construction; the length equals the cardinality of S
+    because m = e * p^i is unique.
     """
 
-    __slots__ = ("prime", "orbits", "_positions")
+    __slots__ = ("prime", "orbits", "orders", "length", "_positions")
 
     def __init__(self, prime: int, orbits: tuple) -> None:
         self.prime = prime
         self.orbits = orbits
+        self.orders = tuple(prime ** n for _, n in orbits)
+        self.length = sum(n for _, n in orbits)
         self._positions = {e: i for i, (e, _) in enumerate(orbits)}
-
-    @property
-    def orders(self) -> tuple:
-        return tuple(self.prime ** n for _, n in self.orbits)
-
-    @property
-    def length(self) -> int:
-        return sum(n for _, n in self.orbits)
 
     def index(self, e: int) -> int:
         return self._positions[e]
 
 
 def profile(S: TruncationSet, prime: int) -> PTypicalProfile:
+    """The orbits of S in ascending order of e, the order S iterates in."""
+    ms = S.members
     orbits = []
     for e in S:
         if e % prime:
             n_e = 0
-            pw = 1
-            while e * pw in S:
+            m = e
+            while m in ms:
                 n_e += 1
-                pw *= prime
+                m *= prime
             orbits.append((e, n_e))
-    prof = PTypicalProfile(prime=prime, orbits=tuple(sorted(orbits)))
+    prof = PTypicalProfile(prime=prime, orbits=tuple(orbits))
     if prof.length != len(S):
         raise TheoremViolation(f"orbit lengths sum to {prof.length}, "
                                f"not to |S| = {len(S)}")
@@ -169,7 +166,7 @@ def frobenius(S: TruncationSet, n: int, prime: int) -> AbelianMap:
 
 def restriction(S: TruncationSet, T: TruncationSet, prime: int) -> AbelianMap:
     """R^S_T : W_S(F_p) -> W_T(F_p) for T a subset of S."""
-    if not set(T.members) <= set(S.members):
+    if not T.members <= S.members:
         raise ValueError("T must be contained in S")
     return _restriction(profile(S, prime), profile(T, prime))
 
@@ -371,7 +368,7 @@ def witt_F(S: TruncationSet, n: int, x: GhostWittElement) -> GhostWittElement:
 
 
 def witt_restrict(T: TruncationSet, x: GhostWittElement) -> GhostWittElement:
-    if not set(T.members) <= set(x.S.members):
+    if not T.members <= x.S.members:
         raise ValueError("T must be contained in the truncation set of x")
     xd = x.as_dict()
     return GhostWittElement.of(T, {n: xd[n] for n in T})

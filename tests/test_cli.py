@@ -1,6 +1,7 @@
 """End-to-end checks for the command line: exit codes, report formats,
 determinism, and the merge tool."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -18,6 +19,10 @@ from cuspk.errors import IntegralityViolation, ResourceBound, TheoremViolation
 from cuspk.homlinalg import HomologySummary, SparseIntMatrix
 from cuspk.polytopelab import UNDECIDED, Verdict
 from cuspk.simplicialx import ConjectureBReport
+
+
+# report digests of the benchmark's commands, read only
+BENCH_REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
 
 
 def run(tmp_path, *argv):
@@ -134,6 +139,17 @@ class TestVerify:
             for name in ("report.jsonl", "report.csv"):
                 assert (outs[0] / name).read_bytes() == \
                     (outs[1] / name).read_bytes(), (argv, name)
+
+    @pytest.mark.parametrize("key", ["kgroups --a 3 --b 5 --r-max 20",
+                                     "semigroup --a 3 --b 5 --r-max 24",
+                                     "witt"])
+    def test_reports_match_benchmark_refs(self, tmp_path, key):
+        ref = json.loads(BENCH_REFS.read_text())[key]
+        code, out = run(tmp_path, "verify", *key.split())
+        assert code == 0
+        for ext in ("jsonl", "csv"):
+            data = (out / f"report.{ext}").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == ref[ext], ext
 
     def test_m_max_zero_is_not_the_default(self):
         cfg = cli.SuiteConfig(pairs=((2, 3),), m_max=0, primes=(2,), r_max=0,

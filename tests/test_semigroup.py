@@ -6,6 +6,7 @@ touch the interval-counting code under test.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,24 @@ def coprime_pairs(max_b=12):
 
 
 pair_st = st.sampled_from(coprime_pairs())
+
+
+def lacks_divisor(members, m):
+    """Oracle: m has a divisor outside members, by a scan of 1..m."""
+    return any(m % d == 0 and d not in members for d in range(1, m + 1))
+
+
+def divisor_closure(members):
+    return {d for m in members for d in range(1, m + 1) if m % d == 0}
+
+
+# random subsets of {1..60}; closed_st closes them up under divisors, since
+# few random subsets are closed, and near_closed_st drops one member of a
+# closed set again, so that a single divisor is missing
+subset_st = st.sets(st.integers(1, 60), max_size=20)
+closed_st = subset_st.map(divisor_closure)
+near_closed_st = closed_st.filter(bool).flatmap(
+    lambda c: st.sampled_from(sorted(c)).map(lambda d: c - {d}))
 
 
 class TestParams:
@@ -168,9 +187,44 @@ class TestTruncationSets:
     def test_divisor_closure_enforced(self):
         with pytest.raises(ValueError):
             TruncationSet({2, 4})
+        with pytest.raises(ValueError, match="positive integers, got -1"):
+            TruncationSet({-1, 1})
         with pytest.raises(ValueError):
             TruncationSet({0, 1})
+        for members in ([1, 2.5], ["1", "2"], [1, True], [1, 2.0]):
+            with pytest.raises(ValueError, match="is not an int"):
+                TruncationSet(members)
         assert 6 in TruncationSet({1, 2, 3, 6})
+        # the missing divisor is max(S) // 2 itself
+        with pytest.raises(ValueError, match="closed: 6 in set"):
+            TruncationSet({1, 2, 6})
+
+    @given(st.one_of(subset_st, closed_st, near_closed_st))
+    @settings(max_examples=200)
+    def test_closure_matches_divisor_scan(self, members):
+        bad = [m for m in members if lacks_divisor(members, m)]
+        if not bad:
+            assert TruncationSet(members) == members
+            return
+        with pytest.raises(ValueError, match="not divisor-closed") as info:
+            TruncationSet(members)
+        named = int(re.search(r"closed: (\d+) in set", str(info.value)).group(1))
+        assert named in bad
+
+    @given(closed_st)
+    def test_divide_set_matches_definition(self, members):
+        S = TruncationSet(members)
+        for n in range(1, max(members, default=0) + 3):
+            assert divide_set(S, n) == {s for s in range(1, 61) if n * s in members}
+
+    @given(closed_st, st.one_of(st.booleans(), st.floats(), st.text(max_size=2),
+                                st.fractions(), st.none()),
+           st.integers(0, 60))
+    def test_non_int_members_rejected(self, members, bad, at):
+        items = sorted(members)
+        items.insert(at, bad)
+        with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not an int")):
+            TruncationSet(items)
 
     def test_divide_set_values(self):
         p = Params(2, 3)

@@ -11,11 +11,13 @@ stacked matrix that the tables describe.
 import random
 from math import gcd
 
+import cuspk.wittlab as wittlab
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspk.errors import IntegralityViolation
+from cuspk.errors import IntegralityViolation, TheoremViolation
 from cuspk.homlinalg import SparseIntMatrix, smith_normal_form
 from cuspk.semigroup import Params, TruncationSet, divide_set, truncation_S
 from cuspk.wittlab import (
@@ -42,6 +44,20 @@ from cuspk.wittlab import (
 
 def divisors_set(n):
     return TruncationSet(d for d in range(1, n + 1) if n % d == 0)
+
+
+class UncheckedSet:
+    """A stand-in for a TruncationSet that skips the closure check, for
+    feeding the orbit code a set no constructor would accept."""
+
+    def __init__(self, members):
+        self.members = frozenset(members)
+
+    def __iter__(self):
+        return iter(sorted(self.members))
+
+    def __len__(self):
+        return len(self.members)
 
 
 def witt_scale(k, x):
@@ -109,6 +125,12 @@ class TestProfiles:
     def test_length_is_cardinality(self, p, n):
         S = divisors_set(n)
         assert profile(S, p).length == len(S)
+
+    def test_orbit_length_sum_checked(self):
+        # {2, 4} lacks the divisor 1: no 2-orbit starts in it, so the
+        # orbit lengths sum to 0, not 2
+        with pytest.raises(TheoremViolation, match="orbit lengths sum to 0"):
+            profile(UncheckedSet({2, 4}), 2)
 
 
 class TestOperatorMatrices:
@@ -191,6 +213,13 @@ class TestOperatorMatrices:
                 for i, (e, n_e) in enumerate(profile(T, prime).orbits):
                     assert lhs[e] % prime ** n_e == img[i] % prime ** n_e
 
+    def test_verschiebung_target_length_checked(self):
+        # the profile of S/2 passed as that of S/3: orbit 1 of S/2 has
+        # length 2, but V_3 sends it to orbit 3 of S, of length 3
+        S = divisors_set(12)
+        with pytest.raises(TheoremViolation, match="wrong length"):
+            wittlab._verschiebung(profile(divide_set(S, 2), 2), profile(S, 2), 3)
+
     def test_malformed_table_raises(self):
         with pytest.raises(ValueError, match="length"):
             AbelianMap(dom=(4, 2), cod=(8,), image=((0, 2),))
@@ -230,6 +259,21 @@ class TestRelativeKGroups:
                 for r in range(3):
                     res = relative_k_group(Params(a, b), prime, 2 * r)
                     assert res.length == (2 * r + 1) * (a - 1) * (b - 1) // 2
+
+    def test_identification_with_w_t_checked(self, monkeypatch):
+        real = wittlab.cokernel_factors
+        monkeypatch.setattr(wittlab, "cokernel_factors",
+                            lambda orders, maps: real(orders, maps)[:-1])
+        with pytest.raises(TheoremViolation, match="differ from W_T orders"):
+            relative_k_group(Params(2, 3), 5, 2)
+
+    def test_length_formula_checked(self, monkeypatch):
+        # S(a, b, r+1) in place of S(a, b, r) passes every check but the
+        # length, which is (2r+3)(a-1)(b-1)/2
+        monkeypatch.setattr(wittlab, "truncation_S",
+                            lambda p, r: truncation_S(p, r + 1))
+        with pytest.raises(TheoremViolation, match="length 3 != expected 1"):
+            relative_k_group(Params(2, 3), 5, 0)
 
 
 def stacked_snf_factors(orders, maps):
