@@ -156,15 +156,19 @@ class TruncationSet:
 
 @lru_cache(maxsize=None)
 def truncation_S(p: Params, r: int) -> TruncationSet:
-    """S(a, b, r) = { m >= 1 : ell(a, b, m) <= r }.
+    """S(a, b, r) = { m >= 1 : ell(a, b, m) <= r }, from ell on [1, a*b].
 
-    The set is contained in [1, (r+1)*a*b]: any m > (r+1)*a*b lies in a
-    window [r'*a*b + 1, (r'+1)*a*b] with r' > r, where ell is at least r'.
+    ell(m + a*b) = ell(m) + 1 for m >= 1: the interval (c*m/a, d*m/b) of
+    m + a*b is that of m moved by the integer b*c and lengthened at the
+    right by a*d - b*c = 1, and the part it gains, [d*m/b, d*m/b + 1), holds
+    exactly one integer.  So m0 + k*a*b with 1 <= m0 <= a*b lies in S
+    exactly when k <= r - ell(m0), and S is contained in [1, (r+1)*a*b].
     """
     if r < 0:
         raise ValueError("r must be non-negative")
-    top = (r + 1) * p.a * p.b
-    return TruncationSet(m for m in range(1, top + 1) if ell(p, m) <= r)
+    ab = p.a * p.b
+    return TruncationSet(m0 + k * ab for m0 in range(1, ab + 1)
+                         for k in range(r - ell(p, m0) + 1))
 
 
 def divide_set(S: TruncationSet, n: int) -> TruncationSet:
