@@ -200,7 +200,6 @@ class TestTruncationSets:
             TruncationSet({1, 2, 6})
 
     @given(st.one_of(subset_st, closed_st, near_closed_st))
-    @settings(max_examples=200)
     def test_closure_matches_divisor_scan(self, members):
         bad = [m for m in members if lacks_divisor(members, m)]
         if not bad:

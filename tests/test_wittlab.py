@@ -11,12 +11,11 @@ stacked matrix that the tables describe.
 import random
 from math import gcd
 
-import cuspk.wittlab as wittlab
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cuspk.wittlab as wittlab
 from cuspk.errors import IntegralityViolation, TheoremViolation
 from cuspk.homlinalg import SparseIntMatrix, smith_normal_form
 from cuspk.semigroup import Params, TruncationSet, divide_set, truncation_S
