@@ -168,18 +168,32 @@ def _cell_kgroups(a, b, prime, r_max):
 
 def _cell_prop51(a, b, m):
     from .cyclicbar import (connes_factor_bar, connes_factor_small,
+                            relative_bar_complex, relative_cone,
                             ty_agreement_check)
 
     pr = Params(a, b)
     rows = []
     at = {"a": a, "b": b, "m": m}
+    built = {}
+
+    def model(build):
+        """build(pr, m), run once per cell, so that the statements share
+        the cell's models and nothing outlives the cell.  A build that
+        raises is run again by the next statement, which then fails or
+        skips the same way."""
+        if build not in built:
+            built[build] = build(pr, m)
+        return built[build]
+
     _attempt(rows, "prop51", "triple-agreement",
-             lambda: ("pass", {"homology": str(ty_agreement_check(pr, m))}),
+             lambda: ("pass", {"homology": str(ty_agreement_check(
+                 pr, m, model(relative_bar_complex), model(relative_cone)))}),
              **at)
     if m % a and m % b:
         _attempt(rows, "prop51", "connes-factor",
-                 lambda: ("pass", {"bar": connes_factor_bar(pr, m),
-                                   "small": connes_factor_small(pr, m)}),
+                 lambda: ("pass", {
+                     "bar": connes_factor_bar(pr, m, model(relative_bar_complex)),
+                     "small": connes_factor_small(pr, m, model(relative_cone))}),
                  **at)
     return rows
 

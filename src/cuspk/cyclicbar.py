@@ -30,12 +30,18 @@ differential of the curve model beside t^m -> -m t^{m-1} dt on the line.
 One routine pushes the generator of H_{2l} = Z through either operator
 and reads the coefficient in the generator of H_{2l+1} = Z; it is +-m
 whenever neither a nor b divides m.
+
+Nothing here is cached: every builder returns a fresh model, and the
+checks take the models they read as arguments.  `cli` builds the bar
+complex and the relative cone once per prop51 cell and passes them to the
+agreement check and to both Connes factors, so a cell's models live only
+for that cell, and a sweep needs the memory of its largest cell, not the
+sum over its weights.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import sub
 
 from cuspk.errors import PreconditionViolation, ResourceBound, TheoremViolation
@@ -53,7 +59,6 @@ from cuspk.semigroup import Params, ell, is_member
 BAR_WEIGHT_LIMIT = 16
 
 
-@lru_cache(maxsize=None)
 def _bar_cells(p: Params, m: int) -> dict:
     """Degree q -> (cut tuples, cut masks) of the relative basis, sorted;
     bit c of a mask is the cut c (see the module docstring)."""
@@ -83,23 +88,17 @@ def _bar_cells(p: Params, m: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def bar_basis(p: Params, m: int) -> dict:
-    """Degree -> sorted tuples (m_0, ..., m_q), m_0 >= 0, rest >= 1,
-    summing to m and not entirely inside <a, b>."""
-    return {q: [tuple(map(sub, c + (m,), (0,) + c)) for c in cuts]
-            for q, (cuts, _) in _bar_cells(p, m).items()}
-
-
 def _rotate(mask: int, s: int, m: int) -> int:
     """Move every cut of the mask by +s on Z/m."""
     return ((mask << s) | (mask >> (m - s))) & ((1 << m) - 1)
 
 
-@lru_cache(maxsize=None)
 def relative_bar_complex(p: Params, m: int) -> ChainComplex:
-    """Face d_i (i < q) drops cut c_{i+1}; the cyclic face d_q drops c_q
-    and rotates the rest by m - c_q."""
+    """The relative bar complex in weight m, from one enumeration of its
+    cells.  Its basis in degree q is the sorted tuples (m_0, ..., m_q),
+    m_0 >= 0, rest >= 1, summing to m and not entirely inside <a, b>.
+    Face d_i (i < q) drops cut c_{i+1}; the cyclic face d_q drops c_q and
+    rotates the rest by m - c_q."""
     cells = _bar_cells(p, m)
 
     def faces(cell):
@@ -113,20 +112,30 @@ def relative_bar_complex(p: Params, m: int) -> ChainComplex:
     boundaries = {q: SparseIntMatrix.of_map(
         cells[q - 1][1], list(zip(*cells[q])), faces)
         for q in cells if q - 1 in cells}
-    return ChainComplex(bar_basis(p, m), boundaries)
+    basis = {q: [tuple(map(sub, c + (m,), (0,) + c)) for c in cuts]
+             for q, (cuts, _) in cells.items()}
+    return ChainComplex(basis, boundaries)
 
 
-def connes_matrix(p: Params, m: int, q: int) -> SparseIntMatrix:
-    """The cyclic operator B : C_q -> C_{q+1} on the relative bar complex.
+def _cells_of(bar: ChainComplex, q: int) -> list:
+    """(cuts, mask) of every degree-q label of the bar complex: the cuts
+    of (m_0, ..., m_q) are its partial sums m_0, m_0 + m_1, ..."""
+    out = []
+    for t in bar.basis.get(q, ()):
+        cuts = tuple(accumulate(t[:-1]))
+        out.append((cuts, sum(1 << c for c in cuts)))
+    return out
+
+
+def connes_matrix(bar: ChainComplex, m: int, q: int) -> SparseIntMatrix:
+    """The cyclic operator B : C_q -> C_{q+1} on the relative bar complex
+    `bar` in weight m.
 
     B(x) = sum_i (-1)^{qi} (0, x_i, ..., x_q, x_0, ..., x_{i-1}); terms
     with a unit in an interior slot are degenerate and dropped, which
     kills everything when x_0 = 0.  On cut sets: the i-th term rotates
     the points {0, c_1, ..., c_q} so that the i-th of them sits at 0.
     """
-    cells = _bar_cells(p, m)
-    empty = ((), [])
-
     def image(cell):
         cuts, mask = cell
         if mask & 1:
@@ -137,8 +146,8 @@ def connes_matrix(p: Params, m: int, q: int) -> SparseIntMatrix:
         for i, c in enumerate(cuts, 1):
             yield _rotate(points, m - c, m), sign if i & 1 else 1
 
-    return SparseIntMatrix.of_map(cells.get(q + 1, empty)[1],
-                                  list(zip(*cells.get(q, empty))), image)
+    return SparseIntMatrix.of_map([mask for _, mask in _cells_of(bar, q + 1)],
+                                  _cells_of(bar, q), image)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +172,6 @@ def _reduce_x(p: Params, i: int, j: int) -> tuple:
     return i, j
 
 
-@lru_cache(maxsize=None)
 def curve_basis(p: Params, m: int) -> dict:
     """Degree -> labels (i, j, ex, ey, r) of weight ai+bj+a*ex+b*ey+ab*r = m."""
     if m < 1:
@@ -218,7 +226,6 @@ def _de_rham_image(p: Params, lbl: tuple) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
 def small_complex_curve(p: Params, m: int) -> ChainComplex:
     basis = curve_basis(p, m)
     boundaries = {q: SparseIntMatrix.of_map(
@@ -227,14 +234,12 @@ def small_complex_curve(p: Params, m: int) -> ChainComplex:
     return ChainComplex(basis, boundaries)
 
 
-@lru_cache(maxsize=None)
 def small_complex_line(p: Params, m: int) -> ChainComplex:
     if m < 1:
         raise ValueError("weight must be positive")
     return ChainComplex({0: [("t", m)], 1: [("dt", m - 1)]}, {})
 
 
-@lru_cache(maxsize=None)
 def parametrization_map(p: Params, m: int) -> ChainMap:
     """f : curve model -> line model; x^i y^j -> t^m, the dx and dy
     one-forms -> a resp. b times t^{m-1} dt, everything else -> 0."""
@@ -254,16 +259,15 @@ def parametrization_map(p: Params, m: int) -> ChainMap:
     return ChainMap(curve, line, maps)
 
 
-@lru_cache(maxsize=None)
 def relative_cone(p: Params, m: int) -> ChainComplex:
     return mapping_cone(parametrization_map(p, m))
 
 
-def cone_de_rham_matrix(p: Params, m: int, q: int) -> SparseIntMatrix:
-    """The de Rham operator of the cone from degree q to q + 1: d_R on the
-    curve block and t^m -> -m t^{m-1} dt on the line block.  The sign makes
-    it anticommute with the cone boundary, since d_R f = f d_R."""
-    basis = relative_cone(p, m).basis
+def cone_de_rham_matrix(p: Params, cone: ChainComplex, q: int) -> SparseIntMatrix:
+    """The de Rham operator of the relative cone from degree q to q + 1:
+    d_R on the curve block and t^m -> -m t^{m-1} dt on the line block.  The
+    sign makes it anticommute with the cone boundary, since d_R f = f d_R."""
+    basis = cone.basis
 
     def image(lbl):
         side, x = lbl
@@ -271,7 +275,8 @@ def cone_de_rham_matrix(p: Params, m: int, q: int) -> SparseIntMatrix:
             for y, c in _de_rham_image(p, x).items():
                 yield ("dom", y), c
         elif x[0] == "t":
-            yield ("cod", ("dt", m - 1)), -m
+            w = x[1]
+            yield ("cod", ("dt", w - 1)), -w
 
     return SparseIntMatrix.of_map(basis.get(q + 1, []), basis.get(q, []), image)
 
@@ -350,23 +355,17 @@ def expected_ty_homology(p: Params, m: int) -> HomologySummary:
     return closed
 
 
-def relative_homology_bar(p: Params, m: int) -> HomologySummary:
-    return homology(relative_bar_complex(p, m))
-
-
-def relative_homology_small(p: Params, m: int) -> HomologySummary:
-    return homology(relative_cone(p, m))
-
-
-def ty_agreement_check(p: Params, m: int) -> HomologySummary:
-    """Assert the bar model, the small cone model and the closed form
-    agree in weight m; returns the common answer."""
+def ty_agreement_check(p: Params, m: int, bar: ChainComplex,
+                       cone: ChainComplex) -> HomologySummary:
+    """Assert the bar model `bar` = relative_bar_complex(p, m), the small
+    cone model `cone` = relative_cone(p, m) and the closed form agree in
+    weight m; returns the common answer."""
     want = expected_ty_homology(p, m)
-    bar = relative_homology_bar(p, m)
-    if bar != want:
+    got = homology(bar)
+    if got != want:
         raise TheoremViolation(
-            f"bar homology {bar} != expected {want} at (a,b,m)=({p.a},{p.b},{m})")
-    small = relative_homology_small(p, m)
+            f"bar homology {got} != expected {want} at (a,b,m)=({p.a},{p.b},{m})")
+    small = homology(cone)
     if small != want:
         raise TheoremViolation(
             f"cone homology {small} != expected {want} at (a,b,m)=({p.a},{p.b},{m})")
@@ -415,18 +414,19 @@ def _operator_factor(C: ChainComplex, op: SparseIntMatrix, q: int, name: str,
     return _factor(eng, q + 1, img, name, m)
 
 
-def connes_factor_bar(p: Params, m: int) -> int:
+def connes_factor_bar(p: Params, m: int, bar: ChainComplex) -> int:
     """Apply the cyclic B operator to the generator of H_{2l} of the
-    relative bar complex and express it in the generator of H_{2l+1};
-    the coefficient must be +-m."""
+    relative bar complex `bar` = relative_bar_complex(p, m) and express it
+    in the generator of H_{2l+1}; the coefficient must be +-m."""
     _require_nondivisible(p, m)
     q = 2 * ell(p, m)
-    return _operator_factor(relative_bar_complex(p, m), connes_matrix(p, m, q), q,
+    return _operator_factor(bar, connes_matrix(bar, m, q), q,
                             "cyclic operator", m)
 
 
-def connes_factor_small(p: Params, m: int) -> int:
-    """Same factor, read off the relative cone of the small model.
+def connes_factor_small(p: Params, m: int, cone: ChainComplex) -> int:
+    """Same factor, read off `cone` = relative_cone(p, m), the relative cone
+    of the small model.
 
     The cone de Rham operator takes the generator of H_{2l}(cone) to +-m
     times the generator of H_{2l+1}(cone), for every l = ell(a, b, m).  At
@@ -452,5 +452,5 @@ def connes_factor_small(p: Params, m: int) -> int:
     """
     _require_nondivisible(p, m)
     q = 2 * ell(p, m)
-    return _operator_factor(relative_cone(p, m), cone_de_rham_matrix(p, m, q), q,
+    return _operator_factor(cone, cone_de_rham_matrix(p, cone, q), q,
                             "de Rham", m)

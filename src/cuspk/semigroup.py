@@ -53,8 +53,10 @@ class BezoutPair(NamedTuple):
     d: int
 
 
+@lru_cache(maxsize=None)
 def bezout(p: Params) -> BezoutPair:
-    """Canonical Bezout pair for (a, b).
+    """Canonical Bezout pair for (a, b), computed and checked once per
+    pair: `ell` asks for it on every call.
 
     Among all (c, d) with a*d - b*c = 1 exactly one has 1 <= c < a; c = 0
     would force a = 1, which Params excludes.
@@ -171,9 +173,13 @@ def truncation_S(p: Params, r: int) -> TruncationSet:
                          for k in range(r - ell(p, m0) + 1))
 
 
+@lru_cache(maxsize=None)
 def divide_set(S: TruncationSet, n: int) -> TruncationSet:
     """S/n = { s : n*s in S }, read off the members of S that n divides;
-    divisor-closed whenever S is, and checked again on construction."""
+    divisor-closed whenever S is, and checked again on construction, once
+    per distinct (S, n): the Witt operators and the K-groups of every
+    prime ask for the same few quotients again and again.  The key is the
+    set S itself, so a caller that hands in another S gets its quotient."""
     if n < 1:
         raise ValueError("n must be positive")
     return TruncationSet(s // n for s in S if s % n == 0)

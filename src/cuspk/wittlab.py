@@ -17,16 +17,29 @@ ghostwise and pulled back, with every inverse step checked for exact
 divisibility.  identity_failures checks the Frobenius/Verschiebung
 identities on random vectors; the `witt` suite and the acceptance tests
 both run it.
+
+What depends on a truncation set alone (its quotients S/n, its members
+prime to a and b, the divisors of each member) is built once per
+distinct set and shared by every call and every prime; `divide_set`
+keeps the quotients.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
 from cuspk.errors import IntegralityViolation, TheoremViolation
 from cuspk.semigroup import Params, TruncationSet, divide_set, truncation_S
+
+
+@lru_cache(maxsize=None)
+def _prime_to(S: TruncationSet, a: int, b: int) -> TruncationSet:
+    """The members of S divisible by neither a nor b, built and checked
+    once per distinct S, whatever the prime."""
+    return TruncationSet(m for m in S if m % a and m % b)
 
 
 def _split_prime(n: int, p: int) -> tuple[int, int]:
@@ -228,10 +241,11 @@ def relative_k_group(p: Params, prime: int, q: int) -> KGroupResult:
     tables that send each orbit to one orbit, so cokernel_factors reads
     the group off with one gcd per orbit of S and no Smith form: an orbit
     in the image of V_n shrinks to Z/p^v with p^v the p-part of n, and an
-    orbit outside both images keeps its Z/p^{n_e}.  Odd and
-    negative degrees are trivial.  The identification and the length
-    formula (2r+1)(a-1)(b-1)/2 are re-verified; failure raises
-    TheoremViolation.
+    orbit outside both images keeps its Z/p^{n_e}.  The sets S/a, S/b and
+    T do not depend on the prime and are built once per S; the profiles
+    are per prime.  Odd and negative degrees are trivial.  The
+    identification and the length formula (2r+1)(a-1)(b-1)/2 are
+    re-verified; failure raises TheoremViolation.
     When the prime divides a*b the group is still computed, but the
     K-theoretic reading assumes a perfect base field of characteristic p,
     so the result is flagged.
@@ -247,8 +261,7 @@ def relative_k_group(p: Params, prime: int, q: int) -> KGroupResult:
     Vb = _verschiebung(profile(divide_set(S, p.b), prime), prof, p.b)
     factors = cokernel_factors(prof.orders, [Va, Vb])
 
-    T = TruncationSet(m for m in S if m % p.a and m % p.b)
-    t_prof = profile(T, prime)
+    t_prof = profile(_prime_to(S, p.a, p.b), prime)
     t_orders = sorted(t_prof.orders)
     expected = (2 * r + 1) * (p.a - 1) * (p.b - 1) // 2
     length = sum(_p_length(d, prime) for d in factors)
@@ -297,24 +310,36 @@ class GhostWittElement(NamedTuple):
         return dict(self.coords)
 
 
+@lru_cache(maxsize=None)
+def _divisor_table(S: TruncationSet) -> tuple:
+    """(n, divisors of n in ascending order) for every n of S, in the
+    order of S, once per distinct S.  Every divisor of a member is a
+    member, so walking the multiples of each member finds them all."""
+    divs = {n: [] for n in S}
+    top = max(divs, default=0)
+    for d in S:
+        for n in range(d, top + 1, d):
+            if n in divs:
+                divs[n].append(d)
+    return tuple(divs.items())
+
+
 def ghost(x: GhostWittElement) -> dict:
     """Ghost coordinates w_n = sum over divisors d of n of d * x_d^{n/d}."""
     xd = x.as_dict()
-    out = {}
-    for n in x.S:
-        out[n] = sum(d * xd[d] ** (n // d) for d in x.S if n % d == 0)
-    return out
+    return {n: sum(d * xd[d] ** (n // d) for d in divs)
+            for n, divs in _divisor_table(x.S)}
 
 
 def unghost(S: TruncationSet, w: dict) -> GhostWittElement:
     """Invert the ghost map over Z; raises IntegralityViolation when the
     required divisions are not exact."""
     coords: dict[int, int] = {}
-    for n in S:  # ascending order makes divisors available
+    # ascending order makes the proper divisors available
+    for n, divs in _divisor_table(S):
         acc = w[n]
-        for d in S:
-            if d < n and n % d == 0:
-                acc -= d * coords[d] ** (n // d)
+        for d in divs[:-1]:
+            acc -= d * coords[d] ** (n // d)
         if acc % n:
             raise IntegralityViolation(f"coordinate {n} needs {acc}/{n}")
         coords[n] = acc // n

@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 
 from cuspk.cyclicbar import (connes_factor_bar, connes_factor_small,
+                             relative_bar_complex, relative_cone,
                              ty_agreement_check)
 from cuspk.polytopelab import (FAILS_CANDIDATE, HOLDS, UNSUPPORTED,
                                run_conjecture_checks)
@@ -77,7 +78,8 @@ def test_03_homology_triple_agreement():
     with criterion(3, "homology triple agreement", 300):
         for p in SUITE:
             for m in range(1, 13):
-                ty_agreement_check(p, m)
+                ty_agreement_check(p, m, relative_bar_complex(p, m),
+                                   relative_cone(p, m))
 
 
 def test_04_connes_factor():
@@ -86,8 +88,9 @@ def test_04_connes_factor():
             for m in range(1, 13):
                 if m % p.a == 0 or m % p.b == 0:
                     continue
-                assert abs(connes_factor_bar(p, m)) == m
-                assert abs(connes_factor_small(p, m)) == m
+                bar, cone = relative_bar_complex(p, m), relative_cone(p, m)
+                assert abs(connes_factor_bar(p, m, bar)) == m
+                assert abs(connes_factor_small(p, m, cone)) == m
 
 
 def test_05_x_space_evidence():

@@ -1,6 +1,7 @@
 """End-to-end checks for the command line: exit codes, report formats,
 determinism, and the merge tool."""
 
+import gc
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
@@ -142,7 +144,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("key", ["kgroups --a 3 --b 5 --r-max 20",
                                      "semigroup --a 3 --b 5 --r-max 24",
-                                     "witt"])
+                                     "witt", "prop51 --a 2 --b 5 --m-max 12"])
     def test_reports_match_benchmark_refs(self, tmp_path, key):
         ref = json.loads(BENCH_REFS.read_text())[key]
         code, out = run(tmp_path, "verify", *key.split())
@@ -150,6 +152,42 @@ class TestVerify:
         for ext in ("jsonl", "csv"):
             data = (out / f"report.{ext}").read_bytes()
             assert hashlib.sha256(data).hexdigest() == ref[ext], ext
+
+    def test_prop51_models_live_one_cell(self, tmp_path, monkeypatch):
+        # each cell builds its bar complex and its cone once, for all of its
+        # statements, and neither survives the cell
+        built = []      # (cell index, model, weak reference)
+        cells = []      # (m, models built, which of them are dead)
+
+        def recorded(kind, build):
+            def wrapper(p, m):
+                model = build(p, m)
+                built.append((len(cells), kind, weakref.ref(model)))
+                return model
+            return wrapper
+
+        for kind, name in (("bar", "relative_bar_complex"),
+                           ("cone", "relative_cone")):
+            monkeypatch.setattr(cyclicbar, name,
+                                recorded(kind, getattr(cyclicbar, name)))
+        real_cell = cli._CELLS["prop51"]
+
+        def cell(**kwargs):
+            rows = real_cell(**kwargs)
+            gc.collect()
+            mine = [(kind, ref) for i, kind, ref in built if i == len(cells)]
+            cells.append((kwargs["m"], sorted(kind for kind, _ in mine),
+                          [ref() is None for _, ref in mine]))
+            return rows
+
+        monkeypatch.setitem(cli._CELLS, "prop51", cell)
+        code, out = run(tmp_path, "verify", "prop51", "--a", "2", "--b", "3",
+                        "--m-max", "8")
+        assert code == 0
+        assert {r["m"] for r in rows_of(out)
+                if r["statement"] == "connes-factor"} == {1, 5, 7}
+        assert cells == [(m, ["bar", "cone"], [True, True])
+                         for m in range(1, 9)]
 
     def test_m_max_zero_is_not_the_default(self):
         cfg = cli.SuiteConfig(pairs=((2, 3),), m_max=0, primes=(2,), r_max=0,
@@ -196,7 +234,7 @@ class TestExitCodes:
             assert exc.value.code == 3
 
     def test_theorem_violation_exits_one(self, tmp_path, monkeypatch):
-        def boom(p, m):
+        def boom(p, m, bar, cone):
             raise cli.TheoremViolation("forced")
 
         monkeypatch.setattr(cyclicbar, "ty_agreement_check", boom)

@@ -9,13 +9,11 @@ from itertools import combinations
 
 import pytest
 
-from cuspk import cyclicbar
 from cuspk.errors import PreconditionViolation, ResourceBound, TheoremViolation
-from cuspk.homlinalg import HomologySummary, SparseIntMatrix
+from cuspk.homlinalg import HomologySummary, SparseIntMatrix, homology
 from cuspk.semigroup import Params, ell, is_member
 from cuspk.cyclicbar import (
     _koszul_image,
-    bar_basis,
     cone_de_rham_matrix,
     connes_factor_bar,
     connes_factor_small,
@@ -25,8 +23,6 @@ from cuspk.cyclicbar import (
     parametrization_map,
     relative_bar_complex,
     relative_cone,
-    relative_homology_bar,
-    relative_homology_small,
     small_complex_curve,
     ty_agreement_check,
 )
@@ -37,6 +33,18 @@ README_PAIRS = [(2, 3), (2, 5), (3, 4), (3, 5)]
 
 def H(mapping):
     return HomologySummary.of(mapping)
+
+
+def bar_basis(p, m):
+    return relative_bar_complex(p, m).basis
+
+
+def bar_homology(p, m):
+    return homology(relative_bar_complex(p, m))
+
+
+def cone_homology(p, m):
+    return homology(relative_cone(p, m))
 
 
 # reference implementations on part tuples (m_0, ..., m_q), which the cut
@@ -97,17 +105,17 @@ class TestBarComplex:
         assert bar_basis(P23, 2) == {1: [(1, 1)], 2: [(0, 1, 1)]}
         C = relative_bar_complex(P23, 2)
         assert C.boundary(2).to_dense() == [[2]]
-        assert relative_homology_bar(P23, 2) == H({1: (0, (2,))})
+        assert bar_homology(P23, 2) == H({1: (0, (2,))})
 
     def test_weight_three_frozen(self):
         basis = bar_basis(P23, 3)
         assert basis[1] == [(1, 2), (2, 1)]
         assert basis[2] == [(0, 1, 2), (0, 2, 1), (1, 1, 1)]
         assert basis[3] == [(0, 1, 1, 1)]
-        assert relative_homology_bar(P23, 3) == H({1: (0, (3,))})
+        assert bar_homology(P23, 3) == H({1: (0, (3,))})
 
     def test_gap_weight(self):
-        assert relative_homology_bar(P23, 1) == H({0: (1, ()), 1: (1, ())})
+        assert bar_homology(P23, 1) == H({0: (1, ()), 1: (1, ())})
 
     def test_tuple_count_is_power_of_two(self):
         # relative basis plus the all-representable tuples fills 2^m slots
@@ -121,11 +129,11 @@ class TestBarComplex:
     def test_euler_characteristic_matches_homology(self):
         for m in range(1, 9):
             C = relative_bar_complex(P23, m)
-            assert C.euler_characteristic() == relative_homology_bar(P23, m).euler_characteristic()
+            assert C.euler_characteristic() == bar_homology(P23, m).euler_characteristic()
 
     def test_weight_limit(self):
         with pytest.raises(ResourceBound):
-            bar_basis(P23, 17)
+            relative_bar_complex(P23, 17)
 
     def test_basis_is_every_composition_outside_the_semigroup(self):
         for a, b in README_PAIRS:
@@ -163,33 +171,35 @@ class TestConnesOperator:
     def test_matches_the_tuple_rotations(self, a, b):
         p = Params(a, b)
         for m in range(1, 9):
-            basis = bar_basis(p, m)
+            C = relative_bar_complex(p, m)
+            basis = C.basis
             for q in range(-1, m + 1):
                 want = entries_matrix(basis.get(q + 1, []), basis.get(q, []),
                                       _connes_terms)
-                got = connes_matrix(p, m, q)
+                got = connes_matrix(C, m, q)
                 assert got == want
                 assert row_lists(got) == row_lists(want)
 
     def test_frozen_values(self):
-        B0 = connes_matrix(P23, 1, 0)   # (1) -> (0, 1)
+        B0 = connes_matrix(relative_bar_complex(P23, 1), 1, 0)   # (1) -> (0, 1)
         assert B0.to_dense() == [[1]]
-        B1 = connes_matrix(P23, 2, 1)   # (1,1) -> rotations cancel
+        # (1,1) -> rotations cancel
+        B1 = connes_matrix(relative_bar_complex(P23, 2), 2, 1)
         assert B1.is_zero()
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_anticommutation_and_square_zero(self, m):
         C = relative_bar_complex(P23, m)
         for q in range(0, m + 1):
-            Bq = connes_matrix(P23, m, q)
-            Bq_prev = connes_matrix(P23, m, q - 1)
+            Bq = connes_matrix(C, m, q)
+            Bq_prev = connes_matrix(C, m, q - 1)
             anti = C.boundary(q + 1) @ Bq
             other = Bq_prev @ C.boundary(q)
             total = {}
             for k, v in list(anti.entries()) + list(other.entries()):
                 total[k] = total.get(k, 0) + v
             assert not any(total.values()), f"dB+Bd != 0 at degree {q}"
-            assert (connes_matrix(P23, m, q + 1) @ Bq).is_zero()
+            assert (connes_matrix(C, m, q + 1) @ Bq).is_zero()
 
 
 class TestSmallModel:
@@ -228,8 +238,8 @@ class TestSmallModel:
             C = relative_cone(P23, m)
             degs = list(C.basis) or [0]
             for q in range(0, max(degs) + 2):
-                anti = C.boundary(q + 1) @ cone_de_rham_matrix(P23, m, q)
-                other = cone_de_rham_matrix(P23, m, q - 1) @ C.boundary(q)
+                anti = C.boundary(q + 1) @ cone_de_rham_matrix(P23, C, q)
+                other = cone_de_rham_matrix(P23, C, q - 1) @ C.boundary(q)
                 total = {}
                 for k, v in list(anti.entries()) + list(other.entries()):
                     total[k] = total.get(k, 0) + v
@@ -238,9 +248,10 @@ class TestSmallModel:
     def test_de_rham_squares_to_zero(self):
         # cone degree q + 1 holds curve degree q, so the range is one longer
         for m in range(1, 13):
+            C = relative_cone(P23, m)
             for q in range(0, 2 * (m // 6) + 4):
-                prod = (cone_de_rham_matrix(P23, m, q + 1)
-                        @ cone_de_rham_matrix(P23, m, q))
+                prod = (cone_de_rham_matrix(P23, C, q + 1)
+                        @ cone_de_rham_matrix(P23, C, q))
                 assert prod.is_zero()
 
     def test_parametrization_is_chain_map(self):
@@ -249,9 +260,9 @@ class TestSmallModel:
             parametrization_map(P23, m)
 
     def test_cone_homology_frozen(self):
-        assert relative_homology_small(P23, 4) == H({1: (0, (2,))})
-        assert relative_homology_small(P23, 5) == H({2: (1, ()), 3: (1, ())})
-        assert relative_homology_small(P23, 6) == H({})
+        assert cone_homology(P23, 4) == H({1: (0, (2,))})
+        assert cone_homology(P23, 5) == H({2: (1, ()), 3: (1, ())})
+        assert cone_homology(P23, 6) == H({})
 
 
 class TestExpectedHomology:
@@ -267,14 +278,18 @@ class TestExpectedHomology:
         p = Params(a, b)
         for m in range(1, 11):
             want = expected_ty_homology(p, m)
-            assert ty_agreement_check(p, m) == want
+            got = ty_agreement_check(p, m, relative_bar_complex(p, m),
+                                     relative_cone(p, m))
+            assert got == want
 
-    @pytest.mark.parametrize("model", ["relative_homology_bar",
-                                       "relative_homology_small"])
-    def test_disagreeing_model_raises(self, monkeypatch, model):
-        monkeypatch.setattr(cyclicbar, model, lambda p, m: H({0: (7, ())}))
-        with pytest.raises(TheoremViolation, match=r"\(a,b,m\)=\(2,3,5\)"):
-            ty_agreement_check(P23, 5)
+    @pytest.mark.parametrize("model", ["bar", "cone"])
+    def test_disagreeing_model_raises(self, model):
+        # a weight-4 model (H_1 = Z/2) in place of the weight-5 one
+        bar_m, cone_m = (4, 5) if model == "bar" else (5, 4)
+        with pytest.raises(TheoremViolation,
+                           match=rf"^{model} homology .* at \(a,b,m\)=\(2,3,5\)"):
+            ty_agreement_check(P23, 5, relative_bar_complex(P23, bar_m),
+                               relative_cone(P23, cone_m))
 
 
 class TestConnesFactor:
@@ -286,14 +301,15 @@ class TestConnesFactor:
     ])
     def test_factor_is_weight_both_models(self, a, b, m):
         p = Params(a, b)
-        assert abs(connes_factor_bar(p, m)) == m
-        assert abs(connes_factor_small(p, m)) == m
+        bar, cone = relative_bar_complex(p, m), relative_cone(p, m)
+        assert abs(connes_factor_bar(p, m, bar)) == m
+        assert abs(connes_factor_small(p, m, cone)) == m
 
     def test_divisible_weight_rejected(self):
         with pytest.raises(PreconditionViolation):
-            connes_factor_bar(P23, 6)
+            connes_factor_bar(P23, 6, relative_bar_complex(P23, 6))
         with pytest.raises(PreconditionViolation):
-            connes_factor_small(P23, 9)
+            connes_factor_small(P23, 9, relative_cone(P23, 9))
 
     def test_de_rham_image_of_odd_degree_is_cycle(self):
         # every chain of degree 2l+1 is a cycle: the cone there is Z with
@@ -328,4 +344,6 @@ class TestConnesFactor:
         # the signs depend on the generators the engines pick; the prop51
         # report rows carry them, so a flip changes the report
         p = Params(a, b)
-        assert (connes_factor_bar(p, m), connes_factor_small(p, m)) == (bar, small)
+        got = (connes_factor_bar(p, m, relative_bar_complex(p, m)),
+               connes_factor_small(p, m, relative_cone(p, m)))
+        assert got == (bar, small)

@@ -329,6 +329,17 @@ class TestGhostArithmetic:
         S = divisors_set(8)
         assert witt_F(S, 2, teichmuller(S, 3)) == teichmuller(divide_set(S, 2), 9)
 
+    def test_operators_reject_x_on_the_wrong_set(self):
+        S = divisors_set(12)
+        with pytest.raises(ValueError, match="^x must live on S/n$"):
+            witt_V(S, 2, teichmuller(S, 2))     # S/2 = {1, 2, 3, 6}
+        with pytest.raises(ValueError, match="^x must live on S/n$"):
+            witt_V(S, 2, teichmuller(divide_set(S, 3), 2))
+        with pytest.raises(ValueError, match="^x must live on S$"):
+            witt_F(S, 2, teichmuller(divide_set(S, 2), 2))
+        with pytest.raises(ValueError, match="^x must live on S$"):
+            witt_F(divide_set(S, 2), 3, teichmuller(S, 2))
+
     def test_unghost_integrality_violation(self):
         S = TruncationSet([1, 2])
         with pytest.raises(IntegralityViolation):
