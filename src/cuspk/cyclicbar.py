@@ -47,14 +47,13 @@ from operator import sub
 from cuspk.errors import PreconditionViolation, ResourceBound, TheoremViolation
 from cuspk.homlinalg import (
     ChainComplex,
-    ChainMap,
     HomologyEngine,
     HomologySummary,
     SparseIntMatrix,
     homology,
     mapping_cone,
 )
-from cuspk.semigroup import Params, ell, is_member
+from cuspk.semigroup import Params, ell, member_table
 
 BAR_WEIGHT_LIMIT = 16
 
@@ -67,7 +66,7 @@ def _bar_cells(p: Params, m: int) -> dict:
     if m > BAR_WEIGHT_LIMIT:
         raise ResourceBound(
             f"bar complex in weight {m} has 2^{m} chains; limit is {BAR_WEIGHT_LIMIT}")
-    member = [is_member(p, w) for w in range(m + 1)]
+    member = member_table(p, m)
     bit = [1 << c for c in range(m)].__getitem__
     out: dict[int, tuple] = {}
     for q in range(m + 1):
@@ -240,11 +239,10 @@ def small_complex_line(p: Params, m: int) -> ChainComplex:
     return ChainComplex({0: [("t", m)], 1: [("dt", m - 1)]}, {})
 
 
-def parametrization_map(p: Params, m: int) -> ChainMap:
-    """f : curve model -> line model; x^i y^j -> t^m, the dx and dy
-    one-forms -> a resp. b times t^{m-1} dt, everything else -> 0."""
-    curve = small_complex_curve(p, m)
-    line = small_complex_line(p, m)
+def parametrization_map(p: Params, curve: ChainComplex) -> dict:
+    """f : curve model -> line model, degree -> matrix; x^i y^j -> t^m,
+    the dx and dy one-forms -> a resp. b times t^{m-1} dt, everything
+    else -> 0."""
     maps = {}
     if 0 in curve.basis:
         entries = {(0, c): 1 for c, (i, j, ex, ey, r) in enumerate(curve.basis[0])
@@ -256,11 +254,15 @@ def parametrization_map(p: Params, m: int) -> ChainMap:
             if r == 0:
                 entries[(0, c)] = p.a if ex else p.b
         maps[1] = SparseIntMatrix(1, curve.dim(1), entries)
-    return ChainMap(curve, line, maps)
+    return maps
 
 
 def relative_cone(p: Params, m: int) -> ChainComplex:
-    return mapping_cone(parametrization_map(p, m))
+    """The cone of the parametrization; building it checks that f is a
+    chain map (see `mapping_cone`)."""
+    curve = small_complex_curve(p, m)
+    return mapping_cone(curve, small_complex_line(p, m),
+                        parametrization_map(p, curve))
 
 
 def cone_de_rham_matrix(p: Params, cone: ChainComplex, q: int) -> SparseIntMatrix:
@@ -293,27 +295,26 @@ def _zero_complex() -> ChainComplex:
     return ChainComplex({}, {})
 
 
-def _corner_map(dom: ChainComplex, cod: ChainComplex, ratio: int) -> ChainMap:
+def _corner_map(dom: ChainComplex, cod: ChainComplex, ratio: int) -> dict:
     """x -> x and y -> ratio * y between corner complexes."""
     maps = {}
     for q in dom.degrees:
         (letter, _tag), = dom.basis[q]
         coeff = 1 if letter == "x" else ratio
         maps[q] = SparseIntMatrix(cod.dim(q), 1, {(0, 0): coeff})
-    return ChainMap(dom, cod, maps)
+    return maps
 
 
 def _induced_cone_map(top: ChainComplex, bot: ChainComplex, coeff_by_letter: dict,
-                      retag: dict) -> ChainMap:
+                      retag: dict) -> dict:
     """Blockwise map cone(W->U) -> cone(V->Z) from an exactly commuting
     square; labels are (side, (letter, tag))."""
     def image(lbl):
         side, (letter, _tag) = lbl
         yield (side, (letter, retag[side])), coeff_by_letter[letter]
 
-    maps = {q: SparseIntMatrix.of_map(bot.basis.get(q, []), top.basis[q], image)
+    return {q: SparseIntMatrix.of_map(bot.basis.get(q, []), top.basis[q], image)
             for q in top.degrees}
-    return ChainMap(top, bot, maps)
 
 
 def expected_ty_homology(p: Params, m: int) -> HomologySummary:
@@ -343,12 +344,12 @@ def expected_ty_homology(p: Params, m: int) -> HomologySummary:
     W = _corner_complex(m // (a * b), low, high) if m % (a * b) == 0 else _zero_complex()
     U = _corner_complex(m // a, low, high) if m % a == 0 else _zero_complex()
     V = _corner_complex(m // b, low, high) if m % b == 0 else _zero_complex()
-    top = mapping_cone(_corner_map(W, U, b))
-    bot = mapping_cone(_corner_map(V, Z, b))
+    top = mapping_cone(W, U, _corner_map(W, U, b))
+    bot = mapping_cone(V, Z, _corner_map(V, Z, b))
     # vertical maps multiply y by a; the square commutes exactly since ab = ba
     induced = _induced_cone_map(top, bot, {"x": 1, "y": a},
                                 {"dom": m // b if m % b == 0 else 0, "cod": m})
-    cone_answer = homology(mapping_cone(induced))
+    cone_answer = homology(mapping_cone(top, bot, induced))
     if cone_answer != closed:
         raise TheoremViolation(f"iterated cone gives {cone_answer}, the closed "
                                f"form {closed} at (a,b,m)=({a},{b},{m})")

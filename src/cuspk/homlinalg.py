@@ -1,9 +1,11 @@
 """Exact linear algebra over the integers and the rationals.
 
 Provides the machinery every homology computation in the toolkit runs on:
-sparse integer matrices, Smith normal form with optional unimodular
-transforms, chain complexes with integral homology (ranks, torsion and
-generator lifts) and mapping cones.  The LP helpers at the end wrap the
+sparse integer matrices, Smith normal form with the unimodular
+transforms of one side, chain complexes with integral homology (ranks,
+torsion and generator lifts) and mapping cones.  A cone takes its map as
+degreewise matrices and needs no separate chain-map check: its own d ∘ d
+check is that check.  The LP helpers at the end wrap the
 simplex tableau of `cuspk.exactlp`, imported on first use, as `fractions`
 is, so that the homology suites load neither.
 
@@ -91,22 +93,6 @@ class SparseIntMatrix:
                         row.pop(c, None)
         return cls._from_rows(len(rows), len(cols), out)
 
-    @classmethod
-    def from_dense(cls, dense) -> "SparseIntMatrix":
-        nrows = len(dense)
-        ncols = len(dense[0]) if nrows else 0
-        entries = {(r, c): v for r, row in enumerate(dense)
-                   for c, v in enumerate(row) if v}
-        return cls(nrows, ncols, entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseIntMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    @classmethod
-    def diagonal(cls, diag, nrows: int, ncols: int) -> "SparseIntMatrix":
-        return cls(nrows, ncols, {(i, i): d for i, d in enumerate(diag) if d})
-
     def row(self, r: int) -> dict:
         return self._rows[r]
 
@@ -147,9 +133,6 @@ class SparseIntMatrix:
     def is_zero(self) -> bool:
         return all(not row for row in self._rows)
 
-    def to_dense(self) -> list:
-        return [[row.get(c, 0) for c in range(self.ncols)] for row in self._rows]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseIntMatrix):
             return NotImplemented
@@ -161,7 +144,7 @@ class SparseIntMatrix:
 
 
 class SNFResult:
-    """U @ M @ V == D with U, V unimodular and D = diag(invariant factors).
+    """Invariant factors of M, and the transforms of one side.
 
     diag holds the nonzero invariant factors d_1 | d_2 | ... (positive).
     split holds the columns of the leading pivots, those taken before the
@@ -170,16 +153,14 @@ class SNFResult:
     side (see smith_normal_form).
     """
 
-    __slots__ = ("diag", "nrows", "ncols", "split", "U", "Uinv", "V", "Vinv")
+    __slots__ = ("diag", "split", "U", "Uinv", "V", "Vinv")
 
-    def __init__(self, diag: list, nrows: int, ncols: int, split: tuple = (),
+    def __init__(self, diag: list, split: tuple = (),
                  U: SparseIntMatrix | None = None,
                  Uinv: SparseIntMatrix | None = None,
                  V: SparseIntMatrix | None = None,
                  Vinv: SparseIntMatrix | None = None) -> None:
         self.diag = diag
-        self.nrows = nrows
-        self.ncols = ncols
         self.split = split
         self.U = U
         self.Uinv = Uinv
@@ -189,14 +170,6 @@ class SNFResult:
     @property
     def rank(self) -> int:
         return len(self.diag)
-
-    @property
-    def D(self) -> SparseIntMatrix:
-        return SparseIntMatrix.diagonal(self.diag, self.nrows, self.ncols)
-
-
-_SIDES = {False: (False, False), True: (True, True),
-          "left": (True, False), "right": (False, True)}
 
 
 class _SnfWork:
@@ -415,19 +388,17 @@ def smith_normal_form(matrix: SparseIntMatrix,
                       transforms: bool | str = False) -> SNFResult:
     """Smith normal form over the integers.
 
-    With transforms=True the result satisfies U @ M @ V == D exactly, with
-    U, V unimodular, and carries the inverses as well.  transforms="left"
-    returns only U and U^-1, and transforms="right" only V and V^-1; the
-    other pair is None.  Factor-only mode (False) skips all transform
-    bookkeeping and is considerably faster; it returns the same invariant
-    factors.
+    transforms="left" returns U and U^-1, and transforms="right" V and
+    V^-1, with U, V unimodular; the other pair is None.  Factor-only mode
+    (False) skips all transform bookkeeping and is considerably faster; it
+    returns the same invariant factors.
 
-    A one-sided run is as exact as a full one: the matrix evolves the same
-    way in every mode, because a column operation of the elimination only
-    reduces the pivot row modulo the pivot, and factor-only mode makes that
-    reduction in place.  So a left run clears rows as cheaply as factor-only
-    mode, and its U and U^-1 (never touched by column operations) equal
-    those of a full run; a right run likewise matches in V and V^-1.
+    The matrix evolves the same way in every mode, because a column
+    operation of the elimination only reduces the pivot row modulo the
+    pivot, and factor-only mode makes that reduction in place.  So a left
+    run clears rows as cheaply as factor-only mode, and the U of a left run
+    and the V of a right run satisfy U @ M @ V == D = diag(invariant
+    factors) exactly.
 
     Every mode returns the pivots in the order the elimination extracts
     them, and that order already satisfies d_1 | d_2 | ...: every unit
@@ -437,10 +408,10 @@ def smith_normal_form(matrix: SparseIntMatrix,
     entries stay multiples of v and each later pivot is one of them.  No
     gcd/lcm repair of the diagonal is needed; the chain is re-checked.
     """
-    if transforms not in _SIDES:
-        raise ValueError(f"transforms={transforms!r}: expected False, True, "
-                         f"'left' or 'right'")
-    left, right = _SIDES[transforms]
+    if transforms not in (False, "left", "right"):
+        raise ValueError(f"transforms={transforms!r}: expected False, 'left' "
+                         f"or 'right'")
+    left, right = transforms == "left", transforms == "right"
     work = _SnfWork(matrix, left, right)
     pivots, split = _snf_work_run(work)
     diag = [v for _, _, v in pivots]
@@ -456,8 +427,8 @@ def smith_normal_form(matrix: SparseIntMatrix,
         col_order = _pivots_first([c for _, c, _ in pivots], work.n)
         Vinv = SparseIntMatrix._from_rows(work.n, work.n, [work.Vir[c] for c in col_order])
         V = _from_columns(work.n, [work.Vc[c] for c in col_order])
-    return SNFResult(diag, matrix.nrows, matrix.ncols,
-                     tuple(c for _, c, _ in pivots[:split]), U, Uinv, V, Vinv)
+    return SNFResult(diag, tuple(c for _, c, _ in pivots[:split]),
+                     U, Uinv, V, Vinv)
 
 
 def _pivots_first(pivots: list, n: int) -> list:
@@ -514,9 +485,6 @@ class ChainComplex:
             mat = SparseIntMatrix(self.dim(q - 1), self.dim(q))
         return mat
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** q * self.dim(q) for q in self.basis)
-
     def vector_from_chain(self, q: int, chain: dict) -> list:
         index = {lbl: i for i, lbl in enumerate(self.basis.get(q, ()))}
         vec = [0] * self.dim(q)
@@ -549,17 +517,8 @@ class HomologySummary(NamedTuple):
                 items.append((q, (r, tors)))
         return cls(groups=tuple(items))
 
-    def as_dict(self) -> dict:
-        return {q: g for q, g in self.groups}
-
     def group(self, q: int) -> tuple:
-        return self.as_dict().get(q, (0, ()))
-
-    def nonzero_degrees(self) -> list:
-        return [q for q, _ in self.groups]
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** q * r for q, (r, _) in self.groups)
+        return dict(self.groups).get(q, (0, ()))
 
     def __str__(self) -> str:
         if not self.groups:
@@ -569,10 +528,6 @@ class HomologySummary(NamedTuple):
             gens = ["Z"] * r + [f"Z/{t}" for t in tors]
             parts.append(f"H_{q}=" + "+".join(gens))
         return ", ".join(parts)
-
-    def to_json(self) -> dict:
-        return {str(q): {"rank": r, "torsion": list(tors)}
-                for q, (r, tors) in self.groups}
 
 
 def _split_off(lower: SNFResult, upper: SparseIntMatrix) -> SparseIntMatrix:
@@ -693,47 +648,27 @@ class HomologyEngine:
         coords.sort(key=lambda g: (g[0] == 0, g[0]))
         return [v for _, v in coords]
 
-    def summary(self) -> HomologySummary:
-        return HomologySummary.of({q: self.group(q) for q in self.C.basis})
 
-
-class ChainMap:
-    """Degreewise matrices commuting with the boundaries."""
-
-    __slots__ = ("dom", "cod", "maps")
-
-    def __init__(self, dom: ChainComplex, cod: ChainComplex, maps: dict) -> None:
-        self.dom = dom
-        self.cod = cod
-        self.maps = maps
-        for q in set(self.dom.basis) | set(self.maps):
-            f_q = self.matrix(q)
-            want = (self.cod.dim(q), self.dom.dim(q))
-            if (f_q.nrows, f_q.ncols) != want:
-                raise DimensionMismatch(f"map at degree {q} is {f_q.nrows}x{f_q.ncols},"
-                                        f" expected {want}")
-        for q in set(self.dom.basis):
-            left = self.matrix(q - 1) @ self.dom.boundary(q)
-            right = self.cod.boundary(q) @ self.matrix(q)
-            if left != right:
-                raise NotAChainMap(f"square at degree {q} does not commute")
-
-    def matrix(self, q: int) -> SparseIntMatrix:
-        mat = self.maps.get(q)
-        if mat is None:
-            mat = SparseIntMatrix(self.cod.dim(q), self.dom.dim(q))
-        return mat
-
-
-def mapping_cone(f: ChainMap) -> ChainComplex:
-    """Cone(f)_q = A_{q-1} + B_q with d(a, b) = (-dA a, dB b - f a).
+def mapping_cone(dom: ChainComplex, cod: ChainComplex, maps: dict) -> ChainComplex:
+    """Cone(f)_q = A_{q-1} + B_q with d(a, b) = (-dA a, dB b - f a), for
+    A = dom, B = cod and f_q = maps[q] : A_q -> B_q (0 where q is absent).
 
     Labels are ("dom", original label) for the shifted copy of the domain
     and ("cod", original label) for the codomain.  The convention makes
     cone(identity) acyclic and cone(Z --n--> Z in degree k) have homology
     Z/n in degree k.
+
+    d(d(a, b)) = (dA dA a, dB dB b - (dB f - f dA) a), so the cone's own
+    d ∘ d check is the chain-map check: it fails exactly when f does not
+    commute with the boundaries, and raises NotAChainMap.  A map of the
+    wrong shape raises DimensionMismatch.
     """
-    A, B = f.dom, f.cod
+    A, B = dom, cod
+    for q, f_q in maps.items():
+        want = (B.dim(q), A.dim(q))
+        if (f_q.nrows, f_q.ncols) != want:
+            raise DimensionMismatch(f"map at degree {q} is {f_q.nrows}x{f_q.ncols},"
+                                    f" expected {want}")
     degs = set(q + 1 for q in A.basis) | set(B.basis)
     basis = {}
     for q in degs:
@@ -744,17 +679,18 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         na, nb = A.dim(q - 1), B.dim(q)
         rows_a, rows_b = A.dim(q - 2), B.dim(q - 1)
         entries = {}
-        dA = A.boundary(q - 1)
-        for (r, c), v in dA.entries():
+        for (r, c), v in A.boundary(q - 1).entries():
             entries[(r, c)] = -v
-        fq = f.matrix(q - 1)
-        for (r, c), v in fq.entries():
-            entries[(rows_a + r, c)] = entries.get((rows_a + r, c), 0) - v
-        dB = B.boundary(q)
-        for (r, c), v in dB.entries():
+        if q - 1 in maps:
+            for (r, c), v in maps[q - 1].entries():
+                entries[(rows_a + r, c)] = -v
+        for (r, c), v in B.boundary(q).entries():
             entries[(rows_a + r, na + c)] = v
         boundaries[q] = SparseIntMatrix(rows_a + rows_b, na + nb, entries)
-    return ChainComplex(basis, boundaries)
+    try:
+        return ChainComplex(basis, boundaries)
+    except ComplexInvalid as exc:
+        raise NotAChainMap(f"the maps do not commute with the boundaries: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

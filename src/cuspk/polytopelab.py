@@ -81,10 +81,6 @@ class Verdict(NamedTuple):
     precision_bits: int
     witness: object = None
 
-    def to_json(self) -> dict:
-        return {"status": self.status, "precision_bits": self.precision_bits,
-                "witness": self.witness}
-
 
 class IndexFunction(NamedTuple):
     """One periodic increment pattern at a given weight.

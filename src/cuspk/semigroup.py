@@ -98,9 +98,11 @@ def is_member(p: Params, m: int) -> bool:
     return m >= _apery(p)[m % p.a]
 
 
-def conductor(p: Params) -> int:
-    """(a-1)(b-1); every m >= conductor is a member of <a, b>."""
-    return (p.a - 1) * (p.b - 1)
+@lru_cache(maxsize=None)
+def member_table(p: Params, m: int) -> tuple:
+    """is_member(p, g) for g = 0, ..., m, built once per (p, m): the gap
+    and bar complexes of weight m look every part up here."""
+    return tuple(is_member(p, g) for g in range(m + 1))
 
 
 class TruncationSet:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .errors import (DEFAULT_BUDGET, PreconditionViolation, ResourceBound,
                      TheoremViolation)
 from .homlinalg import ChainComplex, HomologySummary, SparseIntMatrix, homology
-from .semigroup import Params, ell, is_member, weights
+from .semigroup import Params, ell, member_table, weights
 
 # Faces are bitmasks over the exponents {0, ..., m-1}.  The budget
 # DEFAULT_BUDGET caps the 2^m subsets of C_m; the gap subcomplex is built
@@ -80,35 +80,13 @@ class CmComplex:
         self.m = m
         self.faces = faces
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.faces
-
     def __len__(self) -> int:
         return len(self.faces)
-
-    def faces_of_dim(self, q: int) -> list:
-        return sorted(f for f in self.faces if f.bit_count() == q + 1)
-
-    def check_invariants(self) -> None:
-        """Assert subset closure and rotation invariance, exhaustively."""
-        for f in self.faces:
-            if rotate_mask(f, self.m) not in self.faces:
-                raise AssertionError(f"face {bin(f)} breaks rotation invariance")
-            if f.bit_count() > 1:
-                # dropping one vertex at a time reaches every subset
-                for e in mask_vertices(f):
-                    if f ^ (1 << e) not in self.faces:
-                        raise AssertionError(f"face {bin(f)} breaks subset closure")
-
-
-@lru_cache(maxsize=None)
-def _member_table(p: Params, m: int) -> tuple:
-    return tuple(is_member(p, g) for g in range(m + 1))
 
 
 def face_in_sigma(p: Params, m: int, mask: int) -> bool:
     """Whether every cyclic gap of the face is representable."""
-    rep = _member_table(p, m)
+    rep = member_table(p, m)
     return all(rep[g] for g in cyclic_gaps(mask, m))
 
 
@@ -131,7 +109,7 @@ def build_sigma(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> CmComplex:
         raise ValueError("m must be positive")
     if 1 << m > budget:
         raise ResourceBound(f"2^{m} subsets exceed the budget of {budget}")
-    rep = _member_table(p, m)
+    rep = member_table(p, m)
     faces = []
     if rep[m]:
         # (least vertex, mask, last vertex) of the faces still to extend
@@ -164,7 +142,7 @@ def _relative_complex(p: Params, m: int, degrees, budget: int) -> ChainComplex:
     cost = sum(comb(m, q + 1) for q in degrees)
     if cost > budget:
         raise ResourceBound(f"{cost} basis faces exceed the budget of {budget}")
-    rep = _member_table(p, m)
+    rep = member_table(p, m)
 
     def outside(vs):
         return not all(rep[g] for g in vertex_gaps(vs, m))
@@ -177,7 +155,6 @@ def _relative_complex(p: Params, m: int, degrees, budget: int) -> ChainComplex:
     return ChainComplex(basis, boundaries)
 
 
-@lru_cache(maxsize=None)
 def x_complex(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> ChainComplex:
     """Augmented chain complex of the gap subcomplex, graded by vertex count.
 
@@ -233,16 +210,6 @@ class ConjectureBReport(NamedTuple):
     x_summary: HomologySummary
     y_summary: HomologySummary
     agree: bool
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "m": self.m,
-            "x": self.x_summary.to_json(),
-            "y": self.y_summary.to_json(),
-            "evidence": self.agree,
-        }
 
 
 def conjecture_b_homology_check(p: Params, m: int,

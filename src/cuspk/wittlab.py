@@ -4,12 +4,12 @@ Two regimes are implemented.  Over the prime field F_p the Witt group
 W_S(F_p) decomposes along orbits: writing each m in S uniquely as e * p^i
 with p not dividing e, the group is the product over such e of Z/p^{n_e}
 with n_e the number of powers p^i for which e * p^i stays in S.  The
-Verschiebung, Frobenius and restriction operators send each orbit into at
-most one orbit, so an AbelianMap stores them as image tables: orbit j
-goes to c times orbit i, or to 0.  The relative K-groups of interest are
-cokernels of Verschiebung maps, and they split along the orbits into
-cyclic groups Z/gcd(order, coefficients landing there); the module needs
-no matrices and no Smith form.
+Verschiebung and restriction operators, built from the profiles of their
+sets, send each orbit into at most one orbit, so an AbelianMap stores
+them as image tables: orbit j goes to c times orbit i, or to 0.  The
+relative K-groups of interest are cokernels of Verschiebung maps, and they
+split along the orbits into cyclic groups Z/gcd(order, coefficients
+landing there); the module needs no matrices and no Smith form.
 
 Over the integers, Witt vectors are handled through ghost coordinates
 w_n(x) = sum_{d | n} d * x_d^{n/d}; sums and products are computed
@@ -132,20 +132,16 @@ class AbelianMap:
                    for target in self.image)
 
 
-def verschiebung(S: TruncationSet, n: int, prime: int) -> AbelianMap:
-    """V_n : W_{S/n}(F_p) -> W_S(F_p) on p-typical coordinates.
+def verschiebung(dom_prof: PTypicalProfile, cod_prof: PTypicalProfile,
+                 n: int) -> AbelianMap:
+    """V_n : W_{S/n}(F_p) -> W_S(F_p) on p-typical coordinates, from the
+    profiles of S/n and S.
 
     With n = p^v * n', the orbit e of S/n maps to the orbit n'e of S by
     multiplication by n (the factor n' twists, p^v is the p-typical
     Verschiebung, which is multiplication by p^v into the longer cyclic
     group).
     """
-    return _verschiebung(profile(divide_set(S, n), prime), profile(S, prime), n)
-
-
-def _verschiebung(dom_prof: PTypicalProfile, cod_prof: PTypicalProfile,
-                  n: int) -> AbelianMap:
-    """V_n from the profiles of S/n and S."""
     v, n_prime = _split_prime(n, cod_prof.prime)
     image = []
     for e, ln in dom_prof.orbits:
@@ -156,37 +152,10 @@ def _verschiebung(dom_prof: PTypicalProfile, cod_prof: PTypicalProfile,
     return AbelianMap(dom=dom_prof.orders, cod=cod_prof.orders, image=tuple(image))
 
 
-def frobenius(S: TruncationSet, n: int, prime: int) -> AbelianMap:
-    """F_n : W_S(F_p) -> W_{S/n}(F_p) on p-typical coordinates.
-
-    The orbit e of S with n' | e and e*p^v still relevant maps to orbit
-    e/n' of S/n by reduction; everything else is annihilated.
-    """
-    v, n_prime = _split_prime(n, prime)
-    dom_prof = profile(S, prime)
-    cod_prof = profile(divide_set(S, n), prime)
-    image = []
-    for e, ln in dom_prof.orbits:
-        target = None
-        if e % n_prime == 0 and ln > v:
-            i = cod_prof.index(e // n_prime)
-            if cod_prof.orbits[i][1] != ln - v:
-                raise TheoremViolation(f"F_{n} sends orbit {e} to one of the wrong length")
-            target = (i, 1)
-        image.append(target)
-    return AbelianMap(dom=dom_prof.orders, cod=cod_prof.orders, image=tuple(image))
-
-
-def restriction(S: TruncationSet, T: TruncationSet, prime: int) -> AbelianMap:
-    """R^S_T : W_S(F_p) -> W_T(F_p) for T a subset of S."""
-    if not T.members <= S.members:
-        raise ValueError("T must be contained in S")
-    return _restriction(profile(S, prime), profile(T, prime))
-
-
-def _restriction(dom_prof: PTypicalProfile, cod_prof: PTypicalProfile) -> AbelianMap:
-    """R^S_T from the profiles of S and T: the orbits of T keep their
-    generator, the other orbits of S vanish."""
+def restriction(dom_prof: PTypicalProfile, cod_prof: PTypicalProfile) -> AbelianMap:
+    """R^S_T : W_S(F_p) -> W_T(F_p) for T a subset of S, from the profiles
+    of S and T: the orbits of T keep their generator, the other orbits of S
+    vanish."""
     image = [None] * len(dom_prof.orbits)
     for i, (e, _) in enumerate(cod_prof.orbits):
         image[dom_prof.index(e)] = (i, 1)
@@ -257,8 +226,8 @@ def relative_k_group(p: Params, prime: int, q: int) -> KGroupResult:
     r = q // 2
     S = truncation_S(p, r)
     prof = profile(S, prime)
-    Va = _verschiebung(profile(divide_set(S, p.a), prime), prof, p.a)
-    Vb = _verschiebung(profile(divide_set(S, p.b), prime), prof, p.b)
+    Va = verschiebung(profile(divide_set(S, p.a), prime), prof, p.a)
+    Vb = verschiebung(profile(divide_set(S, p.b), prime), prof, p.b)
     factors = cokernel_factors(prof.orders, [Va, Vb])
 
     t_prof = profile(_prime_to(S, p.a, p.b), prime)
@@ -269,7 +238,7 @@ def relative_k_group(p: Params, prime: int, q: int) -> KGroupResult:
     if factors != [d for d in t_orders if d > 1]:
         raise TheoremViolation(
             f"cokernel factors {factors} differ from W_T orders {t_orders}")
-    rest = _restriction(prof, t_prof)
+    rest = restriction(prof, t_prof)
     if not rest.compose(Va).is_zero() or not rest.compose(Vb).is_zero():
         raise TheoremViolation("restriction does not annihilate the Verschiebung images")
     if length != expected:
@@ -282,12 +251,9 @@ def relative_k_group(p: Params, prime: int, q: int) -> KGroupResult:
 
 
 def _p_length(d: int, prime: int) -> int:
-    n = 0
-    while d % prime == 0:
-        d //= prime
-        n += 1
-    if d != 1:
-        raise TheoremViolation(f"cokernel factor {d * prime ** n} is not a {prime}-power")
+    n, rest = _split_prime(d, prime)
+    if rest != 1:
+        raise TheoremViolation(f"cokernel factor {d} is not a {prime}-power")
     return n
 
 
@@ -303,6 +269,7 @@ class GhostWittElement(NamedTuple):
 
     @classmethod
     def of(cls, S: TruncationSet, mapping: dict) -> "GhostWittElement":
+        """The element with coordinates int(mapping[n]), 0 where absent."""
         coords = tuple((n, int(mapping.get(n, 0))) for n in S)
         return cls(S=S, coords=coords)
 
@@ -343,16 +310,7 @@ def unghost(S: TruncationSet, w: dict) -> GhostWittElement:
         if acc % n:
             raise IntegralityViolation(f"coordinate {n} needs {acc}/{n}")
         coords[n] = acc // n
-    return GhostWittElement.of(S, coords)
-
-
-def witt_zero(S: TruncationSet) -> GhostWittElement:
-    return GhostWittElement.of(S, {})
-
-
-def teichmuller(S: TruncationSet, a: int) -> GhostWittElement:
-    """[a] = (a, 0, 0, ...); its ghost coordinates are (a^n)_n."""
-    return GhostWittElement.of(S, {1: a} if 1 in S else {})
+    return GhostWittElement(S, tuple(coords.items()))
 
 
 def witt_add(x: GhostWittElement, y: GhostWittElement) -> GhostWittElement:
@@ -380,7 +338,7 @@ def witt_V(S: TruncationSet, n: int, x: GhostWittElement) -> GhostWittElement:
     if x.S != divide_set(S, n):
         raise ValueError("x must live on S/n")
     xd = x.as_dict()
-    return GhostWittElement.of(S, {m: xd[m // n] for m in S if m % n == 0})
+    return GhostWittElement(S, tuple((m, 0 if m % n else xd[m // n]) for m in S))
 
 
 def witt_F(S: TruncationSet, n: int, x: GhostWittElement) -> GhostWittElement:
@@ -396,7 +354,7 @@ def witt_restrict(T: TruncationSet, x: GhostWittElement) -> GhostWittElement:
     if not T.members <= x.S.members:
         raise ValueError("T must be contained in the truncation set of x")
     xd = x.as_dict()
-    return GhostWittElement.of(T, {n: xd[n] for n in T})
+    return GhostWittElement(T, tuple((n, xd[n]) for n in T))
 
 
 # ---------------------------------------------------------------------------

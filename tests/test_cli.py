@@ -144,7 +144,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("key", ["kgroups --a 3 --b 5 --r-max 20",
                                      "semigroup --a 3 --b 5 --r-max 24",
-                                     "witt", "prop51 --a 2 --b 5 --m-max 12"])
+                                     "witt", "prop51 --a 2 --b 5 --m-max 12",
+                                     "conjB --a 3 --b 5 --m-max 12"])
     def test_reports_match_benchmark_refs(self, tmp_path, key):
         ref = json.loads(BENCH_REFS.read_text())[key]
         code, out = run(tmp_path, "verify", *key.split())

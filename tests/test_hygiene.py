@@ -4,8 +4,10 @@ composition sign that once stood for it), no toolkit module imports a
 sibling, no package module imports anything outside the standard library
 and the package itself, no package module holds an `assert` statement, which
 `python -O` strips: its re-checks raise toolkit errors instead, and every
-private top-level function or class of the package is named somewhere in
-the package outside its own definition.
+top-level function or class of the package, and every public method, is
+named somewhere in the package outside its own definition: the package
+keeps only what its commands run.  The names that `perfbench/tracer.py`
+wraps are exempt, since the tracer needs them to exist.
 
 Package ``__init__.py`` files are skipped, because their imports are
 re-exports.  A name counts as used when it appears as an identifier
@@ -14,6 +16,7 @@ anywhere in the module or inside a string annotation.
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -249,3 +252,83 @@ def test_every_tracer_target_exists():
     missing = [(getattr(owner, "__name__", owner), attr)
                for owner, attr, _, _ in targets if not hasattr(owner, attr)]
     assert targets and missing == []
+
+
+def tracer_targets():
+    """(module, qualified name) of every name that perfbench/tracer.py wraps;
+    the source is executed from its text, as above."""
+    path = ROOT / "perfbench" / "tracer.py"
+    tracer = {"__name__": "tracer"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer)
+    out = set()
+    for owner, attr, _, _ in tracer["_targets"]():
+        if isinstance(owner, type):
+            out.add((owner.__module__.rpartition(".")[2], f"{owner.__name__}.{attr}"))
+        else:
+            out.add((owner.__name__.rpartition(".")[2], attr))
+    return out
+
+
+def public(name):
+    return not name.startswith("_")
+
+
+def attribute_names(node):
+    return (sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def unnamed_public(sources, exempt=frozenset()):
+    """(module, qualified name, line) of every public top-level function or
+    class, and every public method of a top-level class, of the {module:
+    source} map that no module names outside the definition itself, the
+    (module, qualified name) pairs of exempt aside.  A method counts as
+    named only where an attribute reads it: a local variable of the same
+    name is no call."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    names = Counter(n for tree in trees.values() for n in identifiers(tree))
+    attrs = Counter(n for tree in trees.values() for n in attribute_names(tree))
+    defined = []
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            if public(stmt.name):
+                defined.append((mod, stmt.name, stmt, names, identifiers))
+            if isinstance(stmt, ast.ClassDef):
+                defined += [(mod, f"{stmt.name}.{sub.name}", sub, attrs, attribute_names)
+                            for sub in stmt.body
+                            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and public(sub.name)]
+    return [(mod, qualname, node.lineno)
+            for mod, qualname, node, seen, scan in defined
+            if seen[node.name] - Counter(scan(node))[node.name] <= 0
+            and (mod, qualname) not in exempt]
+
+
+def test_scan_flags_an_unnamed_public_name():
+    sources = {
+        "a": ("def used():\n    return 1\n\n"
+              "def unused():\n    return used()\n\n"
+              "def self_only(n):\n    return self_only(n - 1) if n else 0\n\n"
+              "class Cls:\n    def run(self):\n        return self.helper()\n\n"
+              "    def helper(self):\n        return 0\n\n"
+              "    def idle(self):\n        return self.idle()\n\n"
+              "    def shadowed(self):\n        return 0\n\n"
+              "    def _private(self):\n        return 0\n\n"
+              "    def __len__(self):\n        return 0\n\n"
+              "def traced():\n    return 0\n"),
+        "b": ("from a import Cls\n\ndef main() -> 'Cls':\n"
+              "    shadowed = Cls().run()\n    return shadowed\n"),
+    }
+    assert unnamed_public(sources, {("a", "traced")}) == [
+        ("a", "unused", 4), ("a", "self_only", 7), ("a", "Cls.idle", 17),
+        ("a", "Cls.shadowed", 20), ("b", "main", 3)]
+
+
+def test_every_public_name_is_named():
+    # generator_cycle is the degree-2 generator of the rank-one regime,
+    # which the acceptance tests check; no suite reports it yet
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    exempt = tracer_targets() | {("simplicialx", "generator_cycle")}
+    assert unnamed_public(sources, exempt) == []

@@ -4,7 +4,9 @@ The operator image tables over F_p are checked against an independent
 oracle that computes V, F and restriction directly with the integral Witt
 addition/Frobenius polynomials (lift to Z, apply, reduce mod p) and then
 converts to orbit coordinates by table lookup against multiples of the
-Teichmuller unit.  The cokernels are checked against the Smith form of the
+Teichmuller unit.  The package builds the V and restriction tables; the
+F table, which no K-group needs, lives here, so that check tests witt_F
+modulo p.  The cokernels are checked against the Smith form of the
 stacked matrix that the tables describe.
 """
 
@@ -23,12 +25,10 @@ from cuspk.wittlab import (
     AbelianMap,
     GhostWittElement,
     cokernel_factors,
-    frobenius,
     ghost,
     profile,
     relative_k_group,
     restriction,
-    teichmuller,
     unghost,
     verschiebung,
     witt_F,
@@ -37,12 +37,51 @@ from cuspk.wittlab import (
     witt_mul,
     witt_neg,
     witt_restrict,
-    witt_zero,
 )
 
 
 def divisors_set(n):
     return TruncationSet(d for d in range(1, n + 1) if n % d == 0)
+
+
+def teichmuller(S, a):
+    """[a] = (a, 0, 0, ...); its ghost coordinates are (a^n)_n."""
+    return GhostWittElement.of(S, {1: a} if 1 in S else {})
+
+
+def witt_zero(S):
+    return GhostWittElement.of(S, {})
+
+
+def verschiebung_on(S, n, prime):
+    """V_n : W_{S/n}(F_p) -> W_S(F_p) as an image table."""
+    return verschiebung(profile(divide_set(S, n), prime), profile(S, prime), n)
+
+
+def restriction_on(S, T, prime):
+    """R^S_T : W_S(F_p) -> W_T(F_p) as an image table, T inside S."""
+    assert T.members <= S.members
+    return restriction(profile(S, prime), profile(T, prime))
+
+
+def frobenius_on(S, n, prime):
+    """F_n : W_S(F_p) -> W_{S/n}(F_p) on p-typical coordinates.
+
+    The orbit e of S with n' | e and e*p^v still relevant maps to orbit
+    e/n' of S/n by reduction; everything else is annihilated.
+    """
+    v, n_prime = wittlab._split_prime(n, prime)
+    dom_prof = profile(S, prime)
+    cod_prof = profile(divide_set(S, n), prime)
+    image = []
+    for e, ln in dom_prof.orbits:
+        target = None
+        if e % n_prime == 0 and ln > v:
+            i = cod_prof.index(e // n_prime)
+            assert cod_prof.orbits[i][1] == ln - v
+            target = (i, 1)
+        image.append(target)
+    return AbelianMap(dom=dom_prof.orders, cod=cod_prof.orders, image=tuple(image))
 
 
 class UncheckedSet:
@@ -135,10 +174,10 @@ class TestProfiles:
 class TestOperatorMatrices:
     def test_verschiebung_frozen(self):
         S = truncation_S(Params(2, 3), 0)
-        V2 = verschiebung(S, 2, 2)
+        V2 = verschiebung_on(S, 2, 2)
         assert V2.dom == (4, 2) and V2.cod == (8, 4)
         assert V2.image == ((0, 2), (1, 2))
-        V3 = verschiebung(S, 3, 2)
+        V3 = verschiebung_on(S, 3, 2)
         assert V3.dom == (4,) and V3.cod == (8, 4)
         assert V3.image == ((1, 3),)
 
@@ -146,7 +185,7 @@ class TestOperatorMatrices:
         S = divisors_set(24)
         for p in (2, 3, 5):
             for n in (2, 3, 4, 6, 8, 12):
-                comp = frobenius(S, n, p).compose(verschiebung(S, n, p))
+                comp = frobenius_on(S, n, p).compose(verschiebung_on(S, n, p))
                 dom = comp.dom
                 assert comp.cod == dom
                 for j, target in enumerate(comp.image):
@@ -162,15 +201,15 @@ class TestOperatorMatrices:
         S = truncation_S(p, 1)
         T = TruncationSet(m for m in S if m % 2 and m % 3)
         for prime in (2, 3, 5, 7):
-            R = restriction(S, T, prime)
-            assert R.compose(verschiebung(S, 2, prime)).is_zero()
-            assert R.compose(verschiebung(S, 3, prime)).is_zero()
+            R = restriction_on(S, T, prime)
+            assert R.compose(verschiebung_on(S, 2, prime)).is_zero()
+            assert R.compose(verschiebung_on(S, 3, prime)).is_zero()
 
     @pytest.mark.parametrize("prime,n", [(2, 2), (2, 3), (2, 6), (3, 3), (3, 2), (5, 4)])
     def test_verschiebung_matches_witt_polynomials(self, prime, n):
         S = divisors_set(12)
         Sn = divide_set(S, n)
-        V = verschiebung(S, n, prime)
+        V = verschiebung_on(S, n, prime)
         rng = random.Random(1000 + 7 * prime + n)
         for _ in range(8):
             x = reduce_mod(random_element(rng, Sn, 0, prime - 1), prime)
@@ -187,7 +226,7 @@ class TestOperatorMatrices:
     def test_frobenius_matches_witt_polynomials(self, prime, n):
         S = divisors_set(12)
         Sn = divide_set(S, n)
-        F = frobenius(S, n, prime)
+        F = frobenius_on(S, n, prime)
         rng = random.Random(2000 + 7 * prime + n)
         for _ in range(8):
             x = reduce_mod(random_element(rng, S, 0, prime - 1), prime)
@@ -202,7 +241,7 @@ class TestOperatorMatrices:
         S = divisors_set(12)
         T = divisors_set(6)
         for prime in (2, 3):
-            R = restriction(S, T, prime)
+            R = restriction_on(S, T, prime)
             rng = random.Random(3000 + prime)
             for _ in range(6):
                 x = reduce_mod(random_element(rng, S, 0, prime - 1), prime)
@@ -217,7 +256,7 @@ class TestOperatorMatrices:
         # length 2, but V_3 sends it to orbit 3 of S, of length 3
         S = divisors_set(12)
         with pytest.raises(TheoremViolation, match="wrong length"):
-            wittlab._verschiebung(profile(divide_set(S, 2), 2), profile(S, 2), 3)
+            verschiebung(profile(divide_set(S, 2), 2), profile(S, 2), 3)
 
     def test_malformed_table_raises(self):
         with pytest.raises(ValueError, match="length"):
@@ -302,7 +341,7 @@ class TestCokernel:
     def test_matches_stacked_smith_form(self, pair, prime, r):
         S = truncation_S(Params(*pair), r)
         orders = profile(S, prime).orders
-        maps = [verschiebung(S, n, prime) for n in pair]
+        maps = [verschiebung_on(S, n, prime) for n in pair]
         assert cokernel_factors(orders, maps) == stacked_snf_factors(orders, maps)
 
     def test_orders_of_two_primes_raise(self):
