@@ -199,19 +199,33 @@ def _cell_prop51(a, b, m):
 
 
 def _cell_conjb(a, b, m, budget):
-    from .simplicialx import conjecture_b_homology_check, fixed_point_check
+    from .simplicialx import (build_sigma, conjecture_b_homology_check,
+                              fixed_point_check)
 
     pr = Params(a, b)
     rows = []
     at = {"a": a, "b": b, "m": m}
+    built = {}
+
+    def sigma(t):
+        """build_sigma(pr, t, budget), run once per cell for each t that
+        divides m, so that the statements share the cell's complexes and
+        none outlives the cell.  A build that raises is run again by the
+        next statement, which then skips the same way."""
+        if t not in built:
+            built[t] = build_sigma(pr, t, budget)
+        return built[t]
 
     def evidence():
-        rep = conjecture_b_homology_check(pr, m, budget)
+        rep = conjecture_b_homology_check(pr, m, sigma(m))
         return ("agree" if rep.agree else "MISMATCH",
                 {"x": str(rep.x_summary), "y": str(rep.y_summary)})
 
     def fixed_points(s):
-        fixed_point_check(pr, m, s, budget)
+        # Σ_t first: past the budget, the skip reason names the weight
+        # whose build raised first
+        sigma_t = sigma(m // s)
+        fixed_point_check(pr, s, sigma(m), sigma_t)
         return "pass", None
 
     _attempt(rows, "conjB", "homology-evidence", evidence, **at)

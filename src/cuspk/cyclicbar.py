@@ -113,6 +113,9 @@ def relative_bar_complex(p: Params, m: int) -> ChainComplex:
         for q in cells if q - 1 in cells}
     basis = {q: [tuple(map(sub, c + (m,), (0,) + c)) for c in cuts]
              for q, (cuts, _) in cells.items()}
+    # construction factors every boundary; the cuts and masks are not
+    # needed for that, so they do not add to the peak
+    del cells
     return ChainComplex(basis, boundaries)
 
 

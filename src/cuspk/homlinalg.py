@@ -14,18 +14,38 @@ its pivots in an order where each divides the next (unit pivots first,
 then each non-unit pivot only once it divides everything left), and
 that order is the returned diagonal.
 
-Homology runs on a reduced complex (Kaczynski, Mrozek and Ślusarek,
-Comput. Math. Appl. 35 (1998); Sköldberg, Trans. AMS 358 (2006)).  Each
-unit pivot of d_q pairs a cell of C_q with a cell of C_{q-1}, and the
-pair splits off as a contractible summand, so its row of d_{q+1} can be
-dropped before the Smith form of d_{q+1}.  This is exact for the unit
-pivots taken before the elimination's first general-phase step (the
-split of the result): until then every column operation adds a multiple
-of the pivot column, so V^-1 differs from the identity only at pivot
-rows, and d_q ∘ d_{q+1} = 0 makes those rows of V^-1 d_{q+1} vanish;
-the other rows are the rows of d_{q+1}.  The first general-phase step
-edits a column that may never become a pivot, so no later pivot is
-dropped.
+A complex is factored once, when it is built, on a reduced complex
+(Kaczynski, Mrozek and Ślusarek, Comput. Math. Appl. 35 (1998);
+Sköldberg, Trans. AMS 358 (2006)).  Each unit pivot of d_q pairs a cell
+of C_q with a cell of C_{q-1}, and the pair splits off as a contractible
+summand, so its row of d_{q+1} can be dropped before the Smith form of
+d_{q+1}.  This is exact for the unit pivots taken before the
+elimination's first general-phase step (the split of the result): until
+then every column operation adds a multiple of the pivot column, so V^-1
+differs from the identity only at pivot rows, and d_q ∘ d_{q+1} = 0 makes
+those rows of V^-1 d_{q+1} vanish; the other rows are the rows of
+d_{q+1}.  The first general-phase step edits a column that may never
+become a pivot, so no later pivot is dropped.
+
+Before the Smith form, the rows of d_q that survive the drop go through
+a coreduction pass (Mrozek and Batko, Discrete Comput. Geom. 41 (2009)):
+a column with a single entry, a unit, is a pivot that needs no row
+operation, and clearing its row adds multiples of the pivot column only
+to that row.  So these pivots are split pivots by the argument above;
+the rows they leave go through smith_normal_form, and the split of d_q is
+the paired columns followed by the split of that remainder.
+
+d ∘ d = 0 is checked on a spanning set of rows of each d_q only, which is
+exact.  A row of d_q emptied during the unit phase of the elimination is
+a combination of the pivot rows, since each row operation of that phase
+adds a multiple of a pivot row, so the coreduction rows, the unit-pivot
+rows and the rows still nonzero when the general phase starts span every
+row that survived the drop.  A dropped row lies in the span of the rows
+kept: with V the column transform of the reduced d_{q-1}, the rows of
+V^-1 d_q at its split vanish, the others are the kept rows of d_q, and V
+is invertible.  That needs d_{q-1} ∘ d_q = 0, so the degrees run in
+ascending order, each checked before the next drops rows, and a failing
+complex names the least q with d_q ∘ d_{q+1} != 0.
 
 No floating point enters this module; torsion results are exact and the
 LP certificates can be re-verified by direct substitution.
@@ -148,20 +168,23 @@ class SNFResult:
 
     diag holds the nonzero invariant factors d_1 | d_2 | ... (positive).
     split holds the columns of the leading pivots, those taken before the
-    first general-phase step (see the module docstring).
+    first general-phase step (see the module docstring).  spanning holds
+    rows of M whose span contains every row of M: the rows of the leading
+    pivots and the rows still nonzero at the first general-phase step.
     A transform and its inverse are None when the run did not track that
     side (see smith_normal_form).
     """
 
-    __slots__ = ("diag", "split", "U", "Uinv", "V", "Vinv")
+    __slots__ = ("diag", "split", "spanning", "U", "Uinv", "V", "Vinv")
 
-    def __init__(self, diag: list, split: tuple = (),
+    def __init__(self, diag: list, split: tuple = (), spanning: tuple = (),
                  U: SparseIntMatrix | None = None,
                  Uinv: SparseIntMatrix | None = None,
                  V: SparseIntMatrix | None = None,
                  Vinv: SparseIntMatrix | None = None) -> None:
         self.diag = diag
         self.split = split
+        self.spanning = spanning
         self.U = U
         self.Uinv = Uinv
         self.V = V
@@ -267,14 +290,16 @@ class _SnfWork:
 def _snf_work_run(work: _SnfWork):
     """Eliminate to diagonal form.
 
-    Returns the (row, col, value) pivots in extraction order and the
-    number of leading pivots taken before the first general-phase step.
+    Returns the (row, col, value) pivots in extraction order, the
+    number of leading pivots taken before the first general-phase step,
+    and the rows still nonzero at that step.
     """
     rows, cols = work.rows, work.cols
     heap = [(len(row), r) for r, row in enumerate(rows) if row]
     heapq.heapify(heap)
     pivots = []
     split = None
+    live = []
 
     def push(r):
         if rows[r]:
@@ -360,6 +385,7 @@ def _snf_work_run(work: _SnfWork):
         # entry, rescanned after every step because a remainder may undercut it
         if split is None:
             split = len(pivots)
+            live = [r for r, row in enumerate(rows) if row]
         while True:
             r0, c0, v0 = None, None, None
             for r, row in enumerate(rows):
@@ -381,7 +407,7 @@ def _snf_work_run(work: _SnfWork):
             work.row_add(r0, offender, 1)
         heap = [(len(row), r) for r, row in enumerate(rows) if row]
         heapq.heapify(heap)
-    return pivots, len(pivots) if split is None else split
+    return pivots, len(pivots) if split is None else split, live
 
 
 def smith_normal_form(matrix: SparseIntMatrix,
@@ -413,7 +439,7 @@ def smith_normal_form(matrix: SparseIntMatrix,
                          f"or 'right'")
     left, right = transforms == "left", transforms == "right"
     work = _SnfWork(matrix, left, right)
-    pivots, split = _snf_work_run(work)
+    pivots, split, live = _snf_work_run(work)
     diag = [v for _, _, v in pivots]
     if any(b % a for a, b in zip(diag, diag[1:])):
         raise TheoremViolation(f"Smith diagonal {diag} is no divisibility chain")
@@ -427,7 +453,9 @@ def smith_normal_form(matrix: SparseIntMatrix,
         col_order = _pivots_first([c for _, c, _ in pivots], work.n)
         Vinv = SparseIntMatrix._from_rows(work.n, work.n, [work.Vir[c] for c in col_order])
         V = _from_columns(work.n, [work.Vc[c] for c in col_order])
-    return SNFResult(diag, tuple(c for _, c, _ in pivots[:split]),
+    lead = pivots[:split]
+    return SNFResult(diag, tuple(c for _, c, _ in lead),
+                     tuple(r for r, _, _ in lead) + tuple(live),
                      U, Uinv, V, Vinv)
 
 
@@ -455,7 +483,10 @@ class ChainComplex:
 
     basis maps a degree q to the list of basis labels of C_q; boundaries
     maps q to the matrix of d_q : C_q -> C_{q-1} in those bases.  Degrees
-    not present are zero.  Construction checks d ∘ d = 0.
+    not present are zero.  Construction factors each boundary once, by
+    ascending degree on the reduced complex of the module docstring, and
+    keeps the result of d_q in smith[q]; it checks d ∘ d = 0 on the rows
+    of each d_q that the factoring finds to span all of them.
     """
 
     def __init__(self, basis: dict, boundaries: dict):
@@ -467,9 +498,18 @@ class ChainComplex:
                 raise DimensionMismatch(
                     f"boundary at degree {q} is {mat.nrows}x{mat.ncols}, expected {want}")
             self.boundaries[q] = mat
-        for q in list(self.boundaries):
+        self.smith: dict[int, SNFResult] = {}
+        split = ()
+        for q in sorted(set(self.basis) | {q + 1 for q in self.basis}):
+            mat = self.boundaries.get(q)
+            if mat is None:
+                self.smith[q] = SNFResult([])
+                split = ()
+                continue
+            self.smith[q], spanning = _factor_reduced(mat, split)
+            split = self.smith[q].split
             upper = self.boundaries.get(q + 1)
-            if upper is not None and not (self.boundaries[q] @ upper).is_zero():
+            if upper is not None and not _annihilates(spanning, upper):
                 raise ComplexInvalid(f"d_{q} ∘ d_{q + 1} != 0")
 
     def dim(self, q: int) -> int:
@@ -530,12 +570,74 @@ class HomologySummary(NamedTuple):
         return ", ".join(parts)
 
 
-def _split_off(lower: SNFResult, upper: SparseIntMatrix) -> SparseIntMatrix:
-    """The rows of upper = d_{q+1} outside the split of lower = SNF(d_q)."""
-    drop = set(lower.split)
-    return SparseIntMatrix._from_rows(
-        upper.nrows - len(drop), upper.ncols,
-        [row for i, row in enumerate(upper._rows) if i not in drop])
+def _coreduce(rows: list, ncols: int) -> tuple:
+    """Coreduction pairs of the matrix with the given rows (Mrozek and
+    Batko, Discrete Comput. Geom. 41 (2009)): while some column holds a
+    single entry and it is +-1, pair the column with that entry's row and
+    drop the row, which can leave further columns with a single entry.
+
+    Returns the (row, column) pairs in the order taken and the indices of
+    the rows left.  A column's entry count and the xor of its row indices
+    name the row of a single entry, so no column sets are built.
+    """
+    count = [0] * ncols
+    xor = [0] * ncols
+    for r, row in enumerate(rows):
+        for c in row:
+            count[c] += 1
+            xor[c] ^= r
+    # a count only falls, so each column passes 1 at most once
+    stack = [c for c in range(ncols) if count[c] == 1]
+    alive = [True] * len(rows)
+    pairs = []
+    while stack:
+        c = stack.pop()
+        if count[c] != 1:
+            continue
+        r = xor[c]
+        if rows[r][c] not in (1, -1):
+            continue
+        alive[r] = False
+        pairs.append((r, c))
+        for c2 in rows[r]:
+            count[c2] -= 1
+            xor[c2] ^= r
+            if count[c2] == 1:
+                stack.append(c2)
+    return pairs, [r for r, keep in enumerate(alive) if keep]
+
+
+def _factor_reduced(mat: SparseIntMatrix, drop: tuple) -> tuple:
+    """Smith form of d_q = mat outside the rows drop (the split of d_{q-1}),
+    and rows of d_q whose span holds every row of d_q.
+
+    Coreduction pairs come first, as unit pivots, and the rows they leave
+    go through smith_normal_form.  The result's diagonal and split put the
+    pairs before the remainder's, and the spanning rows are the pair rows
+    and the remainder's spanning rows (see the module docstring).
+    """
+    drop = set(drop)
+    rows = [row for i, row in enumerate(mat._rows) if i not in drop]
+    pairs, rest = _coreduce(rows, mat.ncols)
+    remainder = smith_normal_form(SparseIntMatrix._from_rows(
+        len(rest), mat.ncols, [rows[i] for i in rest]))
+    spanning = [rows[r] for r, _ in pairs] + \
+        [rows[rest[i]] for i in remainder.spanning]
+    return SNFResult([1] * len(pairs) + remainder.diag,
+                     tuple(c for _, c in pairs) + remainder.split), spanning
+
+
+def _annihilates(rows: list, upper: SparseIntMatrix) -> bool:
+    """Whether every row in rows, a {column: value} dict, times upper is zero."""
+    urows = upper._rows
+    for row in rows:
+        acc: dict[int, int] = {}
+        for c, v in row.items():
+            for c2, w in urows[c].items():
+                acc[c2] = acc.get(c2, 0) + v * w
+        if any(acc.values()):
+            return False
+    return True
 
 
 def homology(C: ChainComplex) -> HomologySummary:
@@ -544,18 +646,13 @@ def homology(C: ChainComplex) -> HomologySummary:
     H_q has free rank dim C_q - rank d_q - rank d_{q+1} and torsion the
     invariant factors > 1 of d_{q+1}: the factors of the inclusion of the
     image into the kernel are those of the matrix itself.  The Smith forms
-    run by ascending degree on the reduced complex of the module docstring.
+    are those C took of its reduced boundaries when it was built.
     """
-    snf: dict[int, SNFResult] = {}
-    for qq in sorted(set(C.basis) | {q + 1 for q in C.basis}):
-        mat = C.boundary(qq)
-        if qq - 1 in snf:
-            mat = _split_off(snf[qq - 1], mat)
-        snf[qq] = smith_normal_form(mat)
     out = {}
     for q in C.basis:
-        r = C.dim(q) - snf[q].rank - snf[q + 1].rank
-        out[q] = (r, tuple(t for t in snf[q + 1].diag if t > 1))
+        lower, upper = C.smith[q], C.smith[q + 1]
+        r = C.dim(q) - lower.rank - upper.rank
+        out[q] = (r, tuple(t for t in upper.diag if t > 1))
     return HomologySummary.of(out)
 
 

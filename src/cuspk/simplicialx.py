@@ -17,7 +17,6 @@ which this module does not import.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -90,7 +89,6 @@ def face_in_sigma(p: Params, m: int, mask: int) -> bool:
     return all(rep[g] for g in cyclic_gaps(mask, m))
 
 
-@lru_cache(maxsize=None)
 def build_sigma(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> CmComplex:
     """The subcomplex of faces whose cyclic gaps all lie in the semigroup.
 
@@ -155,8 +153,9 @@ def _relative_complex(p: Params, m: int, degrees, budget: int) -> ChainComplex:
     return ChainComplex(basis, boundaries)
 
 
-def x_complex(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> ChainComplex:
-    """Augmented chain complex of the gap subcomplex, graded by vertex count.
+def x_complex(sigma: CmComplex) -> ChainComplex:
+    """Augmented chain complex of the gap subcomplex sigma, graded by
+    vertex count.
 
     The empty face (mask 0) sits in degree 0 and a face with q vertices in
     degree q, so H_q of this complex is the reduced homology of the gap
@@ -165,19 +164,18 @@ def x_complex(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> ChainComplex:
     homology H_q of the simplex modulo the subcomplex, torsion included;
     `_relative_complex` computes the same groups from the faces outside.
     When m is not representable the subcomplex is empty and H_0 = Z.
-    build_sigma checks m and the budget.
     """
     basis = {0: [0]}
-    for mask in sorted(build_sigma(p, m, budget).faces):
+    for mask in sorted(sigma.faces):
         basis.setdefault(mask.bit_count(), []).append(mask)
     boundaries = {q: SparseIntMatrix.of_map(basis[q - 1], basis[q], _face_boundary)
                   for q in basis if q}
     return ChainComplex(basis, boundaries)
 
 
-def x_homology(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> HomologySummary:
-    """Reduced homology of the quotient space at weight m."""
-    return homology(x_complex(p, m, budget))
+def x_homology(sigma: CmComplex) -> HomologySummary:
+    """Reduced homology of the quotient space of the gap subcomplex sigma."""
+    return homology(x_complex(sigma))
 
 
 def expected_y_homology(p: Params, m: int) -> HomologySummary:
@@ -213,37 +211,37 @@ class ConjectureBReport(NamedTuple):
 
 
 def conjecture_b_homology_check(p: Params, m: int,
-                                budget: int = DEFAULT_BUDGET) -> ConjectureBReport:
-    """Compare the quotient-space homology with the closed form of the
-    comparison space.
+                                sigma: CmComplex) -> ConjectureBReport:
+    """Compare the quotient-space homology of sigma = build_sigma(p, m)
+    with the closed form of the comparison space.
 
     The comparison is recorded as evidence; callers surface a disagreement
     as a finding rather than an error.  The circle-level statement that
     the relative cyclic bar homology equals its closed form is
     Proposition 5.1, checked by `cyclicbar.ty_agreement_check`.
     """
-    x = x_homology(p, m, budget)
+    x = x_homology(sigma)
     y = expected_y_homology(p, m)
     return ConjectureBReport(a=p.a, b=p.b, m=m, x_summary=x, y_summary=y,
                              agree=x == y)
 
 
-def fixed_point_check(p: Params, m: int, s: int,
-                      budget: int = DEFAULT_BUDGET) -> bool:
+def fixed_point_check(p: Params, s: int, sigma_m: CmComplex,
+                      sigma_t: CmComplex) -> bool:
     """Verify the fixed-point description of the gap complex under C_s.
 
-    Roots of order s: the s-th power map sends the C_s-fixed faces at
-    weight m onto the full complex at weight t = m/s, and the inverse
+    sigma_m = build_sigma(p, m) and sigma_t = build_sigma(p, t) with
+    m = s * t.  Roots of order s: the s-th power map sends the C_s-fixed
+    faces at weight m onto the full complex at weight t, and the inverse
     replicates each face across the s blocks of residues mod t.  Checks
     that the replication map is a bijection onto the fixed faces and that
     it repeats each gap sequence s times.  Returns True; a mismatch raises
     TheoremViolation.
     """
-    if s < 1 or m % s != 0:
-        raise PreconditionViolation("s must be a positive divisor of m")
-    t = m // s
-    sigma_t = build_sigma(p, t, budget)
-    sigma_m = build_sigma(p, m, budget)
+    m, t = sigma_m.m, sigma_t.m
+    if s < 1 or m != s * t:
+        raise PreconditionViolation(f"s = {s} is no positive divisor of m = {m} "
+                                    f"with quotient t = {t}")
     fixed = {f for f in sigma_m.faces if rotate_mask(f, m, t) == f}
     lifted = set()
     for g in sigma_t.faces:

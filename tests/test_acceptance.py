@@ -16,7 +16,7 @@ from cuspk.cyclicbar import (connes_factor_bar, connes_factor_small,
 from cuspk.polytopelab import (FAILS_CANDIDATE, HOLDS, UNSUPPORTED,
                                run_conjecture_checks)
 from cuspk.semigroup import Params, divide_set, ell, truncation_S, weights
-from cuspk.simplicialx import (conjecture_b_homology_check,
+from cuspk.simplicialx import (build_sigma, conjecture_b_homology_check,
                                fixed_point_check, generator_cycle)
 from cuspk.wittlab import (IDENTITIES, IDENTITY_PAIRS, identity_failures,
                            relative_k_group)
@@ -98,7 +98,7 @@ def test_05_x_space_evidence():
         findings = []
         for p in SUITE:
             for m in range(1, 13):
-                report = conjecture_b_homology_check(p, m)
+                report = conjecture_b_homology_check(p, m, build_sigma(p, m))
                 if not report.agree:
                     findings.append(report)
         for rep in findings:
@@ -148,4 +148,5 @@ def test_08_fixed_point_combinatorics():
             for m in range(1, 15):
                 for s in range(1, m + 1):
                     if m % s == 0:
-                        assert fixed_point_check(p, m, s)
+                        assert fixed_point_check(p, s, build_sigma(p, m),
+                                                 build_sigma(p, m // s))

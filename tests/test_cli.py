@@ -145,7 +145,9 @@ class TestVerify:
     @pytest.mark.parametrize("key", ["kgroups --a 3 --b 5 --r-max 20",
                                      "semigroup --a 3 --b 5 --r-max 24",
                                      "witt", "prop51 --a 2 --b 5 --m-max 12",
-                                     "conjB --a 3 --b 5 --m-max 12"])
+                                     "prop51 --a 2 --b 3 --m-max 12",
+                                     "conjB --a 3 --b 5 --m-max 12",
+                                     "conjB --a 2 --b 3 --m-max 12"])
     def test_reports_match_benchmark_refs(self, tmp_path, key):
         ref = json.loads(BENCH_REFS.read_text())[key]
         code, out = run(tmp_path, "verify", *key.split())
@@ -441,7 +443,7 @@ class TestExitCodes:
         summary = HomologySummary.of({2: (1, ())})
         other = HomologySummary.of({2: (2, ())})
 
-        def disagree(p, m, budget):
+        def disagree(p, m, sigma):
             return ConjectureBReport(p.a, p.b, m, summary, other, False)
 
         monkeypatch.setattr(simplicialx, "conjecture_b_homology_check",

@@ -5,9 +5,12 @@ determinant divisor (gcd of all k x k minors), which determines the
 invariant factors as quotients D_k / D_{k-1}.  Homology examples are
 hand-checkable complexes (circle, sphere, projective plane), and random
 direct sums of Z and Z --d--> Z conjugated by unimodular matrices, whose
-homology is known from the summands.
+homology is known from the summands.  Construction, which checks d ∘ d = 0
+only on spanning rows of a reduced complex, is checked against the full
+products d_q @ d_{q+1} and the Smith forms of the unreduced boundaries.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -16,6 +19,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspk.cyclicbar import relative_bar_complex
 from cuspk.errors import ComplexInvalid, NotAChainMap
 from cuspk.exactlp import SimplexTableau
 from cuspk.errors import DimensionMismatch
@@ -24,6 +28,7 @@ from cuspk.homlinalg import (
     HomologyEngine,
     HomologySummary,
     SparseIntMatrix,
+    _coreduce,
     feasibility_certificate,
     homology,
     lp_optimize,
@@ -31,6 +36,8 @@ from cuspk.homlinalg import (
     mapping_cone,
     smith_normal_form,
 )
+from cuspk.semigroup import Params
+from cuspk.simplicialx import build_sigma, x_complex
 
 
 def from_dense(dense):
@@ -152,6 +159,70 @@ class TestSmithNormalForm:
     def test_unknown_transforms_rejected(self, transforms):
         with pytest.raises(ValueError, match="transforms="):
             smith_normal_form(identity(2), transforms=transforms)
+
+    @given(st.one_of(dense_matrices(), dense_matrices(entries=NON_UNIT)))
+    @settings(max_examples=200, deadline=None)
+    def test_spanning_rows_span_the_row_space(self, dense):
+        # the spanning rows are rows of M, so equal rank means equal span
+        M = from_dense(dense)
+        res = smith_normal_form(M)
+        sub = [dense[r] for r in res.spanning]
+        assert len(set(res.spanning)) == len(res.spanning)
+        assert (smith_normal_form(from_dense(sub)).rank if sub else 0) == res.rank
+
+
+def coreduced_factors(M):
+    """Ones for the coreduction pairs of M, then the invariant factors of
+    the rows they leave; each pair is checked to be a unit entry alone in
+    its column among the rows not yet taken."""
+    rows = [M.row(r) for r in range(M.nrows)]
+    pairs, rest = _coreduce(rows, M.ncols)
+    taken = set()
+    for r, c in pairs:
+        assert rows[r][c] in (1, -1)
+        assert [i for i, row in enumerate(rows) if c in row and i not in taken] == [r]
+        taken.add(r)
+    assert sorted(taken | set(rest)) == list(range(M.nrows))
+    assert not taken & set(rest)
+    remainder = SparseIntMatrix(len(rest), M.ncols, {
+        (i, c): v for i, r in enumerate(rest) for c, v in rows[r].items()})
+    return pairs, [1] * len(pairs) + smith_normal_form(remainder).diag
+
+
+# sparse entries with units and non-units, so that pairs form, some
+# single entries are no units, and the remainder is not empty
+SPARSE = st.sampled_from([0, 0, 0, 1, -1, 1, 2, -2, 3])
+
+
+class TestCoreduction:
+    def test_cascade(self):
+        # dropping row 0 leaves column 1 with one entry, then column 2
+        M = from_dense([[1, 1, 1], [0, -1, 1], [0, 0, 1]])
+        pairs, factors = coreduced_factors(M)
+        assert pairs == [(0, 0), (1, 1), (2, 2)]
+        assert factors == smith_normal_form(M).diag == [1, 1, 1]
+
+    def test_cascade_stops_at_a_non_unit(self):
+        # dropping row 0 leaves column 1 one entry, but it is 2, so the
+        # remaining rows go to the Smith form
+        M = from_dense([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
+        pairs, factors = coreduced_factors(M)
+        assert pairs == [(0, 0)]
+        assert factors == smith_normal_form(M).diag == [1, 1, 6]
+
+    def test_unit_triangle_cascades_through(self):
+        n = 12
+        M = SparseIntMatrix(n, n, {(r, c): 1 if r == c else (-1) ** (r + c)
+                                   for r in range(n) for c in range(r, n)})
+        pairs, factors = coreduced_factors(M)
+        assert pairs == [(i, i) for i in range(n)]
+        assert factors == [1] * n
+
+    @given(dense_matrices(max_dim=6, entries=SPARSE))
+    @settings(max_examples=300, deadline=None)
+    def test_same_factors_as_the_whole_matrix(self, dense):
+        M = from_dense(dense)
+        assert coreduced_factors(M)[1] == smith_normal_form(M).diag
 
 
 class TestConstructor:
@@ -442,6 +513,67 @@ class TestReducedComplex:
         assert invariant_factors_of_cyclics([]) == ()
         assert invariant_factors_of_cyclics([2, 3]) == (6,)
         assert invariant_factors_of_cyclics([4, 6, 9]) == (6, 36)
+
+
+README_PAIRS = [Params(2, 3), Params(2, 5), Params(3, 4), Params(3, 5)]
+MODELS = [("bar", p, m) for p in README_PAIRS for m in range(1, 11)] + \
+    [("conjB", p, m) for p in README_PAIRS for m in range(1, 13)]
+
+
+@functools.cache
+def model_complex(kind, p, m):
+    """The relative bar complex or the conjB gap complex at (p, m)."""
+    if kind == "bar":
+        return relative_bar_complex(p, m)
+    return x_complex(build_sigma(p, m))
+
+
+def reference_homology(C):
+    """Homology from the Smith form of every unreduced boundary."""
+    snf = {q: smith_normal_form(C.boundary(q))
+           for q in set(C.basis) | {q + 1 for q in C.basis}}
+    return HomologySummary.of({
+        q: (C.dim(q) - snf[q].rank - snf[q + 1].rank,
+            tuple(t for t in snf[q + 1].diag if t > 1)) for q in C.basis})
+
+
+def failing_square(boundaries):
+    """The least q with d_q @ d_{q+1} != 0, by full products, or None."""
+    return min((q for q, d in boundaries.items()
+                if q + 1 in boundaries and not (d @ boundaries[q + 1]).is_zero()),
+               default=None)
+
+
+class TestConstructionOracle:
+    @given(st.one_of(conjugated_sums().map(lambda case: case[0]),
+                     st.sampled_from(MODELS).map(lambda key: model_complex(*key))),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_invalid_exactly_when_a_full_product_is_nonzero(self, C, data):
+        assert homology(C) == reference_homology(C)
+        degrees = sorted(q for q, d in C.boundaries.items() if d.nrows and d.ncols)
+        if not degrees:
+            return
+        q = data.draw(st.sampled_from(degrees))
+        d = C.boundaries[q]
+        r = data.draw(st.integers(0, d.nrows - 1))
+        c = data.draw(st.integers(0, d.ncols - 1))
+        entries = dict(d.entries())
+        entries[(r, c)] = entries.get((r, c), 0) + data.draw(
+            st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        bounds = {**C.boundaries, q: SparseIntMatrix(d.nrows, d.ncols, entries)}
+        bad = failing_square(bounds)
+        if bad is None:
+            assert homology(ChainComplex(C.basis, bounds)) == \
+                reference_homology(ChainComplex(C.basis, bounds))
+        else:
+            with pytest.raises(ComplexInvalid, match=f"^d_{bad} ∘ d_{bad + 1} != 0$"):
+                ChainComplex(C.basis, bounds)
+
+    def test_models_are_valid(self):
+        # the unperturbed models pass the full products too
+        for key in MODELS:
+            assert failing_square(model_complex(*key).boundaries) is None
 
 
 class TestMappingCone:

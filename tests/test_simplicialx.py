@@ -29,6 +29,10 @@ def H(mapping):
     return HomologySummary.of(mapping)
 
 
+def fixed_points(p, m, s):
+    return fixed_point_check(p, s, build_sigma(p, m), build_sigma(p, m // s))
+
+
 def faces_as_tuples(cx):
     return sorted(mask_vertices(f) for f in cx.faces)
 
@@ -122,7 +126,7 @@ class TestXHomology:
         (6, {2: (2, ())}),
     ])
     def test_frozen_small_weights(self, m, want):
-        assert x_homology(P23, m) == H(want)
+        assert x_homology(build_sigma(P23, m)) == H(want)
 
     @pytest.mark.parametrize("p", [P23, P25, P34, P35, Params(2, 7), Params(3, 7),
                                    Params(4, 5)], ids=pair_id)
@@ -130,27 +134,28 @@ class TestXHomology:
         # the gap subcomplex's augmented complex against the faces outside it
         for m in range(1, 13):
             want = homology(sx._relative_complex(p, m, range(m), DEFAULT_BUDGET))
-            assert x_homology(p, m) == want
+            assert x_homology(build_sigma(p, m)) == want
         # m = 1 is not representable: the subcomplex is empty
-        assert x_homology(p, 1) == H({0: (1, ())})
+        assert x_homology(build_sigma(p, 1)) == H({0: (1, ())})
 
     def test_euler_characteristic_consistent(self):
         for m in range(1, 10):
-            C = x_complex(P25, m)
+            sigma = build_sigma(P25, m)
+            C = x_complex(sigma)
             chi = sum((-1) ** q * C.dim(q) for q in C.basis)
-            assert chi == sum((-1) ** q * r for q, (r, _) in x_homology(P25, m).groups)
+            assert chi == sum((-1) ** q * r for q, (r, _) in x_homology(sigma).groups)
 
     @pytest.mark.parametrize("p", [P23, P34])
     def test_concentration_and_free_top(self, p):
         for m in range(1, 11):
-            summary = x_homology(p, m)
+            summary = x_homology(build_sigma(p, m))
             assert all(q <= m - 1 for q, _ in summary.groups)
             rank, torsion = summary.group(m - 1)
             assert torsion == ()
 
     def test_budget(self):
         with pytest.raises(ResourceBound):
-            x_homology(P23, 25)
+            x_homology(build_sigma(P23, 25))
 
 
 class TestExpectedY:
@@ -169,41 +174,44 @@ class TestExpectedY:
 class TestConjectureB:
     def test_agreement_sweep(self):
         for m in range(1, 11):
-            report = conjecture_b_homology_check(P23, m)
+            report = conjecture_b_homology_check(P23, m, build_sigma(P23, m))
             assert report.agree
-            assert report.x_summary == x_homology(P23, m)
+            assert report.x_summary == x_homology(build_sigma(P23, m))
             assert report.y_summary == expected_y_homology(P23, m)
 
     def test_space_level_mismatch_is_reported_not_raised(self, monkeypatch):
         monkeypatch.setattr(sx, "expected_y_homology",
                             lambda p, m: H({0: (7, ())}))
-        report = conjecture_b_homology_check(P23, 5)
+        report = conjecture_b_homology_check(P23, 5, build_sigma(P23, 5))
         assert report.agree is False
 
 
 class TestFixedPoints:
     def test_order_three_on_six(self):
-        assert fixed_point_check(P23, 6, 3)
+        assert fixed_points(P23, 6, 3)
         fixed = [f for f in build_sigma(P23, 6).faces
                  if rotate_mask(f, 6, 2) == f]
         assert len(build_sigma(P23, 2)) == len(fixed) == 2
 
     def test_order_two_on_ten(self):
-        assert fixed_point_check(P23, 10, 2)
+        assert fixed_points(P23, 10, 2)
 
     @pytest.mark.parametrize("p", [P23, P34])
     def test_all_divisors(self, p):
         for m in range(1, 11):
             for s in range(1, m + 1):
                 if m % s == 0:
-                    assert fixed_point_check(p, m, s)
+                    assert fixed_points(p, m, s)
 
     def test_identity_subgroup(self):
-        assert fixed_point_check(P35, 9, 1)
+        assert fixed_points(P35, 9, 1)
 
     def test_non_divisor_rejected(self):
         with pytest.raises(PreconditionViolation):
-            fixed_point_check(P23, 6, 4)
+            fixed_points(P23, 6, 4)
+        # sigma_t must be the complex at weight m/s
+        with pytest.raises(PreconditionViolation):
+            fixed_point_check(P23, 2, build_sigma(P23, 6), build_sigma(P23, 2))
 
 
 class TestGeneratorCycle:
