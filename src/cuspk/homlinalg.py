@@ -54,6 +54,7 @@ LP certificates can be re-verified by direct substitution.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import NamedTuple
 
 from cuspk.errors import (ComplexInvalid, DimensionMismatch, NotAChainMap,
@@ -578,7 +579,10 @@ def _coreduce(rows: list, ncols: int) -> tuple:
 
     Returns the (row, column) pairs in the order taken and the indices of
     the rows left.  A column's entry count and the xor of its row indices
-    name the row of a single entry, so no column sets are built.
+    name the row of a single entry, so no column sets are built.  Columns
+    are taken first in, first out: which rows a pass leaves depends on the
+    order, and last in, first out left the Smith forms of the bar complex
+    at (2,3), m = 16 with 5.6 times the peak nonzeros (430410 to 77189).
     """
     count = [0] * ncols
     xor = [0] * ncols
@@ -587,11 +591,11 @@ def _coreduce(rows: list, ncols: int) -> tuple:
             count[c] += 1
             xor[c] ^= r
     # a count only falls, so each column passes 1 at most once
-    stack = [c for c in range(ncols) if count[c] == 1]
+    queue = deque(c for c in range(ncols) if count[c] == 1)
     alive = [True] * len(rows)
     pairs = []
-    while stack:
-        c = stack.pop()
+    while queue:
+        c = queue.popleft()
         if count[c] != 1:
             continue
         r = xor[c]
@@ -603,7 +607,7 @@ def _coreduce(rows: list, ncols: int) -> tuple:
             count[c2] -= 1
             xor[c2] ^= r
             if count[c2] == 1:
-                stack.append(c2)
+                queue.append(c2)
     return pairs, [r for r, keep in enumerate(alive) if keep]
 
 
