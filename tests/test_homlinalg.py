@@ -210,14 +210,6 @@ class TestCoreduction:
         assert pairs == [(0, 0)]
         assert factors == smith_normal_form(M).diag == [1, 1, 6]
 
-    def test_unit_triangle_cascades_through(self):
-        n = 12
-        M = SparseIntMatrix(n, n, {(r, c): 1 if r == c else (-1) ** (r + c)
-                                   for r in range(n) for c in range(r, n)})
-        pairs, factors = coreduced_factors(M)
-        assert pairs == [(i, i) for i in range(n)]
-        assert factors == [1] * n
-
     @given(dense_matrices(max_dim=6, entries=SPARSE))
     @settings(max_examples=300, deadline=None)
     def test_same_factors_as_the_whole_matrix(self, dense):
@@ -564,8 +556,8 @@ class TestConstructionOracle:
         bounds = {**C.boundaries, q: SparseIntMatrix(d.nrows, d.ncols, entries)}
         bad = failing_square(bounds)
         if bad is None:
-            assert homology(ChainComplex(C.basis, bounds)) == \
-                reference_homology(ChainComplex(C.basis, bounds))
+            perturbed = ChainComplex(C.basis, bounds)
+            assert homology(perturbed) == reference_homology(perturbed)
         else:
             with pytest.raises(ComplexInvalid, match=f"^d_{bad} ∘ d_{bad + 1} != 0$"):
                 ChainComplex(C.basis, bounds)
