@@ -28,6 +28,7 @@ import csv
 import json
 import os
 import sys
+from functools import cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -72,7 +73,11 @@ def _row_key(row):
 
 # ---------------------------------------------------------------------------
 # suite cells; each returns a list of rows and never raises, and imports
-# its toolkit module itself, so that a suite loads only what it runs
+# its toolkit module itself, so that a suite loads only what it runs.  A
+# cell that builds models shares them among its statements through a
+# `cache` local to the cell, so nothing outlives the cell; `cache` keeps
+# no exception, so a build that raises runs again for the next statement,
+# which then fails or skips the same way
 
 
 def _cell_semigroup(a, b, m_max, r_max):
@@ -174,17 +179,7 @@ def _cell_prop51(a, b, m):
     pr = Params(a, b)
     rows = []
     at = {"a": a, "b": b, "m": m}
-    built = {}
-
-    def model(build):
-        """build(pr, m), run once per cell, so that the statements share
-        the cell's models and nothing outlives the cell.  A build that
-        raises is run again by the next statement, which then fails or
-        skips the same way."""
-        if build not in built:
-            built[build] = build(pr, m)
-        return built[build]
-
+    model = cache(lambda build: build(pr, m))
     _attempt(rows, "prop51", "triple-agreement",
              lambda: ("pass", {"homology": str(ty_agreement_check(
                  pr, m, model(relative_bar_complex), model(relative_cone)))}),
@@ -205,16 +200,7 @@ def _cell_conjb(a, b, m, budget):
     pr = Params(a, b)
     rows = []
     at = {"a": a, "b": b, "m": m}
-    built = {}
-
-    def sigma(t):
-        """build_sigma(pr, t, budget), run once per cell for each t that
-        divides m, so that the statements share the cell's complexes and
-        none outlives the cell.  A build that raises is run again by the
-        next statement, which then skips the same way."""
-        if t not in built:
-            built[t] = build_sigma(pr, t, budget)
-        return built[t]
+    sigma = cache(lambda t: build_sigma(pr, t, budget))
 
     def evidence():
         rep = conjecture_b_homology_check(pr, m, sigma(m))

@@ -11,9 +11,9 @@ be played against each other:
   0 <= c_1 < ... < c_q < m of Z/m with c_1 = m_0 and c_{i+1} - c_i = m_i,
   held as an int mask.  Face d_i (i < q) removes c_{i+1}, the cyclic face
   d_q removes c_q and rotates by m - c_q, and B sums the rotations that
-  move each point of {0} + cuts to 0.  Cut tuples enumerated as
-  combinations(range(m), q) come in the sorted order of the tuples, so
-  the labels stay the tuples;
+  move each point of {0} + cuts to 0.  The masks are the basis labels;
+  enumerated as combinations(range(m), q), they come in the sorted order
+  of the tuples;
 
 * a small curve-vs-line model: the Koszul-style complex on generators
   x, y, dx, dy and divided powers z^[r] of the relation (weight ab,
@@ -41,8 +41,7 @@ sum over its weights.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
-from operator import sub
+from itertools import combinations
 
 from cuspk.errors import PreconditionViolation, ResourceBound, TheoremViolation
 from cuspk.homlinalg import (
@@ -53,14 +52,15 @@ from cuspk.homlinalg import (
     homology,
     mapping_cone,
 )
-from cuspk.semigroup import Params, ell, member_table
+from cuspk.semigroup import Params, ell, mask_vertices, member_table, rotate_mask
 
 BAR_WEIGHT_LIMIT = 16
 
 
 def _bar_cells(p: Params, m: int) -> dict:
-    """Degree q -> (cut tuples, cut masks) of the relative basis, sorted;
-    bit c of a mask is the cut c (see the module docstring)."""
+    """Degree q -> cut masks of the relative basis, in the order of
+    combinations(range(m), q); bit c of a mask is the cut c (see the
+    module docstring)."""
     if m < 1:
         raise ValueError("weight must be positive")
     if m > BAR_WEIGHT_LIMIT:
@@ -68,9 +68,9 @@ def _bar_cells(p: Params, m: int) -> dict:
             f"bar complex in weight {m} has 2^{m} chains; limit is {BAR_WEIGHT_LIMIT}")
     member = member_table(p, m)
     bit = [1 << c for c in range(m)].__getitem__
-    out: dict[int, tuple] = {}
+    out: dict[int, list] = {}
     for q in range(m + 1):
-        cuts = []
+        masks = []
         for c in combinations(range(m), q):
             # skip the cut sets whose every part lies in <a, b>
             prev = 0
@@ -81,52 +81,31 @@ def _bar_cells(p: Params, m: int) -> dict:
             else:
                 if member[m - prev]:
                     continue
-            cuts.append(c)
-        if cuts:
-            out[q] = cuts, [sum(map(bit, c)) for c in cuts]
+            masks.append(sum(map(bit, c)))
+        if masks:
+            out[q] = masks
     return out
-
-
-def _rotate(mask: int, s: int, m: int) -> int:
-    """Move every cut of the mask by +s on Z/m."""
-    return ((mask << s) | (mask >> (m - s))) & ((1 << m) - 1)
 
 
 def relative_bar_complex(p: Params, m: int) -> ChainComplex:
     """The relative bar complex in weight m, from one enumeration of its
-    cells.  Its basis in degree q is the sorted tuples (m_0, ..., m_q),
-    m_0 >= 0, rest >= 1, summing to m and not entirely inside <a, b>.
-    Face d_i (i < q) drops cut c_{i+1}; the cyclic face d_q drops c_q and
-    rotates the rest by m - c_q."""
-    cells = _bar_cells(p, m)
+    cells.  Its basis in degree q is the cut masks of the tuples
+    (m_0, ..., m_q), m_0 >= 0, rest >= 1, summing to m and not entirely
+    inside <a, b>, in the sorted order of the tuples.  Face d_i (i < q)
+    drops the cut c_{i+1} with sign (-1)^i; the cyclic face d_q drops the
+    top cut c_q and rotates the rest by m - c_q."""
+    basis = _bar_cells(p, m)
 
-    def faces(cell):
-        cuts, mask = cell
-        q = len(cuts)
+    def faces(mask):
+        cuts = mask_vertices(mask)
         for i, c in enumerate(cuts):
             yield mask ^ (1 << c), -1 if i & 1 else 1
-        last = cuts[-1]
-        yield _rotate(mask ^ (1 << last), m - last, m), -1 if q & 1 else 1
+        top = cuts[-1]
+        yield rotate_mask(mask ^ (1 << top), m, m - top), -1 if len(cuts) & 1 else 1
 
-    boundaries = {q: SparseIntMatrix.of_map(
-        cells[q - 1][1], list(zip(*cells[q])), faces)
-        for q in cells if q - 1 in cells}
-    basis = {q: [tuple(map(sub, c + (m,), (0,) + c)) for c in cuts]
-             for q, (cuts, _) in cells.items()}
-    # construction factors every boundary; the cuts and masks are not
-    # needed for that, so they do not add to the peak
-    del cells
+    boundaries = {q: SparseIntMatrix.of_map(basis[q - 1], basis[q], faces)
+                  for q in basis if q - 1 in basis}
     return ChainComplex(basis, boundaries)
-
-
-def _cells_of(bar: ChainComplex, q: int) -> list:
-    """(cuts, mask) of every degree-q label of the bar complex: the cuts
-    of (m_0, ..., m_q) are its partial sums m_0, m_0 + m_1, ..."""
-    out = []
-    for t in bar.basis.get(q, ()):
-        cuts = tuple(accumulate(t[:-1]))
-        out.append((cuts, sum(1 << c for c in cuts)))
-    return out
 
 
 def connes_matrix(bar: ChainComplex, m: int, q: int) -> SparseIntMatrix:
@@ -138,18 +117,18 @@ def connes_matrix(bar: ChainComplex, m: int, q: int) -> SparseIntMatrix:
     kills everything when x_0 = 0.  On cut sets: the i-th term rotates
     the points {0, c_1, ..., c_q} so that the i-th of them sits at 0.
     """
-    def image(cell):
-        cuts, mask = cell
+    sign = -1 if q & 1 else 1
+
+    def image(mask):
         if mask & 1:
             return
         points = mask | 1
         yield points, 1
-        sign = -1 if q & 1 else 1
-        for i, c in enumerate(cuts, 1):
-            yield _rotate(points, m - c, m), sign if i & 1 else 1
+        for i, c in enumerate(mask_vertices(mask), 1):
+            yield rotate_mask(points, m, m - c), sign if i & 1 else 1
 
-    return SparseIntMatrix.of_map([mask for _, mask in _cells_of(bar, q + 1)],
-                                  _cells_of(bar, q), image)
+    return SparseIntMatrix.of_map(bar.basis.get(q + 1, []), bar.basis.get(q, []),
+                                  image)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ which equals the number of integers in the open interval (c*m/a, d*m/b)
 for any Bezout pair a*d - b*c = 1.  Truncation sets S(a, b, r) collect the
 m with ell(a, b, m) <= r; they are finite and closed under divisors, which
 is what makes the Witt-group computations in :mod:`cuspk.wittlab` finite.
+
+The bar complex of :mod:`cuspk.cyclicbar` and the gap complex of
+:mod:`cuspk.simplicialx` both hold a cell as a set of points of Z/m, an
+int mask; the two mask helpers live here, beside `member_table`, which
+both complexes read.
 """
 
 from __future__ import annotations
@@ -103,6 +108,23 @@ def member_table(p: Params, m: int) -> tuple:
     """is_member(p, g) for g = 0, ..., m, built once per (p, m): the gap
     and bar complexes of weight m look every part up here."""
     return tuple(is_member(p, g) for g in range(m + 1))
+
+
+def mask_vertices(mask: int) -> tuple[int, ...]:
+    """Points of a mask, ascending: bit e is the point e."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def rotate_mask(mask: int, m: int, k: int = 1) -> int:
+    """Add k to every point mod m."""
+    k %= m
+    full = (1 << m) - 1
+    return ((mask << k) | (mask >> (m - k))) & full if k else mask
 
 
 class TruncationSet:

@@ -6,13 +6,13 @@ the quotient space is computed from the subcomplex alone: the simplex is
 contractible, so the long exact sequence of the pair gives
 H_q(simplex, subcomplex) = H~_{q-1}(subcomplex) over Z, torsion included,
 and the augmented chain complex of the subcomplex, with its empty face in
-degree 0, has exactly these groups.  The relative chain complex on the
-faces outside the subcomplex, some 2^m of them, stays for the explicit
-degree-2 generator of the rank-one regime, which is a relative chain.  The
-module also houses the closed-form homology of the comparison space and
-the fixed-point bijection for subgroups of C_m.  It compares spaces only:
-the circle-level statement (Proposition 5.1) is checked in `cyclicbar`,
-which this module does not import.
+degree 0, has exactly these groups.  The explicit degree-2 generator of
+the rank-one regime is a relative chain; the connecting map of the pair
+checks it on the 2-skeleton of the subcomplex.  The module also houses the
+closed-form homology of the comparison space and the fixed-point
+bijection for subgroups of C_m.  It compares spaces only: the
+circle-level statement (Proposition 5.1) is checked in `cyclicbar`, which
+this module does not import.
 """
 
 from __future__ import annotations
@@ -24,21 +24,14 @@ from typing import NamedTuple
 from .errors import (DEFAULT_BUDGET, PreconditionViolation, ResourceBound,
                      TheoremViolation)
 from .homlinalg import ChainComplex, HomologySummary, SparseIntMatrix, homology
-from .semigroup import Params, ell, member_table, weights
+from .semigroup import (Params, ell, mask_vertices, member_table,
+                        rotate_mask, weights)
 
 # Faces are bitmasks over the exponents {0, ..., m-1}.  The budget
-# DEFAULT_BUDGET caps the 2^m subsets of C_m; the gap subcomplex is built
-# without visiting them, but weights past the budget stay refused.
-
-
-def mask_vertices(mask: int) -> tuple[int, ...]:
-    """Exponents of a face mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+# DEFAULT_BUDGET caps the subsets of C_m that a builder could visit:
+# build_sigma refuses a weight past it by its 2^m subsets, though it visits
+# only the faces, and generator_cycle by the subsets of at most three
+# vertices, which it enumerates.
 
 
 def vertices_mask(vertices) -> int:
@@ -48,26 +41,16 @@ def vertices_mask(vertices) -> int:
     return mask
 
 
-def rotate_mask(mask: int, m: int, k: int = 1) -> int:
-    """Add k to every exponent mod m."""
-    k %= m
-    full = (1 << m) - 1
-    return ((mask << k) | (mask >> (m - k))) & full if k else mask
-
-
-def vertex_gaps(vs: tuple, m: int) -> tuple[int, ...]:
-    """Successive differences of ascending exponents, read cyclically.
+def cyclic_gaps(mask: int, m: int) -> tuple[int, ...]:
+    """The cyclic gaps of a face mask: successive differences of its
+    ascending exponents, read cyclically.
 
     A single vertex has the one gap m; the gaps of any face sum to m.
     """
+    vs = mask_vertices(mask)
     if not vs:
         raise ValueError("empty face has no gaps")
     return tuple(vs[i + 1] - vs[i] for i in range(len(vs) - 1)) + (m - vs[-1] + vs[0],)
-
-
-def cyclic_gaps(mask: int, m: int) -> tuple[int, ...]:
-    """The cyclic gaps of a face mask."""
-    return vertex_gaps(mask_vertices(mask), m)
 
 
 class CmComplex:
@@ -127,32 +110,6 @@ def _face_boundary(mask: int):
             for i, e in enumerate(mask_vertices(mask)))
 
 
-def _relative_complex(p: Params, m: int, degrees, budget: int) -> ChainComplex:
-    """Chain complex of the quotient of the full simplex by the gap subcomplex.
-
-    Degree-q basis: the (q+1)-element subsets of C_m outside the subcomplex.
-    Boundary faces that land in the subcomplex are dropped.  Only the listed
-    degrees are materialised, so generator checks at large m stay cheap.
-    Over all degrees this has the homology of `x_complex`, from about 2^m
-    faces instead of the subcomplex's.
-    """
-    degrees = sorted(degrees)
-    cost = sum(comb(m, q + 1) for q in degrees)
-    if cost > budget:
-        raise ResourceBound(f"{cost} basis faces exceed the budget of {budget}")
-    rep = member_table(p, m)
-
-    def outside(vs):
-        return not all(rep[g] for g in vertex_gaps(vs, m))
-
-    basis = {q: sorted(vertices_mask(c) for c in combinations(range(m), q + 1)
-                       if outside(c))
-             for q in degrees}
-    boundaries = {q: SparseIntMatrix.of_map(basis[q - 1], basis[q], _face_boundary)
-                  for q in degrees if q - 1 in basis}
-    return ChainComplex(basis, boundaries)
-
-
 def x_complex(sigma: CmComplex) -> ChainComplex:
     """Augmented chain complex of the gap subcomplex sigma, graded by
     vertex count.
@@ -161,8 +118,7 @@ def x_complex(sigma: CmComplex) -> ChainComplex:
     degree q, so H_q of this complex is the reduced homology of the gap
     subcomplex one degree down.  The full simplex on C_m is contractible,
     so the long exact sequence of the pair makes that the relative
-    homology H_q of the simplex modulo the subcomplex, torsion included;
-    `_relative_complex` computes the same groups from the faces outside.
+    homology H_q of the simplex modulo the subcomplex, torsion included.
     When m is not representable the subcomplex is empty and H_0 = Z.
     """
     basis = {0: [0]}
@@ -269,8 +225,9 @@ def generator_cycle(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> dict:
     congruence holds; triangles lying in the gap subcomplex vanish in the
     quotient and are omitted from the returned mask-to-sign mapping.
 
-    Asserts that the chain is a cycle and that its class generates the
-    degree-2 homology, which is checked to be free of rank one.
+    Checks that the chain is a relative cycle whose class generates the
+    degree-2 homology, which is checked to be free of rank one (see
+    `_check_generator`).
     """
     a, b = p.a, p.b
     if ell(p, m) != 1:
@@ -294,25 +251,51 @@ def generator_cycle(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> dict:
             mask = vertices_mask((0, t1, t2))
             if not face_in_sigma(p, m, mask):
                 chain[mask] = 1 if diff == l else -1
-    C = _relative_complex(p, m, (1, 2, 3), budget)
-    vec = C.vector_from_chain(2, chain)
-    if any(C.boundary(2).matvec(vec)):
+    _check_generator(p, m, chain, budget)
+    return chain
+
+
+def _check_generator(p: Params, m: int, chain: dict, budget: int) -> None:
+    """Raise TheoremViolation unless the triangle chain is a relative cycle
+    of the simplex modulo sigma whose class generates H_2 = Z.
+
+    The simplex is contractible, so the connecting map takes H_2(simplex,
+    sigma) onto H~_1(sigma), and sends a relative cycle to its simplicial
+    boundary.  So the chain is a relative cycle exactly when every edge of
+    its boundary lies in sigma, and it generates exactly when that edge
+    cycle generates H~_1(sigma), which is H_2 of the augmented complex of
+    sigma's 2-skeleton.  The skeleton is read off the subsets of at most
+    three vertices, which the budget counts.
+    """
+    a, b = p.a, p.b
+    cost = m + comb(m, 2) + comb(m, 3)
+    if cost > budget:
+        raise ResourceBound(f"{cost} subsets exceed the budget of {budget}")
+    skeleton = frozenset(mask for k in (1, 2, 3)
+                         for mask in map(vertices_mask, combinations(range(m), k))
+                         if face_in_sigma(p, m, mask))
+    edges = {}
+    for triangle, sign in chain.items():
+        for edge, s in _face_boundary(triangle):
+            edges[edge] = edges.get(edge, 0) + sign * s
+    edges = {e: c for e, c in edges.items() if c}
+    if not edges.keys() <= skeleton:
         raise TheoremViolation(f"generator chain at (a,b,m)=({a},{b},{m}) "
                                "is not a cycle")
-    if homology(C).group(2) != (1, ()):
+    X = x_complex(CmComplex(m, skeleton))
+    if homology(X).group(2) != (1, ()):
         raise TheoremViolation(f"degree-2 homology at (a,b,m)=({a},{b},{m}) "
                                "is not free of rank one")
-    # quotient by the chain: append it as an extra degree-3 column and
+    # quotient by the edge cycle: append it as an extra degree-3 column and
     # demand that degree-2 homology dies
-    aug = dict(C.boundary(3).entries())
-    extra = C.dim(3)
-    for r, v in enumerate(vec):
+    aug = dict(X.boundary(3).entries())
+    extra = X.dim(3)
+    for r, v in enumerate(X.vector_from_chain(2, edges)):
         if v:
             aug[(r, extra)] = v
-    basis = {1: C.basis[1], 2: C.basis[2], 3: list(C.basis[3]) + ["cycle"]}
-    bounds = {2: C.boundary(2),
-              3: SparseIntMatrix(C.dim(2), extra + 1, aug)}
+    basis = {1: X.basis[1], 2: X.basis[2], 3: X.basis.get(3, []) + ["cycle"]}
+    bounds = {2: X.boundary(2),
+              3: SparseIntMatrix(X.dim(2), extra + 1, aug)}
     if homology(ChainComplex(basis, bounds)).group(2) != (0, ()):
         raise TheoremViolation(f"chain at (a,b,m)=({a},{b},{m}) does not "
                                "generate the degree-2 homology")
-    return chain

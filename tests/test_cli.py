@@ -99,8 +99,8 @@ class TestVerify:
             assert (once / name).read_bytes() == (twice / name).read_bytes()
 
     def test_conjb_does_not_build_bar_complexes(self, tmp_path, monkeypatch):
-        # (3, 7) is built by no other test, so no cached bar basis hides
-        # the lowered limit
+        # any bar complex past weight 4 raises under the lowered limit, and
+        # its statement would be a skipped row
         monkeypatch.setattr(cyclicbar, "BAR_WEIGHT_LIMIT", 4)
         code, out = run(tmp_path, "verify", "conjB", "--a", "3", "--b", "7",
                         "--m-max", "6")

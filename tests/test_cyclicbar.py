@@ -37,8 +37,19 @@ def H(mapping):
     return HomologySummary.of(mapping)
 
 
+def parts(mask, m):
+    """The part tuple (m_0, ..., m_q) of a cut mask in weight m."""
+    cuts = [c for c in range(m) if mask >> c & 1]
+    return tuple(y - x for x, y in zip([0] + cuts, cuts + [m]))
+
+
+def tuple_basis(C, m):
+    """The basis of a bar complex in weight m, labelled by part tuples."""
+    return {q: [parts(mask, m) for mask in masks] for q, masks in C.basis.items()}
+
+
 def bar_basis(p, m):
-    return relative_bar_complex(p, m).basis
+    return tuple_basis(relative_bar_complex(p, m), m)
 
 
 def bar_homology(p, m):
@@ -53,8 +64,8 @@ def to_dense(M):
     return [[M.row(r).get(c, 0) for c in range(M.ncols)] for r in range(M.nrows)]
 
 
-# reference implementations on part tuples (m_0, ..., m_q), which the cut
-# masks of cyclicbar replace
+# reference implementations on part tuples (m_0, ..., m_q); cyclicbar
+# labels its cells by cut masks, which `parts` maps to these tuples
 
 
 def _compositions(total: int, parts: int):
@@ -160,8 +171,8 @@ class TestBarComplex:
     def test_boundaries_match_an_entries_dict(self, a, b):
         p = Params(a, b)
         for m in range(1, 9):
-            basis = bar_basis(p, m)
             C = relative_bar_complex(p, m)
+            basis = tuple_basis(C, m)
             for q in basis:
                 if q - 1 not in basis:
                     continue
@@ -179,7 +190,7 @@ class TestConnesOperator:
         p = Params(a, b)
         for m in range(1, 9):
             C = relative_bar_complex(p, m)
-            basis = C.basis
+            basis = tuple_basis(C, m)
             for q in range(-1, m + 1):
                 want = entries_matrix(basis.get(q + 1, []), basis.get(q, []),
                                       _connes_terms)

@@ -1,13 +1,16 @@
-from math import gcd
+from itertools import combinations
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import cuspk.simplicialx as sx
-from cuspk.errors import DEFAULT_BUDGET, PreconditionViolation, ResourceBound
-from cuspk.homlinalg import HomologySummary, homology
-from cuspk.semigroup import Params, is_member
+from cuspk.errors import (DEFAULT_BUDGET, PreconditionViolation, ResourceBound,
+                          TheoremViolation)
+from cuspk.homlinalg import (ChainComplex, HomologySummary, SparseIntMatrix,
+                             homology)
+from cuspk.semigroup import Params, ell, is_member, member_table
 from cuspk.simplicialx import (CmComplex, build_sigma,
                                conjecture_b_homology_check, cyclic_gaps,
                                expected_y_homology, face_in_sigma,
@@ -47,6 +50,32 @@ def check_invariants(cx):
             for e in mask_vertices(f):
                 if f ^ (1 << e) not in cx.faces:
                     raise AssertionError(f"face {bin(f)} breaks subset closure")
+
+
+def _relative_complex(p, m, degrees, budget):
+    """Chain complex of the quotient of the full simplex by the gap subcomplex.
+
+    Degree-q basis: the (q+1)-element subsets of C_m outside the subcomplex.
+    Boundary faces that land in the subcomplex are dropped.  Only the listed
+    degrees are materialised, so generator checks at large m stay cheap.
+    Over all degrees this has the homology of `x_complex`, from about 2^m
+    faces instead of the subcomplex's.
+    """
+    degrees = sorted(degrees)
+    cost = sum(comb(m, q + 1) for q in degrees)
+    if cost > budget:
+        raise ResourceBound(f"{cost} basis faces exceed the budget of {budget}")
+    rep = member_table(p, m)
+
+    def outside(vs):
+        return not all(rep[g] for g in cyclic_gaps(vertices_mask(vs), m))
+
+    basis = {q: sorted(vertices_mask(c) for c in combinations(range(m), q + 1)
+                       if outside(c))
+             for q in degrees}
+    boundaries = {q: SparseIntMatrix.of_map(basis[q - 1], basis[q], sx._face_boundary)
+                  for q in degrees if q - 1 in basis}
+    return ChainComplex(basis, boundaries)
 
 
 class TestMasks:
@@ -133,7 +162,7 @@ class TestXHomology:
     def test_matches_the_relative_complex(self, p):
         # the gap subcomplex's augmented complex against the faces outside it
         for m in range(1, 13):
-            want = homology(sx._relative_complex(p, m, range(m), DEFAULT_BUDGET))
+            want = homology(_relative_complex(p, m, range(m), DEFAULT_BUDGET))
             assert x_homology(build_sigma(p, m)) == want
         # m = 1 is not representable: the subcomplex is empty
         assert x_homology(build_sigma(p, 1)) == H({0: (1, ())})
@@ -214,6 +243,52 @@ class TestFixedPoints:
             fixed_point_check(P23, 2, build_sigma(P23, 6), build_sigma(P23, 2))
 
 
+# generator chains with one defect each, which the check must reject
+MUTANTS = {
+    "sign flipped": lambda chain: {**chain, min(chain): -chain[min(chain)]},
+    "doubled": lambda chain: {k: 2 * v for k, v in chain.items()},
+    "triangle dropped": lambda chain: {k: v for k, v in chain.items()
+                                       if k != min(chain)},
+}
+# the check's three ways to reject a chain, by the end of its message
+REJECTIONS = ("is not a cycle", "is not free of rank one",
+              "does not generate the degree-2 homology")
+
+
+def connecting_verdict(p, m, chain):
+    """The rejection that generator_cycle's check gives a chain, or None."""
+    try:
+        sx._check_generator(p, m, chain, DEFAULT_BUDGET)
+    except TheoremViolation as exc:
+        return next(r for r in REJECTIONS if str(exc).endswith(r))
+    return None
+
+
+def relative_verdicts(p, m, chains):
+    """The same verdicts on the relative complex of the pair in degrees
+    1-3: a relative cycle, H_2 = Z, and generation, checked by appending
+    the chain as a degree-3 column that must kill H_2."""
+    C = _relative_complex(p, m, (1, 2, 3), DEFAULT_BUDGET)
+    free = homology(C).group(2) == (1, ())
+    out = []
+    for chain in chains:
+        vec = C.vector_from_chain(2, chain)
+        if any(C.boundary(2).matvec(vec)):
+            out.append(REJECTIONS[0])
+            continue
+        if not free:
+            out.append(REJECTIONS[1])
+            continue
+        aug = dict(C.boundary(3).entries())
+        aug.update(((r, C.dim(3)), v) for r, v in enumerate(vec) if v)
+        basis = {1: C.basis[1], 2: C.basis[2], 3: C.basis[3] + ["cycle"]}
+        bounds = {2: C.boundary(2),
+                  3: SparseIntMatrix(C.dim(2), C.dim(3) + 1, aug)}
+        killed = homology(ChainComplex(basis, bounds)).group(2) == (0, ())
+        out.append(None if killed else REJECTIONS[2])
+    return out
+
+
 class TestGeneratorCycle:
     def test_pentagon_chain(self):
         chain = generator_cycle(P23, 5)
@@ -248,3 +323,40 @@ class TestGeneratorCycle:
     def test_preconditions(self, m):
         with pytest.raises(PreconditionViolation):
             generator_cycle(P23, m)
+
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    @pytest.mark.parametrize("p,m", [(P23, 5), (P34, 7), (P35, 16)],
+                             ids=["2,3,5", "3,4,7", "3,5,16"])
+    def test_mutants_are_rejected(self, p, m, mutant):
+        # a flipped sign or a dropped triangle leaves an edge of the boundary
+        # outside sigma; the doubled chain is twice the generator
+        at = f"(a,b,m)=({p.a},{p.b},{m})"
+        want = {"sign flipped": f"generator chain at {at} is not a cycle",
+                "doubled": f"chain at {at} does not generate the degree-2 homology",
+                "triangle dropped": f"generator chain at {at} is not a cycle"}
+        chain = MUTANTS[mutant](generator_cycle(p, m))
+        with pytest.raises(TheoremViolation) as exc:
+            sx._check_generator(p, m, chain, DEFAULT_BUDGET)
+        assert str(exc.value) == want[mutant]
+
+    def test_relative_complex_gives_the_same_verdicts(self):
+        # acceptance test 06's grid, on the generator and its mutants: the
+        # connecting map against the relative complex of the pair
+        ran = 0
+        for p in (P23, P25, P34, P35):
+            for m in range(1, 4 * p.a * p.b + 1):
+                if m % p.a == 0 or m % p.b == 0 or ell(p, m) != 1:
+                    continue
+                chain = generator_cycle(p, m)
+                chains = [chain] + [mutate(chain) for mutate in MUTANTS.values()]
+                verdicts = [connecting_verdict(p, m, c) for c in chains]
+                assert verdicts[0] is None and None not in verdicts[1:]
+                assert relative_verdicts(p, m, chains) == verdicts
+                ran += 1
+        assert ran == 2 + 4 + 6 + 8
+
+    def test_budget_counts_faces_of_at_most_three_vertices(self):
+        # 5 + 10 + 10 subsets of at most three vertices at m = 5
+        assert generator_cycle(P23, 5, budget=25)
+        with pytest.raises(ResourceBound, match="^25 subsets exceed"):
+            generator_cycle(P23, 5, budget=24)
