@@ -22,9 +22,9 @@ UNSUPPORTED = "UNSUPPORTED"
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
 
-# simplicialx refuses a weight m unless the caller raises the budget past
-# the subsets of C_m a builder could visit: build_sigma counts all 2^m, and
-# generator_cycle the m + C(m,2) + C(m,3) of at most three vertices
+# the most subsets of C_m that a simplicialx builder counts before it
+# refuses the weight m: build_sigma counts all 2^m, generator_cycle the
+# m + C(m,2) + C(m,3) of at most three vertices
 DEFAULT_BUDGET = 1 << 19
 
 
