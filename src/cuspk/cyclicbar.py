@@ -365,36 +365,25 @@ def _require_nondivisible(p: Params, m: int) -> None:
             f"the factor statement needs a and b both prime to m, got ({p.a},{p.b},{m})")
 
 
-def _single_free_generator(eng: HomologyEngine, q: int):
-    gens = eng.generators(q)
-    if [o for o, _ in gens] != [0]:
-        raise TheoremViolation(
-            f"H_{q} = {eng.group(q)} is not infinite cyclic as required")
-    return gens[0][1]
-
-
-def _factor(eng: HomologyEngine, q: int, image: dict, name: str, m: int) -> int:
-    """The coefficient of the image of a generator in the generator of
-    H_q = Z; it must be +-m.  An image that is no cycle breaks the
-    operator's anticommutation with the boundary."""
-    C = eng.C
-    if any(C.boundary(q).matvec(C.vector_from_chain(q, image))):
-        raise TheoremViolation(f"{name} image is not a cycle in degree {q}")
-    _single_free_generator(eng, q)
-    (c,) = eng.coordinates(q, image)
-    if abs(c) != m:
-        raise TheoremViolation(f"{name} factor {c}, expected +-{m}")
-    return c
-
-
 def _operator_factor(C: ChainComplex, op: SparseIntMatrix, q: int, name: str,
                      m: int) -> int:
     """Push the generator of H_q(C) = Z through op : C_q -> C_{q+1} and
-    return its coefficient in the generator of H_{q+1}(C) = Z, +-m."""
+    return its coefficient in the generator of H_{q+1}(C) = Z; it must be
+    +-m.  An image that is no cycle breaks the operator's anticommutation
+    with the boundary."""
     eng = HomologyEngine(C)
-    g = _single_free_generator(eng, q)
-    img = C.chain_from_vector(q + 1, op.matvec(C.vector_from_chain(q, g)))
-    return _factor(eng, q + 1, img, name, m)
+    for d in (q, q + 1):
+        if eng.group(d) != (1, ()):
+            raise TheoremViolation(
+                f"H_{d} = {eng.group(d)} is not infinite cyclic as required")
+    ((_, g),) = eng.generators(q)
+    image = op.matvec(C.vector_from_chain(q, g))
+    if any(C.boundary(q + 1).matvec(image)):
+        raise TheoremViolation(f"{name} image is not a cycle in degree {q + 1}")
+    (c,) = eng.coordinates(q + 1, C.chain_from_vector(q + 1, image))
+    if abs(c) != m:
+        raise TheoremViolation(f"{name} factor {c}, expected +-{m}")
+    return c
 
 
 def connes_factor_bar(p: Params, m: int, bar: ChainComplex) -> int:
@@ -421,17 +410,17 @@ def connes_factor_small(p: Params, m: int, cone: ChainComplex) -> int:
     cone boundary because d_R f = f d_R, so it maps cycles to cycles.
 
     In degree 2l+1 the cone is Z with zero boundary, so every image there
-    is a cycle and `_factor`'s cycle check is only a guard.  Proof: with m
-    prime to a and b, m = ai + bj has no solution with i = 0 or j = 0, so
-    it has exactly l solutions with i, j >= 0, and so has m - a - b.
-    Subtracting ab removes one solution (the one with j < a) while there
-    is one, so m - ab*l is no member of the semigroup and, for l >= 1,
-    m - a - b - ab*(l-1) has exactly one solution.  Hence curve degree 2l
-    has no label x^i y^j z^[l] and, for l >= 1, exactly one label
-    x^i y^j dx dy z^[l-1]; the line block reaches cone degree 2l+1 only
-    at l = 0, with t^{m-1} dt.  The boundary of the one label vanishes:
-    dx dy times a one-form is 0, f is 0 in curve degrees >= 2, and the
-    line model has no boundary.
+    is a cycle and `_operator_factor`'s cycle check is only a guard.
+    Proof: with m prime to a and b, m = ai + bj has no solution with i = 0
+    or j = 0, so it has exactly l solutions with i, j >= 0, and so has
+    m - a - b.  Subtracting ab removes one solution (the one with j < a)
+    while there is one, so m - ab*l is no member of the semigroup and, for
+    l >= 1, m - a - b - ab*(l-1) has exactly one solution.  Hence curve
+    degree 2l has no label x^i y^j z^[l] and, for l >= 1, exactly one
+    label x^i y^j dx dy z^[l-1]; the line block reaches cone degree 2l+1
+    only at l = 0, with t^{m-1} dt.  The boundary of the one label
+    vanishes: dx dy times a one-form is 0, f is 0 in curve degrees >= 2,
+    and the line model has no boundary.
     """
     _require_nondivisible(p, m)
     q = 2 * ell(p, m)

@@ -5,9 +5,12 @@ sparse integer matrices, Smith normal form with the unimodular
 transforms of one side, chain complexes with integral homology (ranks,
 torsion and generator lifts) and mapping cones.  A cone takes its map as
 degreewise matrices and needs no separate chain-map check: its own d ∘ d
-check is that check.  The LP helpers at the end wrap the
+check is that check.  The LP helpers at the end (`lp_separate`,
+`lp_optimize`, `feasibility_certificate` and `SeparationResult`) wrap the
 simplex tableau of `cuspk.exactlp`, imported on first use, as `fractions`
-is, so that the homology suites load neither.
+is, so that the homology suites load neither.  Nothing under `src/` calls
+them; they stay only as targets of `perfbench/tracer.py` until the next
+benchmark change.
 
 The Smith form needs no divisibility repair: the elimination extracts
 its pivots in an order where each divides the next (unit pivots first,
@@ -196,11 +199,23 @@ class SNFResult:
         return len(self.diag)
 
 
+def _axpy(dst: dict, src: dict, t: int) -> None:
+    """dst += t * src on sparse {index: value} dicts; zeros leave no key."""
+    for k, v in src.items():
+        nv = dst.get(k, 0) + t * v
+        if nv:
+            dst[k] = nv
+        elif k in dst:
+            del dst[k]
+
+
 class _SnfWork:
     """Mutable elimination state; transforms tracked in op-friendly layouts.
 
     left tracks U and U^-1 through the row operations, right tracks V and
-    V^-1 through the column operations.
+    V^-1 through the column operations.  A column operation only records
+    V: the elimination makes its effect on the matrix, a reduction of the
+    pivot row modulo the pivot, in place in every mode.
     """
 
     def __init__(self, matrix: SparseIntMatrix, left: bool, right: bool):
@@ -218,8 +233,6 @@ class _SnfWork:
             self.Vc = [{i: 1} for i in range(self.n)]   # V, column-major
             self.Vir = [{i: 1} for i in range(self.n)]  # Vinv, row-major
 
-    # -- primitive operations; every mutation of the matrix goes through these
-
     def row_add(self, r1: int, r2: int, t: int) -> None:
         # row r1 += t * row r2
         row2 = self.rows[r2]
@@ -235,51 +248,14 @@ class _SnfWork:
                 del row1[c]
                 cols[c].discard(r1)
         if self.left:
-            u1, u2 = self.U[r1], self.U[r2]
-            for c, v in u2.items():
-                nv = u1.get(c, 0) + t * v
-                if nv:
-                    u1[c] = nv
-                elif c in u1:
-                    del u1[c]
+            _axpy(self.U[r1], self.U[r2], t)
             # Uinv: column r2 -= t * column r1
-            c1, c2 = self.Uic[r1], self.Uic[r2]
-            for rr, v in c1.items():
-                nv = c2.get(rr, 0) - t * v
-                if nv:
-                    c2[rr] = nv
-                elif rr in c2:
-                    del c2[rr]
+            _axpy(self.Uic[r2], self.Uic[r1], -t)
 
     def col_add(self, c1: int, c2: int, t: int) -> None:
-        # col c1 += t * col c2; only a run that tracks V calls this
-        rows = self.rows
-        cols = self.cols
-        for r in list(self.cols.get(c2, ())):
-            v = rows[r][c2]
-            nv = rows[r].get(c1, 0) + t * v
-            if nv:
-                if c1 not in rows[r]:
-                    cols.setdefault(c1, set()).add(r)
-                rows[r][c1] = nv
-            elif c1 in rows[r]:
-                del rows[r][c1]
-                cols[c1].discard(r)
-        v1, v2 = self.Vc[c1], self.Vc[c2]
-        for rr, v in v2.items():
-            nv = v1.get(rr, 0) + t * v
-            if nv:
-                v1[rr] = nv
-            elif rr in v1:
-                del v1[rr]
-        # Vinv: row c2 -= t * row c1
-        r1, r2 = self.Vir[c1], self.Vir[c2]
-        for cc, v in r1.items():
-            nv = r2.get(cc, 0) - t * v
-            if nv:
-                r2[cc] = nv
-            elif cc in r2:
-                del r2[cc]
+        # V: col c1 += t * col c2; Vinv: row c2 -= t * row c1
+        _axpy(self.Vc[c1], self.Vc[c2], t)
+        _axpy(self.Vir[c2], self.Vir[c1], -t)
 
     def row_negate(self, r: int) -> None:
         self.rows[r] = {c: -v for c, v in self.rows[r].items()}
@@ -339,12 +315,13 @@ def _snf_work_run(work: _SnfWork):
             for c in list(row):
                 if c == c0:
                     continue
+                # column c0 holds only row r0, so column c -= t * column c0
+                # reduces row r0 modulo v and changes nothing else
+                t, rem = divmod(row[c], v)
                 if work.right:
-                    work.col_add(c, c0, -(row[c] // v))
-                elif row[c] % v:
-                    # column c0 holds only row r0, so the column operation
-                    # is a reduction modulo v, which col_add does too
-                    row[c] %= v
+                    work.col_add(c, c0, -t)
+                if rem:
+                    row[c] = rem
                 else:
                     del row[c]
                     cols[c].discard(r0)
@@ -422,9 +399,9 @@ def smith_normal_form(matrix: SparseIntMatrix,
 
     The matrix evolves the same way in every mode, because a column
     operation of the elimination only reduces the pivot row modulo the
-    pivot, and factor-only mode makes that reduction in place.  So a left
-    run clears rows as cheaply as factor-only mode, and the U of a left run
-    and the V of a right run satisfy U @ M @ V == D = diag(invariant
+    pivot, and every mode makes that reduction in place; column operations
+    record V only.  So every mode takes the same pivots, and the U of a
+    left run and the V of a right run satisfy U @ M @ V == D = diag(invariant
     factors) exactly.
 
     Every mode returns the pivots in the order the elimination extracts
@@ -687,14 +664,16 @@ class HomologyEngine:
             raise ComplexInvalid("boundary image is not a cycle")
         B = SparseIntMatrix._from_rows(k, image.ncols, image._rows[r:])
         rel = smith_normal_form(B, transforms="left")
+        # the kept indices i of the relation diagonal (order != 1), torsion
+        # by increasing order first, then the free ones
+        orders = rel.diag + [0] * (k - rel.rank)
+        keep = sorted(((i, o) for i, o in enumerate(orders) if o != 1),
+                      key=lambda g: (g[1] == 0, g[1]))
         # generator i is column i of U^-1 in the kernel basis, columns r..
         # of V; read only the kernel columns that some generator touches
         gens = []
         kernel = {}
-        for i in range(k):
-            order = rel.diag[i] if i < rel.rank else 0
-            if order == 1:
-                continue
+        for i, order in keep:
             vec = [0] * C.dim(q)
             for t, cval in rel.Uinv.column(i).items():
                 col = kernel.get(t)
@@ -703,17 +682,15 @@ class HomologyEngine:
                 for rowi, kval in col.items():
                     vec[rowi] += cval * kval
             gens.append((order, vec))
-        gens.sort(key=lambda g: (g[0] == 0, g[0]))
-        data = {"lower": lower, "rel": rel, "rank_lower": r, "kernel_rank": k,
+        data = {"lower": lower, "rel": rel, "rank_lower": r, "keep": keep,
                 "generators": gens}
         self._deg[q] = data
         return data
 
     def group(self, q: int) -> tuple:
-        data = self._data(q)
-        free = sum(1 for order, _ in data["generators"] if order == 0)
-        tors = tuple(sorted(order for order, _ in data["generators"] if order > 1))
-        return free, tors
+        keep = self._data(q)["keep"]
+        return (sum(1 for _, order in keep if order == 0),
+                tuple(order for _, order in keep if order))
 
     def generators(self, q: int) -> list:
         """List of (order, chain) pairs; order 0 means infinite."""
@@ -732,22 +709,12 @@ class HomologyEngine:
         if any(C.boundary(q).matvec(vec)):
             raise ValueError("chain is not a cycle")
         data = self._data(q)
-        lower, rel = data["lower"], data["rel"]
-        r, k = data["rank_lower"], data["kernel_rank"]
-        coords_full = lower.Vinv.matvec(vec)
+        r = data["rank_lower"]
+        coords_full = data["lower"].Vinv.matvec(vec)
         if any(coords_full[:r]):
             raise TheoremViolation("cycle has image in nonkernel part")
-        kc = coords_full[r:]
-        y = rel.U.matvec(kc) if k else []
-        # align with generators(): same (order, position) sort
-        coords = []
-        for i in range(k):
-            order = rel.diag[i] if i < rel.rank else 0
-            if order == 1:
-                continue
-            coords.append((order, y[i] % order if order else y[i]))
-        coords.sort(key=lambda g: (g[0] == 0, g[0]))
-        return [v for _, v in coords]
+        y = data["rel"].U.matvec(coords_full[r:])
+        return [y[i] % order if order else y[i] for i, order in data["keep"]]
 
 
 def mapping_cone(dom: ChainComplex, cod: ChainComplex, maps: dict) -> ChainComplex:
@@ -777,17 +744,16 @@ def mapping_cone(dom: ChainComplex, cod: ChainComplex, maps: dict) -> ChainCompl
                    [("cod", lbl) for lbl in B.basis.get(q, ())]
     boundaries = {}
     for q in degs:
-        na, nb = A.dim(q - 1), B.dim(q)
-        rows_a, rows_b = A.dim(q - 2), B.dim(q - 1)
-        entries = {}
-        for (r, c), v in A.boundary(q - 1).entries():
-            entries[(r, c)] = -v
-        if q - 1 in maps:
-            for (r, c), v in maps[q - 1].entries():
-                entries[(rows_a + r, c)] = -v
-        for (r, c), v in B.boundary(q).entries():
-            entries[(rows_a + r, na + c)] = v
-        boundaries[q] = SparseIntMatrix(rows_a + rows_b, na + nb, entries)
+        na = A.dim(q - 1)
+        # the rows of A_{q-2} hold -dA; those of B_{q-1} hold -f, then dB
+        # shifted past A's na columns
+        rows = [{c: -v for c, v in row.items()} for row in A.boundary(q - 1)._rows]
+        f = maps.get(q - 1)
+        for r, row in enumerate(B.boundary(q)._rows):
+            out = {} if f is None else {c: -v for c, v in f.row(r).items()}
+            out.update((na + c, v) for c, v in row.items())
+            rows.append(out)
+        boundaries[q] = SparseIntMatrix._from_rows(len(rows), na + B.dim(q), rows)
     try:
         return ChainComplex(basis, boundaries)
     except ComplexInvalid as exc:

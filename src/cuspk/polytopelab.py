@@ -460,11 +460,11 @@ def check_c1(p: Params, m: int, precision: int = DEFAULT_PRECISION) -> Verdict:
 
 
 def escalate(check, p: Params, m: int, start: int = DEFAULT_PRECISION,
-             cap: int = MAX_PRECISION, **kw) -> Verdict:
+             cap: int = MAX_PRECISION) -> Verdict:
     """Run an interval check, doubling the precision while it is undecided."""
     bits = start
     while True:
-        verdict = check(p, m, precision=bits, **kw)
+        verdict = check(p, m, precision=bits)
         if verdict.status != UNDECIDED or bits >= cap:
             return verdict
         bits = min(2 * bits, cap)

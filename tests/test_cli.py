@@ -146,6 +146,8 @@ class TestVerify:
                                      "semigroup --a 3 --b 5 --r-max 24",
                                      "witt", "prop51 --a 2 --b 5 --m-max 12",
                                      "prop51 --a 2 --b 3 --m-max 12",
+                                     "prop51 --a 3 --b 4 --m-max 12",
+                                     "prop51 --a 3 --b 5 --m-max 12",
                                      "conjB --a 3 --b 5 --m-max 12",
                                      "conjB --a 2 --b 3 --m-max 12"])
     def test_reports_match_benchmark_refs(self, tmp_path, key):

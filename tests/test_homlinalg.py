@@ -137,8 +137,9 @@ class TestSmithNormalForm:
     @settings(max_examples=300, deadline=None)
     def test_transforms_are_exact(self, dense):
         # the U of a left run and the V of a right run diagonalize M; both
-        # runs return the diagonal and split of the factor-only run, and
-        # None for the pair they do not track
+        # runs return the diagonal, split and spanning rows of the
+        # factor-only run, since the matrix evolves the same way in every
+        # mode, and None for the pair they do not track
         M = from_dense(dense)
         left = smith_normal_form(M, transforms="left")
         right = smith_normal_form(M, transforms="right")
@@ -151,7 +152,8 @@ class TestSmithNormalForm:
             assert left.diag[i + 1] % left.diag[i] == 0
         factor_only = smith_normal_form(M)
         for one in (left, right):
-            assert (one.diag, one.split) == (factor_only.diag, factor_only.split)
+            assert (one.diag, one.split, one.spanning) == \
+                (factor_only.diag, factor_only.split, factor_only.spanning)
         assert (left.V, left.Vinv) == (None, None)
         assert (right.U, right.Uinv) == (None, None)
 
