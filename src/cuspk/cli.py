@@ -349,7 +349,9 @@ def cmd_verify(suite, cfg: SuiteConfig) -> int:
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # the pool forks all its workers at once, so it gets no more than
+        # one per task
+        with ProcessPoolExecutor(max_workers=max(1, min(cfg.jobs, len(tasks)))) as pool:
             batches = list(pool.map(_run_cell, tasks))
     else:
         batches = [_run_cell(t) for t in tasks]

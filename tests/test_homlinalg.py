@@ -13,13 +13,16 @@ products d_q @ d_{q+1} and the Smith forms of the unreduced boundaries.
 import functools
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspk.cyclicbar import relative_bar_complex
+from cuspk import cyclicbar
+from cuspk.cyclicbar import (connes_factor_bar, connes_factor_small,
+                             relative_bar_complex, relative_cone)
 from cuspk.errors import ComplexInvalid, NotAChainMap
 from cuspk.exactlp import SimplexTableau
 from cuspk.errors import DimensionMismatch
@@ -29,6 +32,7 @@ from cuspk.homlinalg import (
     HomologySummary,
     SparseIntMatrix,
     _coreduce,
+    _replay,
     feasibility_certificate,
     homology,
     lp_optimize,
@@ -36,7 +40,7 @@ from cuspk.homlinalg import (
     mapping_cone,
     smith_normal_form,
 )
-from cuspk.semigroup import Params
+from cuspk.semigroup import Params, ell
 from cuspk.simplicialx import build_sigma, x_complex
 
 
@@ -57,6 +61,102 @@ def diagonal(diag, nrows, ncols):
 
 def to_dense(M):
     return [[M.row(r).get(c, 0) for c in range(M.ncols)] for r in range(M.nrows)]
+
+
+def add_row(dst, src, t):
+    """dst += t * src on {index: value} dicts, dropping zeros."""
+    for k, v in src.items():
+        dst[k] = dst.get(k, 0) + t * v
+        if not dst[k]:
+            del dst[k]
+
+
+def dense_transforms(log, order):
+    """T and T^-1 from a Smith form's log, in its pivot-first order.
+
+    T is U for a row log and V^-1 for a column log, the product of the
+    logged row operations x[i] += t * x[j] ((r, r, -1) negates x[r]).
+    Each operation is replayed on the rows of an identity matrix, which
+    gives T, and, inverted, on the columns of another, which gives T^-1;
+    T keeps its rows and T^-1 its columns in the order given.
+    """
+    n = len(order)
+    rows = [{i: 1} for i in range(n)]
+    cols = [{i: 1} for i in range(n)]
+    it = iter(log)
+    for i, j, t in zip(it, it, it):
+        if i == j:
+            rows[i] = {c: -v for c, v in rows[i].items()}
+            cols[i] = {r: -v for r, v in cols[i].items()}
+        else:
+            add_row(rows[i], rows[j], t)   # T <- E T
+            add_row(cols[j], cols[i], -t)  # T^-1 <- T^-1 E^-1
+    inv = [{} for _ in range(n)]
+    for c, i in enumerate(order):
+        for r, v in cols[i].items():
+            inv[r][c] = v
+    return (SparseIntMatrix._from_rows(n, n, [rows[i] for i in order]),
+            SparseIntMatrix._from_rows(n, n, inv))
+
+
+class DenseTransformEngine(HomologyEngine):
+    """HomologyEngine as it was with dense transforms, the oracle of the
+    log engine: V^-1 d_{q+1} is a sparse product, generator i sums the
+    columns of V on the kernel weighted by column i of U^-1, and
+    coordinates are U V^-1 x by matrix-vector products.  The transforms
+    are dense_transforms of the same Smith forms' logs."""
+
+    def _data(self, q):
+        if q in self._deg:
+            return self._deg[q]
+        C = self.C
+        lower = smith_normal_form(C.boundary(q), transforms="right")
+        Vinv, V = dense_transforms(lower.col_log, lower.order)
+        r = lower.rank
+        k = C.dim(q) - r
+        image = Vinv @ C.boundary(q + 1)
+        assert not any(image.row(i) for i in range(r))
+        rel = smith_normal_form(SparseIntMatrix._from_rows(
+            k, image.ncols, [image.row(i) for i in range(r, C.dim(q))]),
+            transforms="left")
+        U, Uinv = dense_transforms(rel.row_log, rel.order)
+        orders = rel.diag + [0] * (k - rel.rank)
+        keep = sorted(((i, o) for i, o in enumerate(orders) if o != 1),
+                      key=lambda g: (g[1] == 0, g[1]))
+        gens = []
+        for i, order in keep:
+            # column i of U^-1, on the kernel columns r.. of V
+            u = {r + t: Uinv.row(t)[i] for t in range(k) if i in Uinv.row(t)}
+            gens.append((order, [sum(v * V.row(row).get(c, 0) for c, v in u.items())
+                                 for row in range(C.dim(q))]))
+        data = {"Vinv": Vinv, "U": U, "rank_lower": r, "keep": keep,
+                "generators": gens}
+        self._deg[q] = data
+        return data
+
+    def coordinates(self, q, chain):
+        vec = self.C.vector_from_chain(q, chain)
+        assert not any(self.C.boundary(q).matvec(vec))
+        data = self._data(q)
+        full = data["Vinv"].matvec(vec)
+        r = data["rank_lower"]
+        assert not any(full[:r])
+        y = data["U"].matvec(full[r:])
+        return [y[i] % order if order else y[i] for i, order in data["keep"]]
+
+
+def assert_engines_agree(C, degrees, cycles=()):
+    """HomologyEngine and DenseTransformEngine give C the same generators
+    in each degree, and the same coordinates to each generator and to each
+    (degree, cycle) of cycles; returns the two engines."""
+    eng, oracle = HomologyEngine(C), DenseTransformEngine(C)
+    for q in degrees:
+        gens = eng.generators(q)
+        assert gens == oracle.generators(q)
+        cycles = [*cycles, *((q, chain) for _, chain in gens)]
+    for q, chain in cycles:
+        assert eng.coordinates(q, chain) == oracle.coordinates(q, chain)
+    return eng, oracle
 
 
 def euler_characteristic(C):
@@ -136,26 +236,41 @@ class TestSmithNormalForm:
     @given(st.one_of(dense_matrices(), dense_matrices(entries=NON_UNIT)))
     @settings(max_examples=300, deadline=None)
     def test_transforms_are_exact(self, dense):
-        # the U of a left run and the V of a right run diagonalize M; both
-        # runs return the diagonal, split and spanning rows of the
+        # the U of a left run's log and the V of a right run's diagonalize
+        # M; both runs return the diagonal, split and spanning rows of the
         # factor-only run, since the matrix evolves the same way in every
-        # mode, and None for the pair they do not track
+        # mode, and None for the side they do not log
         M = from_dense(dense)
         left = smith_normal_form(M, transforms="left")
         right = smith_normal_form(M, transforms="right")
-        assert left.U @ M @ right.V == diagonal(left.diag, M.nrows, M.ncols)
-        assert left.U @ left.Uinv == identity(M.nrows)
-        assert left.Uinv @ left.U == identity(M.nrows)
-        assert right.V @ right.Vinv == identity(M.ncols)
-        assert right.Vinv @ right.V == identity(M.ncols)
+        U, Uinv = dense_transforms(left.row_log, left.order)
+        Vinv, V = dense_transforms(right.col_log, right.order)
+        assert U @ M @ V == diagonal(left.diag, M.nrows, M.ncols)
+        assert U @ Uinv == identity(M.nrows)
+        assert Uinv @ U == identity(M.nrows)
+        assert V @ Vinv == identity(M.ncols)
+        assert Vinv @ V == identity(M.ncols)
         for i in range(len(left.diag) - 1):
             assert left.diag[i + 1] % left.diag[i] == 0
         factor_only = smith_normal_form(M)
         for one in (left, right):
             assert (one.diag, one.split, one.spanning) == \
                 (factor_only.diag, factor_only.split, factor_only.spanning)
-        assert (left.V, left.Vinv) == (None, None)
-        assert (right.U, right.Uinv) == (None, None)
+        assert (left.col_log, right.row_log) == (None, None)
+        assert (factor_only.row_log, factor_only.col_log, factor_only.order) == \
+            (None, None, None)
+        # a log replayed in order applies T, and backwards T^-1
+        for res, log, T, Tinv in ((left, left.row_log, U, Uinv),
+                                  (right, right.col_log, Vinv, V)):
+            x = [3 * i - 2 for i in range(T.nrows)]
+            y = list(x)
+            _replay(log, y)
+            assert [y[i] for i in res.order] == T.matvec(x)
+            z = [0] * T.nrows
+            for i, j in enumerate(res.order):
+                z[j] = x[i]
+            _replay(log, z, backward=True)
+            assert z == Tinv.matvec(x)
 
     @pytest.mark.parametrize("transforms", ["both", None, 2, True])
     def test_unknown_transforms_rejected(self, transforms):
@@ -384,16 +499,28 @@ class TestHomology:
                         ][0] == d
 
     def test_engine_tracks_only_the_transforms_it_reads(self):
-        # generators and coordinates read V, V^-1 of d_q and U, U^-1 of the
-        # relation matrix, and nothing else
+        # generators and coordinates replay the column log of d_q and the
+        # row log of the relation matrix, and nothing else
         for C in (projective_plane_complex(), diagonal_complex(4, 6)):
             eng = HomologyEngine(C)
             for q in C.basis:
                 eng.coordinates(q, {})
                 data = eng._data(q)
                 lower, rel = data["lower"], data["rel"]
-                assert (lower.U, lower.Uinv, rel.V, rel.Vinv) == (None,) * 4
-                assert None not in (lower.V, lower.Vinv, rel.U, rel.Uinv)
+                assert (lower.row_log, rel.col_log) == (None, None)
+                assert None not in (lower.col_log, rel.row_log)
+
+    def test_engine_matches_the_dense_transform_oracle(self):
+        for C in (circle_complex(), sphere_complex(), projective_plane_complex(),
+                  diagonal_complex(2, 3), diagonal_complex(4, 6)):
+            # the cycles among the sums of one or two cells, torsion
+            # classes included
+            sums = [(q, dict.fromkeys(cells, 1)) for q in C.basis
+                    for size in (1, 2)
+                    for cells in itertools.combinations(C.basis[q], size)]
+            assert_engines_agree(C, C.basis, [
+                (q, chain) for q, chain in sums
+                if not any(C.boundary(q).matvec(C.vector_from_chain(q, chain)))])
 
     def test_engine_generators_are_cycles_with_right_orders(self):
         C = projective_plane_complex()
@@ -568,6 +695,42 @@ class TestConstructionOracle:
         # the unperturbed models pass the full products too
         for key in MODELS:
             assert failing_square(model_complex(*key).boundaries) is None
+
+
+# the README pairs' Connes statements with m <= 11, and (2, 3, 13)
+CONNES_CELLS = [(p, m) for p in README_PAIRS for m in range(1, 12)
+                if m % p.a and m % p.b] + [(Params(2, 3), 13)]
+
+
+class TestEngineOracle:
+    @pytest.mark.parametrize("p,m", CONNES_CELLS,
+                             ids=lambda v: str(v) if isinstance(v, int) else f"{v.a},{v.b}")
+    def test_bar_and_cone_match_the_dense_transform_oracle(self, p, m,
+                                                           monkeypatch):
+        # generators and coordinates in the degrees of the statement, and
+        # both Connes values, sign included
+        bar, cone = model_complex("bar", p, m), relative_cone(p, m)
+        q = 2 * ell(p, m)
+        factors = []
+        # the statement reuses the engines that were compared on bar
+        for engine in assert_engines_agree(bar, (q, q + 1)):
+            monkeypatch.setattr(cyclicbar, "HomologyEngine",
+                                lambda C: engine if C is bar else type(engine)(C))
+            factors.append((connes_factor_bar(p, m, bar),
+                            connes_factor_small(p, m, cone)))
+        assert factors[0] == factors[1]
+
+    def test_connes_factor_memory(self):
+        # the logs replace U, U^-1, V and V^-1, which peaked at 14.4 MiB here
+        p = Params(2, 3)
+        bar = model_complex("bar", p, 13)
+        tracemalloc.start()
+        try:
+            connes_factor_bar(p, 13, bar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestMappingCone:
