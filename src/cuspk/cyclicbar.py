@@ -43,7 +43,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from cuspk.errors import PreconditionViolation, ResourceBound, TheoremViolation
+from cuspk.errors import (DEFAULT_BUDGET, PreconditionViolation, ResourceBound,
+                          TheoremViolation)
 from cuspk.homlinalg import (
     ChainComplex,
     HomologyEngine,
@@ -54,21 +55,18 @@ from cuspk.homlinalg import (
 )
 from cuspk.semigroup import Params, ell, mask_vertices, member_table, rotate_mask
 
-BAR_WEIGHT_LIMIT = 16
 
-
-def _bar_cells(p: Params, m: int) -> dict:
+def _bar_cells(p: Params, m: int, budget: int) -> dict:
     """Degree q -> cut masks of the relative basis, in the order of
     combinations(range(m), q); bit c of a mask is the cut c (see the
-    module docstring)."""
+    module docstring).  Raises ResourceBound as soon as the masks pass
+    budget."""
     if m < 1:
         raise ValueError("weight must be positive")
-    if m > BAR_WEIGHT_LIMIT:
-        raise ResourceBound(
-            f"bar complex in weight {m} has 2^{m} chains; limit is {BAR_WEIGHT_LIMIT}")
     member = member_table(p, m)
     bit = [1 << c for c in range(m)].__getitem__
     out: dict[int, list] = {}
+    built = 0
     for q in range(m + 1):
         masks = []
         for c in combinations(range(m), q):
@@ -82,19 +80,24 @@ def _bar_cells(p: Params, m: int) -> dict:
                 if member[m - prev]:
                     continue
             masks.append(sum(map(bit, c)))
+            built += 1
+            if built > budget:
+                raise ResourceBound(f"the bar complex in weight {m} has more "
+                                    f"than {budget} cells")
         if masks:
             out[q] = masks
     return out
 
 
-def relative_bar_complex(p: Params, m: int) -> ChainComplex:
+def relative_bar_complex(p: Params, m: int,
+                         budget: int = DEFAULT_BUDGET) -> ChainComplex:
     """The relative bar complex in weight m, from one enumeration of its
-    cells.  Its basis in degree q is the cut masks of the tuples
-    (m_0, ..., m_q), m_0 >= 0, rest >= 1, summing to m and not entirely
-    inside <a, b>, in the sorted order of the tuples.  Face d_i (i < q)
-    drops the cut c_{i+1} with sign (-1)^i; the cyclic face d_q drops the
-    top cut c_q and rotates the rest by m - c_q."""
-    basis = _bar_cells(p, m)
+    cells, of which it builds at most budget.  Its basis in degree q is the
+    cut masks of the tuples (m_0, ..., m_q), m_0 >= 0, rest >= 1, summing
+    to m and not entirely inside <a, b>, in the sorted order of the tuples.
+    Face d_i (i < q) drops the cut c_{i+1} with sign (-1)^i; the cyclic
+    face d_q drops the top cut c_q and rotates the rest by m - c_q."""
+    basis = _bar_cells(p, m, budget)
 
     def faces(mask):
         cuts = mask_vertices(mask)

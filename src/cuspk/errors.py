@@ -22,9 +22,10 @@ UNSUPPORTED = "UNSUPPORTED"
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
 
-# the most subsets of C_m that a simplicialx builder counts before it
-# refuses the weight m: build_sigma counts all 2^m, generator_cycle the
-# m + C(m,2) + C(m,3) of at most three vertices
+# the most cells that a complex builder may build before it refuses the
+# weight m: build_sigma counts the faces of the gap complex, the bar
+# complex its cut masks, and generator_cycle the m + C(m,2) + C(m,3)
+# subsets of at most three vertices that it enumerates
 DEFAULT_BUDGET = 1 << 19
 
 
@@ -49,7 +50,7 @@ class DimensionMismatch(CuspkError):
 
 
 class ResourceBound(CuspkError):
-    """An enumeration would exceed the configured budget."""
+    """A builder would build more cells than the configured budget."""
 
 
 class TheoremViolation(CuspkError):

@@ -136,19 +136,6 @@ class SparseIntMatrix:
     def nnz(self) -> int:
         return sum(len(row) for row in self._rows)
 
-    def __matmul__(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if self.ncols != other.nrows:
-            raise DimensionMismatch(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        rows = []
-        orows = other._rows
-        for row in self._rows:
-            acc: dict[int, int] = {}
-            for c, v in row.items():
-                for c2, v2 in orows[c].items():
-                    acc[c2] = acc.get(c2, 0) + v * v2
-            rows.append({c: v for c, v in acc.items() if v})
-        return SparseIntMatrix._from_rows(self.nrows, other.ncols, rows)
-
     def matvec(self, x) -> list:
         if len(x) != self.ncols:
             raise DimensionMismatch("vector length != ncols")
@@ -156,9 +143,6 @@ class SparseIntMatrix:
         for row in self._rows:
             out.append(sum(v * x[c] for c, v in row.items()))
         return out
-
-    def is_zero(self) -> bool:
-        return all(not row for row in self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseIntMatrix):
@@ -401,7 +385,7 @@ def smith_normal_form(matrix: SparseIntMatrix,
     operation of the elimination only reduces the pivot row modulo the
     pivot, and every mode makes that reduction in place.  So every mode
     takes the same pivots, and the U of a left run and the V of a right
-    run satisfy U @ M @ V == D = diag(invariant factors) exactly.
+    run satisfy U M V = D = diag(invariant factors) exactly.
 
     Every mode returns the pivots in the order the elimination extracts
     them, and that order already satisfies d_1 | d_2 | ...: every unit

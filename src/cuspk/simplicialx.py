@@ -28,10 +28,9 @@ from .semigroup import (Params, ell, mask_vertices, member_table,
                         rotate_mask, weights)
 
 # Faces are bitmasks over the exponents {0, ..., m-1}.  The budget
-# DEFAULT_BUDGET caps the subsets of C_m that a builder could visit:
-# build_sigma refuses a weight past it by its 2^m subsets, though it visits
-# only the faces, and generator_cycle by the subsets of at most three
-# vertices, which it enumerates.
+# DEFAULT_BUDGET caps what a builder builds: build_sigma raises as soon as
+# its faces pass it, and generator_cycle refuses a weight whose subsets of
+# at most three vertices, which it enumerates, pass it.
 
 
 def vertices_mask(vertices) -> int:
@@ -88,8 +87,6 @@ def build_sigma(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> CmComplex:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if 1 << m > budget:
-        raise ResourceBound(f"2^{m} subsets exceed the budget of {budget}")
     rep = member_table(p, m)
     faces = []
     if rep[m]:
@@ -98,6 +95,9 @@ def build_sigma(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> CmComplex:
         while stack:
             first, mask, last = stack.pop()
             faces.append(mask)
+            if len(faces) > budget:
+                raise ResourceBound(f"the gap complex in weight {m} has more "
+                                    f"than {budget} faces")
             stack.extend((first, mask | 1 << v, v) for v in range(last + 1, m)
                          if rep[v - last] and rep[m - v + first])
     return CmComplex(m=m, faces=frozenset(faces))

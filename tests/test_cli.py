@@ -99,9 +99,11 @@ class TestVerify:
             assert (once / name).read_bytes() == (twice / name).read_bytes()
 
     def test_conjb_does_not_build_bar_complexes(self, tmp_path, monkeypatch):
-        # any bar complex past weight 4 raises under the lowered limit, and
-        # its statement would be a skipped row
-        monkeypatch.setattr(cyclicbar, "BAR_WEIGHT_LIMIT", 4)
+        # any bar complex raises, and its statement would be a skipped row
+        def refuse(p, m, budget):
+            raise ResourceBound("bar complex built")
+
+        monkeypatch.setattr(cyclicbar, "_bar_cells", refuse)
         code, out = run(tmp_path, "verify", "conjB", "--a", "3", "--b", "7",
                         "--m-max", "6")
         assert code == 0
@@ -210,8 +212,8 @@ class TestVerify:
         cells = []      # (m, models built, which of them are dead)
 
         def recorded(kind, build):
-            def wrapper(p, m):
-                model = build(p, m)
+            def wrapper(p, m, *budget):
+                model = build(p, m, *budget)
                 built.append((len(cells), kind, weakref.ref(model)))
                 return model
             return wrapper
@@ -264,6 +266,7 @@ class TestExitCodes:
                      ["verify", "semigroup", "--a", "2"],
                      ["verify", "semigroup", "--a", "2", "--b", "4"],
                      ["verify", "conjC", "--precision", "4"],
+                     ["verify", "conjC", "--precision", "1025"],
                      ["verify", "kgroups", "--q-max", "-1"],
                      ["verify", "kgroups", "--a", "2", "--b", "3",
                       "--r-max", "-1"],
@@ -328,21 +331,32 @@ class TestExitCodes:
         assert f"skipped={skipped}" in capsys.readouterr().out
 
     def test_conjb_past_the_budget_skips_every_statement(self, tmp_path):
+        # Σ(2,3,m) has 321 faces at m = 12 and more at every larger m
         code, out = run(tmp_path, "verify", "conjB", "--a", "2", "--b", "3",
-                        "--m-max", "21")
+                        "--m-max", "14", "--budget", "321")
         assert code == 4
         rows = rows_of(out)
-        past = [r for r in rows if r["m"] > 19]
+        past = [r for r in rows if r["m"] > 12]
         assert sorted((r["m"], r["statement"]) for r in past) == sorted(
-            [(m, "homology-evidence") for m in (20, 21)]
-            + [(m, f"fixed-points/s={s}") for m in (20, 21)
+            [(m, "homology-evidence") for m in (13, 14)]
+            + [(m, f"fixed-points/s={s}") for m in (13, 14)
                for s in range(1, m + 1) if m % s == 0])
         for r in past:
             assert r["result"] == "skipped"
             assert r["details"] == {
                 "error": "ResourceBound",
-                "reason": f"2^{r['m']} subsets exceed the budget of 524288"}
-        assert all(r["result"] != "skipped" for r in rows if r["m"] <= 19)
+                "reason": f"the gap complex in weight {r['m']} has more "
+                          "than 321 faces"}
+        assert all(r["result"] != "skipped" for r in rows if r["m"] <= 12)
+
+    def test_conjb_computes_past_the_old_guard(self, tmp_path):
+        # Σ(3,5,21) has few faces, though 2^21 exceeds the default budget
+        code, out = run(tmp_path, "verify", "conjB", "--a", "3", "--b", "5",
+                        "--m-max", "21")
+        assert code == 0
+        rows = rows_of(out)
+        assert {r["m"] for r in rows} == set(range(1, 22))
+        assert all(r["result"] in ("agree", "pass") for r in rows)
 
     def test_connes_image_off_the_cycles_is_a_fail_row(self, tmp_path,
                                                        monkeypatch):

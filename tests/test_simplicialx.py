@@ -138,8 +138,18 @@ class TestSigma:
             assert build_sigma(p, m).faces == brute
 
     def test_budget(self):
+        # Σ(2,3,8) has 46 faces
+        with pytest.raises(ResourceBound, match="^the gap complex in weight 8 "
+                           "has more than 45 faces$"):
+            build_sigma(P23, 8, budget=45)
+
+    @pytest.mark.parametrize("p", [P23, P25, P34, P35], ids=pair_id)
+    def test_budget_is_the_face_count(self, p):
+        # a budget of exactly the faces builds, one less raises
+        faces = sum(1 for mask in range(1, 1 << 12) if face_in_sigma(p, 12, mask))
+        assert len(build_sigma(p, 12, budget=faces)) == faces
         with pytest.raises(ResourceBound):
-            build_sigma(P23, 8, budget=100)
+            build_sigma(p, 12, budget=faces - 1)
 
     def test_invariant_checker_rejects_junk(self):
         broken = CmComplex(m=4, faces=frozenset({0b0011}))
@@ -183,8 +193,9 @@ class TestXHomology:
             assert torsion == ()
 
     def test_budget(self):
+        # past the budget no complex is built, so no homology is taken
         with pytest.raises(ResourceBound):
-            x_homology(build_sigma(P23, 25))
+            x_homology(build_sigma(P23, 25, budget=1000))
 
 
 class TestExpectedY:
