@@ -28,7 +28,6 @@ import csv
 import json
 import os
 import sys
-from functools import cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -75,9 +74,29 @@ def _row_key(row):
 # suite cells; each returns a list of rows and never raises, and imports
 # its toolkit module itself, so that a suite loads only what it runs.  A
 # cell that builds models shares them among its statements through a
-# `cache` local to the cell, so nothing outlives the cell; `cache` keeps
-# no exception, so a build that raises runs again for the next statement,
-# which then fails or skips the same way
+# `_memo` local to the cell, so nothing outlives the cell.  The memo keeps
+# a refused build's error too, so a model past the budget is built once
+# per cell, and every statement that reads it skips with the same reason
+
+
+def _memo(build):
+    """build, run once per argument tuple.  A toolkit error that it raises
+    is kept as its class and arguments and raised afresh on each later
+    call: kept as an object, its traceback would hold this frame and so the
+    memo, and the cell's models would outlive the cell in a cycle."""
+    kept = {}
+
+    def get(*args):
+        if args not in kept:
+            try:
+                kept[args] = build(*args), None
+            except CuspkError as exc:
+                kept[args] = None, (type(exc), exc.args)
+        model, error = kept[args]
+        if error:
+            raise error[0](*error[1])
+        return model
+    return get
 
 
 def _cell_semigroup(a, b, m_max, r_max):
@@ -179,8 +198,8 @@ def _cell_prop51(a, b, m, budget):
     pr = Params(a, b)
     rows = []
     at = {"a": a, "b": b, "m": m}
-    bar = cache(lambda: relative_bar_complex(pr, m, budget))
-    cone = cache(lambda: relative_cone(pr, m))
+    bar = _memo(lambda: relative_bar_complex(pr, m, budget))
+    cone = _memo(lambda: relative_cone(pr, m))
     _attempt(rows, "prop51", "triple-agreement",
              lambda: ("pass", {"homology": str(
                  ty_agreement_check(pr, m, bar(), cone()))}), **at)
@@ -199,7 +218,7 @@ def _cell_conjb(a, b, m, budget):
     pr = Params(a, b)
     rows = []
     at = {"a": a, "b": b, "m": m}
-    sigma = cache(lambda t: build_sigma(pr, t, budget))
+    sigma = _memo(lambda t: build_sigma(pr, t, budget))
 
     def evidence():
         rep = conjecture_b_homology_check(pr, m, sigma(m))
@@ -427,7 +446,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple:
+    """The top-level parser and its `verify` subparser, which reports the
+    errors of the verify options with its own usage line."""
     parser = _Parser(prog="cuspk")
     sub = parser.add_subparsers(dest="command", required=True)
     ver = sub.add_parser("verify", help="run a verification suite")
@@ -449,7 +470,7 @@ def _build_parser() -> _Parser:
     rep = sub.add_parser("report", help="merge verification reports")
     rep.add_argument("inputs", nargs="+")
     rep.add_argument("--out", default=".")
-    return parser
+    return parser, ver
 
 
 def _config_from_args(parser, args) -> SuiteConfig:
@@ -495,10 +516,10 @@ def _config_from_args(parser, args) -> SuiteConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, ver = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        cfg = _config_from_args(parser, args)
+        cfg = _config_from_args(ver, args)
         return cmd_verify(args.suite, cfg)
     return cmd_report(args.inputs, args.out)
 

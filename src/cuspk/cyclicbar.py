@@ -380,10 +380,10 @@ def _operator_factor(C: ChainComplex, op: SparseIntMatrix, q: int, name: str,
             raise TheoremViolation(
                 f"H_{d} = {eng.group(d)} is not infinite cyclic as required")
     ((_, g),) = eng.generators(q)
-    image = op.matvec(C.vector_from_chain(q, g))
+    image = op.matvec(g)
     if any(C.boundary(q + 1).matvec(image)):
         raise TheoremViolation(f"{name} image is not a cycle in degree {q + 1}")
-    (c,) = eng.coordinates(q + 1, C.chain_from_vector(q + 1, image))
+    (c,) = eng.coordinates(q + 1, image)
     if abs(c) != m:
         raise TheoremViolation(f"{name} factor {c}, expected +-{m}")
     return c

@@ -23,9 +23,8 @@ DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
 
 # the most cells that a complex builder may build before it refuses the
-# weight m: build_sigma counts the faces of the gap complex, the bar
-# complex its cut masks, and generator_cycle the m + C(m,2) + C(m,3)
-# subsets of at most three vertices that it enumerates
+# weight m: build_sigma counts the faces of the gap complex, which every
+# conjB check and generator_cycle read, and the bar complex its cut masks
 DEFAULT_BUDGET = 1 << 19
 
 

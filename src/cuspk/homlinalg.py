@@ -127,11 +127,6 @@ class SparseIntMatrix:
     def row(self, r: int) -> dict:
         return self._rows[r]
 
-    def entries(self):
-        for r, row in enumerate(self._rows):
-            for c, v in row.items():
-                yield (r, c), v
-
     @property
     def nnz(self) -> int:
         return sum(len(row) for row in self._rows)
@@ -468,19 +463,6 @@ class ChainComplex:
             mat = SparseIntMatrix(self.dim(q - 1), self.dim(q))
         return mat
 
-    def vector_from_chain(self, q: int, chain: dict) -> list:
-        index = {lbl: i for i, lbl in enumerate(self.basis.get(q, ()))}
-        vec = [0] * self.dim(q)
-        for lbl, coeff in chain.items():
-            if lbl not in index:
-                raise KeyError(f"label {lbl!r} not in degree {q} basis")
-            vec[index[lbl]] = coeff
-        return vec
-
-    def chain_from_vector(self, q: int, vec) -> dict:
-        lbls = self.basis.get(q, ())
-        return {lbls[i]: v for i, v in enumerate(vec) if v}
-
 
 class HomologySummary(NamedTuple):
     """Homology groups by degree: degree -> (free rank, torsion orders).
@@ -609,7 +591,9 @@ class HomologyEngine:
     forms; use it only at the degrees where explicit cycles are needed.  It
     logs only the sides it reads, the columns of d_q, whose V gives the
     kernel, and the rows of the relations on the kernel, and replays each
-    log on the vectors it needs instead of building a transform.
+    log on the vectors it needs instead of building a transform.  Chains
+    in and out are coordinate vectors on the basis of C_q, as
+    `SparseIntMatrix.matvec` takes and returns them.
     """
 
     def __init__(self, C: ChainComplex):
@@ -664,24 +648,23 @@ class HomologyEngine:
                 tuple(order for _, order in keep if order))
 
     def generators(self, q: int) -> list:
-        """List of (order, chain) pairs; order 0 means infinite."""
-        data = self._data(q)
-        return [(order, self.C.chain_from_vector(q, vec))
-                for order, vec in data["generators"]]
+        """List of (order, vector) pairs; order 0 means infinite."""
+        return [(order, list(vec)) for order, vec in self._data(q)["generators"]]
 
-    def coordinates(self, q: int, chain: dict) -> list:
-        """Coordinates of a cycle in the generator basis of H_q: U V^-1
+    def coordinates(self, q: int, vec) -> list:
+        """Coordinates of the cycle vec in the generator basis of H_q: U V^-1
         applied to it, on the kernel columns.
 
-        Torsion coordinates are reduced into [0, order).  Raises if the
-        chain is not a cycle.
+        Torsion coordinates are reduced into [0, order).  Raises if vec is
+        not a cycle.  The logs are replayed on a copy, so vec is left as it
+        is.
         """
         C = self.C
-        vec = C.vector_from_chain(q, chain)
         if any(C.boundary(q).matvec(vec)):
             raise ValueError("chain is not a cycle")
         data = self._data(q)
         lower, rel = data["lower"], data["rel"]
+        vec = list(vec)
         _replay(lower.col_log, vec)
         if any(vec[c] for c in lower.order[:lower.rank]):
             raise TheoremViolation("cycle has image in nonkernel part")

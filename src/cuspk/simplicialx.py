@@ -8,7 +8,8 @@ H_q(simplex, subcomplex) = H~_{q-1}(subcomplex) over Z, torsion included,
 and the augmented chain complex of the subcomplex, with its empty face in
 degree 0, has exactly these groups.  The explicit degree-2 generator of
 the rank-one regime is a relative chain; the connecting map of the pair
-checks it on the 2-skeleton of the subcomplex.  The module also houses the
+checks it on the 2-skeleton of the subcomplex, with the quotient by its
+boundary taken as a mapping cone.  The module also houses the
 closed-form homology of the comparison space and the fixed-point
 bijection for subgroups of C_m.  It compares spaces only: the
 circle-level statement (Proposition 5.1) is checked in `cyclicbar`, which
@@ -17,20 +18,19 @@ this module does not import.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import comb
 from typing import NamedTuple
 
 from .errors import (DEFAULT_BUDGET, PreconditionViolation, ResourceBound,
                      TheoremViolation)
-from .homlinalg import ChainComplex, HomologySummary, SparseIntMatrix, homology
+from .homlinalg import (ChainComplex, HomologySummary, SparseIntMatrix, homology,
+                        mapping_cone)
 from .semigroup import (Params, ell, mask_vertices, member_table,
                         rotate_mask, weights)
 
 # Faces are bitmasks over the exponents {0, ..., m-1}.  The budget
-# DEFAULT_BUDGET caps what a builder builds: build_sigma raises as soon as
-# its faces pass it, and generator_cycle refuses a weight whose subsets of
-# at most three vertices, which it enumerates, pass it.
+# DEFAULT_BUDGET caps the faces of Σ that build_sigma builds; every check
+# here, generator_cycle's included, reads a Σ built that way, so the
+# budget counts faces throughout.
 
 
 def vertices_mask(vertices) -> int:
@@ -63,12 +63,6 @@ class CmComplex:
 
     def __len__(self) -> int:
         return len(self.faces)
-
-
-def face_in_sigma(p: Params, m: int, mask: int) -> bool:
-    """Whether every cyclic gap of the face is representable."""
-    rep = member_table(p, m)
-    return all(rep[g] for g in cyclic_gaps(mask, m))
 
 
 def build_sigma(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> CmComplex:
@@ -225,8 +219,9 @@ def generator_cycle(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> dict:
     congruence holds; triangles lying in the gap subcomplex vanish in the
     quotient and are omitted from the returned mask-to-sign mapping.
 
-    Checks that the chain is a relative cycle whose class generates the
-    degree-2 homology, which is checked to be free of rank one (see
+    Builds the gap subcomplex once, with build_sigma under budget, and
+    checks on it that the chain is a relative cycle whose class generates
+    the degree-2 homology, which is checked to be free of rank one (see
     `_check_generator`).
     """
     a, b = p.a, p.b
@@ -242,6 +237,7 @@ def generator_cycle(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> dict:
     mp, l = entry.m_prime, entry.l
     if not a <= l <= mp - b:
         raise TheoremViolation(f"l = {l} lies outside [{a}, {mp - b}]")
+    sigma = build_sigma(p, m, budget)
     chain = {}
     for t1 in range(1, mp):
         for t2 in range(t1 + 1, mp):
@@ -249,36 +245,35 @@ def generator_cycle(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> dict:
             if diff != l and diff != mp - l:
                 continue
             mask = vertices_mask((0, t1, t2))
-            if not face_in_sigma(p, m, mask):
+            if mask not in sigma.faces:
                 chain[mask] = 1 if diff == l else -1
-    _check_generator(p, m, chain, budget)
+    _check_generator(p, m, chain, sigma)
     return chain
 
 
-def _check_generator(p: Params, m: int, chain: dict, budget: int) -> None:
+def _check_generator(p: Params, m: int, chain: dict, sigma: CmComplex) -> None:
     """Raise TheoremViolation unless the triangle chain is a relative cycle
-    of the simplex modulo sigma whose class generates H_2 = Z.
+    of the simplex modulo sigma = build_sigma(p, m) whose class generates
+    H_2 = Z.
 
     The simplex is contractible, so the connecting map takes H_2(simplex,
     sigma) onto H~_1(sigma), and sends a relative cycle to its simplicial
     boundary.  So the chain is a relative cycle exactly when every edge of
     its boundary lies in sigma, and it generates exactly when that edge
-    cycle generates H~_1(sigma), which is H_2 of the augmented complex of
-    sigma's 2-skeleton.  The skeleton is read off the subsets of at most
-    three vertices, which the budget counts.
+    cycle generates H~_1(sigma), which is H_2 of the augmented complex X
+    of sigma's 2-skeleton, the faces of sigma with at most three vertices.
+    The edge cycle generates exactly when H_2 of the quotient by it
+    vanishes, and that quotient is the mapping cone of the map from Z in
+    degree 2 to X that sends 1 to the edge cycle.
     """
     a, b = p.a, p.b
-    cost = m + comb(m, 2) + comb(m, 3)
-    if cost > budget:
-        raise ResourceBound(f"{cost} subsets exceed the budget of {budget}")
-    skeleton = frozenset(mask for k in (1, 2, 3)
-                         for mask in map(vertices_mask, combinations(range(m), k))
-                         if face_in_sigma(p, m, mask))
+    skeleton = frozenset(f for f in sigma.faces if f.bit_count() <= 3)
     edges = {}
     for triangle, sign in chain.items():
         for edge, s in _face_boundary(triangle):
             edges[edge] = edges.get(edge, 0) + sign * s
     edges = {e: c for e, c in edges.items() if c}
+    # of_map below drops an edge outside the skeleton without a word
     if not edges.keys() <= skeleton:
         raise TheoremViolation(f"generator chain at (a,b,m)=({a},{b},{m}) "
                                "is not a cycle")
@@ -286,16 +281,8 @@ def _check_generator(p: Params, m: int, chain: dict, budget: int) -> None:
     if homology(X).group(2) != (1, ()):
         raise TheoremViolation(f"degree-2 homology at (a,b,m)=({a},{b},{m}) "
                                "is not free of rank one")
-    # quotient by the edge cycle: append it as an extra degree-3 column and
-    # demand that degree-2 homology dies
-    aug = dict(X.boundary(3).entries())
-    extra = X.dim(3)
-    for r, v in enumerate(X.vector_from_chain(2, edges)):
-        if v:
-            aug[(r, extra)] = v
-    basis = {1: X.basis[1], 2: X.basis[2], 3: X.basis.get(3, []) + ["cycle"]}
-    bounds = {2: X.boundary(2),
-              3: SparseIntMatrix(X.dim(2), extra + 1, aug)}
-    if homology(ChainComplex(basis, bounds)).group(2) != (0, ()):
+    f = SparseIntMatrix.of_map(X.basis[2], ["cycle"], lambda _: edges.items())
+    cone = mapping_cone(ChainComplex({2: ["cycle"]}, {}), X, {2: f})
+    if homology(cone).group(2) != (0, ()):
         raise TheoremViolation(f"chain at (a,b,m)=({a},{b},{m}) does not "
                                "generate the degree-2 homology")

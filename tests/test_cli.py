@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
+from test_homlinalg import entries
 
 import cuspk.cli as cli
 from cuspk import cyclicbar, polytopelab, simplicialx, wittlab
@@ -261,7 +262,8 @@ class TestVerify:
 
 
 class TestExitCodes:
-    def test_usage_errors_exit_three(self, tmp_path, monkeypatch):
+    def test_usage_errors_exit_three(self, tmp_path, monkeypatch, capsys):
+        # each error prints the usage line of the command it belongs to
         for argv in (["verify", "nope"],
                      ["verify", "semigroup", "--a", "2"],
                      ["verify", "semigroup", "--a", "2", "--b", "4"],
@@ -280,11 +282,14 @@ class TestExitCodes:
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv + ["--out", str(tmp_path)])
             assert exc.value.code == 3
+            assert capsys.readouterr().err.startswith(
+                f"usage: cuspk {argv[0]} "), argv
         for value in ("two", "0"):
             monkeypatch.setenv("CUSPK_JOBS", value)
             with pytest.raises(SystemExit) as exc:
                 cli.main(["verify", "semigroup", "--out", str(tmp_path)])
             assert exc.value.code == 3
+            assert capsys.readouterr().err.startswith("usage: cuspk verify ")
 
     def test_theorem_violation_exits_one(self, tmp_path, monkeypatch):
         def boom(p, m, bar, cone):
@@ -349,6 +354,33 @@ class TestExitCodes:
                           "than 321 faces"}
         assert all(r["result"] != "skipped" for r in rows if r["m"] <= 12)
 
+    @pytest.mark.parametrize("task,owner,builder", [
+        # Σ(2,3,14) has more than 321 faces, the bar complex at (2,3,7)
+        # more than 16 cells
+        (("conjb", {"a": 2, "b": 3, "m": 14, "budget": 321}), simplicialx,
+         "build_sigma"),
+        (("prop51", {"a": 2, "b": 3, "m": 7, "budget": 16}), cyclicbar,
+         "_bar_cells")], ids=["conjB", "prop51"])
+    def test_a_refused_model_is_built_once_per_cell(self, monkeypatch, task,
+                                                    owner, builder):
+        # every statement of the cell reads the refused model, and each
+        # skips with the error of its one build
+        built = []
+        real = getattr(owner, builder)
+
+        def counted(p, m, budget):
+            built.append(m)
+            return real(p, m, budget)
+
+        monkeypatch.setattr(owner, builder, counted)
+        rows = cli._run_cell(task)
+        m, budget = task[1]["m"], task[1]["budget"]
+        assert len(rows) > 1
+        assert {r["result"] for r in rows} == {"skipped"}
+        assert len({r["details"]["reason"] for r in rows}) == 1
+        assert str(budget) in rows[0]["details"]["reason"]
+        assert built.count(m) == 1
+
     def test_conjb_computes_past_the_old_guard(self, tmp_path):
         # Σ(3,5,21) has few faces, though 2^21 exceeds the default budget
         code, out = run(tmp_path, "verify", "conjB", "--a", "3", "--b", "5",
@@ -369,10 +401,10 @@ class TestExitCodes:
         def skewed(real):
             def op(p, m, q):
                 M = real(p, m, q)
-                entries = dict(M.entries())
+                nonzero = dict(entries(M))
                 if M.nrows:
-                    entries.update({(0, c): 1 for c in range(M.ncols)})
-                return SparseIntMatrix(M.nrows, M.ncols, entries)
+                    nonzero.update({(0, c): 1 for c in range(M.ncols)})
+                return SparseIntMatrix(M.nrows, M.ncols, nonzero)
             return op
 
         for name, error in [

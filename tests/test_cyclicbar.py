@@ -8,7 +8,7 @@ a sweep, which is the real cross-check.
 from itertools import combinations
 
 import pytest
-from test_homlinalg import product
+from test_homlinalg import entries, product
 
 from cuspk.errors import (NotAChainMap, PreconditionViolation, ResourceBound,
                           TheoremViolation)
@@ -229,7 +229,7 @@ class TestConnesOperator:
             anti = product(C.boundary(q + 1), Bq)
             other = product(Bq_prev, C.boundary(q))
             total = {}
-            for k, v in list(anti.entries()) + list(other.entries()):
+            for k, v in list(entries(anti)) + list(entries(other)):
                 total[k] = total.get(k, 0) + v
             assert not any(total.values()), f"dB+Bd != 0 at degree {q}"
             assert not product(connes_matrix(C, m, q + 1), Bq).nnz
@@ -274,7 +274,7 @@ class TestSmallModel:
                 anti = product(C.boundary(q + 1), cone_de_rham_matrix(P23, C, q))
                 other = product(cone_de_rham_matrix(P23, C, q - 1), C.boundary(q))
                 total = {}
-                for k, v in list(anti.entries()) + list(other.entries()):
+                for k, v in list(entries(anti)) + list(entries(other)):
                     total[k] = total.get(k, 0) + v
                 assert not any(total.values())
 
@@ -293,7 +293,7 @@ class TestSmallModel:
             relative_cone(P23, m)
         curve = small_complex_curve(P23, 6)
         maps = parametrization_map(P23, curve)
-        maps[1] = SparseIntMatrix(1, curve.dim(1), {k: v + 1 for k, v in maps[1].entries()})
+        maps[1] = SparseIntMatrix(1, curve.dim(1), {k: v + 1 for k, v in entries(maps[1])})
         with pytest.raises(NotAChainMap):
             mapping_cone(curve, small_complex_line(P23, 6), maps)
 

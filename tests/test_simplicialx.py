@@ -4,6 +4,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_homlinalg import chain_vector, entries
 
 import cuspk.simplicialx as sx
 from cuspk.errors import (DEFAULT_BUDGET, PreconditionViolation, ResourceBound,
@@ -13,10 +14,9 @@ from cuspk.homlinalg import (ChainComplex, HomologySummary, SparseIntMatrix,
 from cuspk.semigroup import Params, ell, is_member, member_table
 from cuspk.simplicialx import (CmComplex, build_sigma,
                                conjecture_b_homology_check, cyclic_gaps,
-                               expected_y_homology, face_in_sigma,
-                               fixed_point_check, generator_cycle,
-                               mask_vertices, rotate_mask, vertices_mask,
-                               x_complex, x_homology)
+                               expected_y_homology, fixed_point_check,
+                               generator_cycle, mask_vertices, rotate_mask,
+                               vertices_mask, x_complex, x_homology)
 
 P23 = Params(2, 3)
 P25 = Params(2, 5)
@@ -50,6 +50,13 @@ def check_invariants(cx):
             for e in mask_vertices(f):
                 if f ^ (1 << e) not in cx.faces:
                     raise AssertionError(f"face {bin(f)} breaks subset closure")
+
+
+def face_in_sigma(p, m, mask):
+    """Whether every cyclic gap of the face is representable: the brute-force
+    oracle of build_sigma's pruned search."""
+    rep = member_table(p, m)
+    return all(rep[g] for g in cyclic_gaps(mask, m))
 
 
 def _relative_complex(p, m, degrees, budget):
@@ -269,7 +276,7 @@ REJECTIONS = ("is not a cycle", "is not free of rank one",
 def connecting_verdict(p, m, chain):
     """The rejection that generator_cycle's check gives a chain, or None."""
     try:
-        sx._check_generator(p, m, chain, DEFAULT_BUDGET)
+        sx._check_generator(p, m, chain, build_sigma(p, m))
     except TheoremViolation as exc:
         return next(r for r in REJECTIONS if str(exc).endswith(r))
     return None
@@ -283,14 +290,14 @@ def relative_verdicts(p, m, chains):
     free = homology(C).group(2) == (1, ())
     out = []
     for chain in chains:
-        vec = C.vector_from_chain(2, chain)
+        vec = chain_vector(C, 2, chain)
         if any(C.boundary(2).matvec(vec)):
             out.append(REJECTIONS[0])
             continue
         if not free:
             out.append(REJECTIONS[1])
             continue
-        aug = dict(C.boundary(3).entries())
+        aug = dict(entries(C.boundary(3)))
         aug.update(((r, C.dim(3)), v) for r, v in enumerate(vec) if v)
         basis = {1: C.basis[1], 2: C.basis[2], 3: C.basis[3] + ["cycle"]}
         bounds = {2: C.boundary(2),
@@ -347,7 +354,7 @@ class TestGeneratorCycle:
                 "triangle dropped": f"generator chain at {at} is not a cycle"}
         chain = MUTANTS[mutant](generator_cycle(p, m))
         with pytest.raises(TheoremViolation) as exc:
-            sx._check_generator(p, m, chain, DEFAULT_BUDGET)
+            sx._check_generator(p, m, chain, build_sigma(p, m))
         assert str(exc.value) == want[mutant]
 
     def test_relative_complex_gives_the_same_verdicts(self):
@@ -366,8 +373,9 @@ class TestGeneratorCycle:
                 ran += 1
         assert ran == 2 + 4 + 6 + 8
 
-    def test_budget_counts_faces_of_at_most_three_vertices(self):
-        # 5 + 10 + 10 subsets of at most three vertices at m = 5
-        assert generator_cycle(P23, 5, budget=25)
-        with pytest.raises(ResourceBound, match="^25 subsets exceed"):
-            generator_cycle(P23, 5, budget=24)
+    def test_budget_counts_the_faces_of_sigma(self):
+        # Σ(2,3,5) has 10 faces, which generator_cycle builds once
+        assert generator_cycle(P23, 5, budget=10)
+        with pytest.raises(ResourceBound, match="^the gap complex in weight 5 "
+                           "has more than 9 faces$"):
+            generator_cycle(P23, 5, budget=9)
