@@ -331,12 +331,15 @@ def _make_out_dir(out_dir) -> bool:
     return True
 
 
+def _line(row):
+    return json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def _write_reports(rows, out_dir, prefix="report"):
     jsonl = os.path.join(out_dir, f"{prefix}.jsonl")
     with open(jsonl, "w", encoding="utf-8", newline="") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+            fh.write(_line(row))
     digest = os.path.join(out_dir, f"{prefix}.csv")
     with open(digest, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -400,7 +403,7 @@ def cmd_report(inputs, out_dir) -> int:
     if not _make_out_dir(out_dir):
         return 3
     merged = {}
-    conflicts = []
+    results = {}
     for path in inputs:
         try:
             fh = open(path, encoding="utf-8")
@@ -422,18 +425,16 @@ def cmd_report(inputs, out_dir) -> int:
                           file=sys.stderr)
                     return 3
                 key = _row_key(row)
-                prev = merged.get(key)
-                if prev is None:
-                    merged[key] = row
-                elif prev["result"] != row["result"]:
-                    conflicts.append((row, prev["result"], row["result"]))
+                results.setdefault(key, set()).add(row["result"])
+                merged[key] = min(merged.get(key, row), row, key=_line)
     rows = sorted(merged.values(), key=_row_key)
     jsonl, digest = _write_reports(rows, out_dir, prefix="merged")
-    for row, first, second in conflicts:
+    conflicts = [row for row in rows if len(results[_row_key(row)]) > 1]
+    for row in conflicts:
         where = ",".join(f"{f}={row[f]}" for f in COORDS
                          if row[f] is not None)
         print(f"CONFLICT: {row['suite']}/{row['statement']} ({where}): "
-              f"{first} vs {second}", file=sys.stderr)
+              + " vs ".join(sorted(results[_row_key(row)])), file=sys.stderr)
     print(f"merged {len(rows)} rows -> {jsonl}, {digest}")
     return 1 if conflicts else 0
 

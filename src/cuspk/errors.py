@@ -58,7 +58,3 @@ class TheoremViolation(CuspkError):
 
 class PreconditionViolation(CuspkError):
     """Arguments violate a documented precondition."""
-
-
-class WeightOutOfRange(CuspkError):
-    """A requested weight lies outside the admissible interval."""

@@ -27,18 +27,22 @@ witness.  No floating point enters.
 
 Both checks certify one polytope per orbit of the dihedral group of Z/m,
 which acts on exponents by e -> s*e + g with s = +-1 and maps the
-polytopes of q_union onto each other.  The translation e -> e + g
-multiplies coordinate n by zeta_m^(g*n), a rotation in each coordinate
-plane, and the reflection e -> -e is complex conjugation.  Both are real
-linear isometries that fix the origin, so the origin lies in one member
-of an orbit exactly when it lies in all of them.  Both are also Q-linear
-automorphisms of Q(zeta_m) (multiplication by a root of unity, and the
-Galois automorphism zeta -> zeta^-1), so they carry the power-basis LP of
-one member onto that of another.  The unit action e -> u*e for other
-units u is not used: it is a Galois automorphism but no isometry, and it
-does not preserve real convex geometry.  conv{1, zeta_5^2, zeta_5^3}
-contains the origin, while its image under u = 2, conv{1, zeta_5^4,
-zeta_5}, does not.
+polytopes of q_union onto each other.  Each orbit is built from one
+necklace (_orbits): a polytope is the set of partial sums of a cyclic
+word of a- and b-increments, a translate keeps the word, and the
+reflection reads it backwards with the same counts of a and b, so at the
+same weight.  The translation e -> e + g multiplies coordinate n by
+zeta_m^(g*n), a rotation in each coordinate plane, and the reflection
+e -> -e is complex conjugation.  Both are real linear isometries that
+fix the origin, so the origin lies in one member of an orbit exactly
+when it lies in all of them.  Both are also Q-linear automorphisms of
+Q(zeta_m) (multiplication by a root of unity, and the Galois
+automorphism zeta -> zeta^-1), so they carry the power-basis LP of one
+member onto that of another.  The unit action e -> u*e for other units
+u is not used: it is a Galois automorphism but no isometry, and it does
+not preserve real convex geometry.  conv{1, zeta_5^2, zeta_5^3} contains
+the origin, while its image under u = 2, conv{1, zeta_5^4, zeta_5}, does
+not.
 
 The divisor summand checks (c2/c3) run an exact LP in the power-basis
 coordinates of Q(zeta_m) and report precision_bits 0.  Asking every
@@ -62,7 +66,7 @@ from typing import NamedTuple
 
 from .errors import (DEFAULT_PRECISION, FAILS_CANDIDATE, HOLDS, MAX_PRECISION,
                      UNDECIDED, UNSUPPORTED, PreconditionViolation,
-                     TheoremViolation, WeightOutOfRange)
+                     TheoremViolation)
 from .exactlp import SimplexTableau
 from .semigroup import Params, bezout, is_member, weights
 
@@ -80,23 +84,6 @@ class Verdict(NamedTuple):
     status: str
     precision_bits: int
     witness: object = None
-
-
-class IndexFunction(NamedTuple):
-    """One periodic increment pattern at a given weight.
-
-    The word lists the increments of one period in order, alpha copies
-    of a and beta copies of b, and g0 fixes the starting residue.  The
-    vertex exponents are the partial sums mod m; the underlying map g
-    then satisfies g(t) - g(t-1) in {a, b} and gains m per period.
-    """
-
-    weight: int
-    alpha: int
-    beta: int
-    word: tuple
-    g0: int
-    vertex_exponents: tuple
 
 
 class ExponentPolytope(NamedTuple):
@@ -120,82 +107,54 @@ def _necklaces(alpha: int, beta: int, a: int, b: int) -> list:
     return sorted(seen)
 
 
-def index_functions(p: Params, m: int, weight: int) -> list:
-    """All index functions of the given weight, rotations deduplicated.
+def _images(exps, m: int) -> dict:
+    """{sorted s*e + g (mod m) for e in exps: (s, g)}, each image with its
+    first (s, g) in the order s = 1, -1 and g = 0, ..., m - 1: the loop
+    runs backwards, so the first overwrites the others."""
+    return {tuple(sorted((s * e + g) % m for e in exps)): (s, g)
+            for s in (-1, 1) for g in range(m - 1, -1, -1)}
 
-    The increment counts are alpha = d*m - b*weight and beta =
-    a*weight - c*m; they are non-negative exactly when the weight lies
-    in the closed admissible interval, and a*alpha + b*beta = m.  Each
-    cyclic word is returned once per starting residue g0.
+
+def _orbits(p: Params, m: int) -> list:
+    """The polytopes of q_union, grouped into orbits of the dihedral group.
+
+    A polytope is the set of partial sums of one period of a cyclic word
+    of alpha a-increments and beta b-increments, alpha = d*m - b*n and
+    beta = a*n - c*m at a closed weight n, so a*alpha + b*beta = m.  The
+    translates of a necklace's partial sums and of its reversal's are its
+    orbit: e -> e + g keeps the word, and e -> -e reads it backwards, which
+    keeps alpha, beta and n.  Returns one list per orbit of (exponents, s,
+    g), exponents = {s*e + g : e in rep} (mod m) with (s, g) as in _images,
+    for the least member rep.  Members and orbits are sorted.
     """
     data = weights(p, m)
-    if weight not in data.entries:
-        raise WeightOutOfRange(f"weight {weight} is not admissible for "
-                               f"(a,b,m)=({p.a},{p.b},{m})")
-    entry = data.entries[weight]
-    alpha, beta = entry.i, entry.j
+    placed = set()
     out = []
-    for word in _necklaces(alpha, beta, p.a, p.b):
-        if sum(word) != m:
-            raise TheoremViolation(f"necklace {word} does not sum to m={m}")
-        for g0 in range(m):
-            exps = [g0 % m]
+    for n in data.closed_weights:
+        for word in _necklaces(data.entries[n].i, data.entries[n].j, p.a, p.b):
+            if sum(word) != m:
+                raise TheoremViolation(f"necklace {word} does not sum to m={m}")
+            sums = [0]
             for step in word[:-1]:
-                exps.append((exps[-1] + step) % m)
-            out.append(IndexFunction(weight=weight, alpha=alpha, beta=beta,
-                                     word=word, g0=g0,
-                                     vertex_exponents=tuple(exps)))
-    return out
+                sums.append(sums[-1] + step)
+            if tuple(sums) not in placed:
+                members = _images(min(_images(sums, m)), m)
+                placed.update(members)
+                out.append(sorted((E, s, g) for E, (s, g) in members.items()))
+    return sorted(out)
 
 
 def q_union(p: Params, m: int) -> list:
     """The polytopes whose union is the image of the gap subcomplex.
 
-    One entry per distinct vertex-exponent set across all weights; empty
-    exactly when m is not representable, since the admissible weight
-    interval contains an integer if and only if m = a*u + b*v has a
-    non-negative solution.
+    One entry per distinct vertex-exponent set across all weights, in
+    sorted order; empty exactly when m is not representable, since the
+    admissible weight interval contains an integer if and only if m =
+    a*u + b*v has a non-negative solution.
     """
-    data = weights(p, m)
-    J = data.closed_weights
-    seen = {}
-    for w in J:
-        for fn in index_functions(p, m, w):
-            key = frozenset(fn.vertex_exponents)
-            if key not in seen:
-                seen[key] = ExponentPolytope(m=m, weights=J,
-                                             vertex_exponents=tuple(sorted(key)))
-    return sorted(seen.values(), key=lambda q: q.vertex_exponents)
-
-
-def _orbits(polys: list, m: int) -> list:
-    """Group q_union output into orbits of the dihedral group of Z/m.
-
-    Returns one list per orbit of (index, s, g) triples, one per member,
-    such that the member polys[index] has the exponents s*e + g (mod m)
-    for e in the representative's.  Orbits come in the order of their
-    representatives, and each representative is its orbit's first member
-    in the order of polys, listed first with s = 1, g = 0.
-    """
-    where = {Q.vertex_exponents: i for i, Q in enumerate(polys)}
-    placed = set()
-    out = []
-    for i, rep in enumerate(polys):
-        if i in placed:
-            continue
-        orbit = []
-        for s in (1, -1):
-            for g in range(m):
-                image = tuple(sorted((s * e + g) % m for e in rep.vertex_exponents))
-                j = where.get(image)
-                if j is None:
-                    raise TheoremViolation("q_union is not closed under the "
-                                           "dihedral group")
-                if j not in placed:
-                    placed.add(j)
-                    orbit.append((j, s, g))
-        out.append(sorted(orbit))
-    return out
+    J = weights(p, m).closed_weights
+    return sorted(ExponentPolytope(m=m, weights=J, vertex_exponents=E)
+                  for orbit in _orbits(p, m) for E, _, _ in orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -421,33 +380,34 @@ def check_c1(p: Params, m: int, precision: int = DEFAULT_PRECISION) -> Verdict:
     {"vertices", "representative", "translate", "reflect"}, meaning
     vertices = {s*e + translate : e in representative} (mod m) with
     s = -1 exactly when reflect, and the witness keeps one entry per
-    polytope in q_union order.  Where the representative is not
+    polytope in sorted exponent order.  Where the representative is not
     certified, each member is checked on its own, because interval
     outcomes depend on the dyadic data of each polytope; the first
-    candidate in q_union order, or else every unresolved polytope, is
+    candidate in that order, or else every unresolved polytope, is
     reported.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if not is_member(p, m):
         return Verdict(HOLDS, 0, witness={"vacuous": "m is not representable"})
-    polys = q_union(p, m)
-    outcomes = [None] * len(polys)
-    for orbit in _orbits(polys, m):
-        rep = polys[orbit[0][0]]
-        state, detail = _separate_origin(rep, precision)
-        outcomes[orbit[0][0]] = state, detail
-        for j, s, g in orbit[1:]:
+    ws = weights(p, m).closed_weights
+    outcomes = {}
+    for (rep, _, _), *others in _orbits(p, m):
+        state, detail = _separate_origin(ExponentPolytope(m, ws, rep),
+                                         precision)
+        outcomes[rep] = state, detail
+        for E, s, g in others:
             if state == "holds":
-                outcomes[j] = state, {
-                    "vertices": list(polys[j].vertex_exponents),
-                    "representative": list(rep.vertex_exponents),
-                    "translate": g, "reflect": s < 0}
+                outcomes[E] = state, {"vertices": list(E),
+                                      "representative": list(rep),
+                                      "translate": g, "reflect": s < 0}
             else:
-                outcomes[j] = _separate_origin(polys[j], precision)
+                outcomes[E] = _separate_origin(ExponentPolytope(m, ws, E),
+                                               precision)
     separators = []
     undecided = []
-    for state, detail in outcomes:
+    for E in sorted(outcomes):
+        state, detail = outcomes[E]
         if state == "candidate":
             return Verdict(FAILS_CANDIDATE, precision, witness=detail)
         if state == "undecided":
@@ -561,28 +521,27 @@ def _summand_hit(exps, m: int, others: list, n0: int, roots: dict):
     return hit, None
 
 
-def _summand_hits(polys: list, m: int, others: list, n0: int, roots: dict):
+def _summand_hits(orbits: list, m: int, others: list, n0: int, roots: dict):
     """The summand LP of every polytope, solved once per dihedral orbit.
 
-    The member s*e + g of an orbit has the representative's LP up to a
-    Q-linear automorphism of Q(zeta_m), which maps a pinned root
-    zeta_m^je to zeta_m^(s*je + g*n0).  Returns (hits, None), where
-    hits[i] is the root exponent that the LP of polys[i] pins or None
-    where it is infeasible, or (None, witness) for the first
-    representative whose LP does not pin a root.  That representative is
-    its orbit's first member in the order of polys, and every member of
-    an orbit fails with it, so its witness is the one a check of every
-    polytope in that order reports.
+    The member s*e + g of an orbit (see _orbits) has the representative's
+    LP up to a Q-linear automorphism of Q(zeta_m), which maps a pinned
+    root zeta_m^je to zeta_m^(s*je + g*n0).  Returns (hits, None), where
+    hits maps the exponents of every polytope whose LP is feasible to the
+    root exponent it pins, or (None, witness) for the first representative
+    whose LP does not pin a root.  That representative is its orbit's
+    least member, and every member of an orbit fails with it, so its
+    witness is the one a check of every polytope in sorted exponent order
+    reports.
     """
-    hits = [None] * len(polys)
-    for orbit in _orbits(polys, m):
-        rep = polys[orbit[0][0]]
-        je, failure = _summand_hit(rep.vertex_exponents, m, others, n0, roots)
+    hits = {}
+    for orbit in orbits:
+        je, failure = _summand_hit(orbit[0][0], m, others, n0, roots)
         if failure is not None:
             return None, failure
         if je is not None:
-            for j, s, g in orbit:
-                hits[j] = (s * je + g * n0) % m
+            for E, s, g in orbit:
+                hits[E] = (s * je + g * n0) % m
     return hits, None
 
 
@@ -593,8 +552,9 @@ def _divisor_statement(p: Params, m: int, div: int):
     polytope the points with vanishing coordinates outside the summand
     form a rational LP; when feasible, the image in the summand is pinned
     coordinate by coordinate and compared exactly against the div-th
-    roots of unity.  The LP runs once per dihedral orbit (_summand_hits).
-    Returns a status and a witness dictionary.
+    roots of unity.  The LP runs once per dihedral orbit (_summand_hits),
+    and each root is witnessed by the first polytope in sorted exponent
+    order that reaches it.  Returns a status and a witness dictionary.
     """
     a, b = p.a, p.b
     bz = bezout(p)
@@ -605,14 +565,12 @@ def _divisor_statement(p: Params, m: int, div: int):
         raise TheoremViolation(f"summand weight {n0} is not a closed weight")
     others = [n for n in J if n != n0]
     roots = {(k * (m // div)) % m: k for k in range(div)}
-    polys = q_union(p, m)
-    hits, failure = _summand_hits(polys, m, others, n0, roots)
+    hits, failure = _summand_hits(_orbits(p, m), m, others, n0, roots)
     if failure is not None:
         return FAILS_CANDIDATE, failure
     found = {}
-    for Q, je in zip(polys, hits):
-        if je is not None:
-            found.setdefault(roots[je], list(Q.vertex_exponents))
+    for E in sorted(hits):
+        found.setdefault(roots[hits[E]], list(E))
     missing = sorted(set(roots.values()) - set(found))
     if missing:
         return FAILS_CANDIDATE, {"missing_roots": missing,

@@ -647,6 +647,20 @@ class TestReport:
         cli.main(["report", b, a, "--out", str(tmp_path / "ba")])
         assert (tmp_path / "ab" / "merged.jsonl").read_bytes() == \
             (tmp_path / "ba" / "merged.jsonl").read_bytes()
+        # the same keys and results, with details that differ in
+        # precision_bits: the row with the least line is kept
+        outs = [run(tmp_path / f"p{bits}", "verify", "conjC", "--a", "2",
+                    "--b", "3", "--m-max", "6", "--precision", bits)[1]
+                for bits in ("128", "256")]
+        c, d = (str(o / "report.jsonl") for o in outs)
+        assert cli.main(["report", c, d, "--out", str(tmp_path / "cd")]) == 0
+        assert cli.main(["report", d, c, "--out", str(tmp_path / "dc")]) == 0
+        merged = (tmp_path / "cd" / "merged.jsonl").read_bytes()
+        assert merged == (tmp_path / "dc" / "merged.jsonl").read_bytes()
+        lines = [o.joinpath("report.jsonl").read_bytes().splitlines(True)
+                 for o in outs]
+        assert lines[0] != lines[1]
+        assert merged.splitlines(True) == [min(x, y) for x, y in zip(*lines)]
 
     def test_conflicting_results_flagged(self, tmp_path, capsys):
         _, out = run(tmp_path / "v", "verify", "semigroup", "--a", "2",

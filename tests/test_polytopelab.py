@@ -7,14 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cuspk import polytopelab
-from cuspk.errors import PreconditionViolation, WeightOutOfRange
+from cuspk.errors import PreconditionViolation
 from cuspk.polytopelab import (FAILS_CANDIDATE, HOLDS, UNDECIDED, UNSUPPORTED,
                                ExponentPolytope, Verdict,
-                               _cyclotomic, _midpoint_vertex, _root_table,
-                               _separate_origin,
+                               _cyclotomic, _midpoint_vertex, _necklaces,
+                               _orbits, _root_table, _separate_origin,
                                _summand_hit, _summand_hits, _zeta_powers,
                                check_c1, check_c2_c3, check_c4, escalate,
-                               index_functions, q_union, run_conjecture_checks)
+                               q_union, run_conjecture_checks)
 from cuspk.semigroup import Params, bezout, is_member, weights
 
 P23 = Params(2, 3)
@@ -22,38 +22,84 @@ P25 = Params(2, 5)
 P34 = Params(3, 4)
 
 
+def index_functions(p, m, weight):
+    """(word, exponents) of every index function of the weight: each
+    necklace once per starting residue g0, the enumeration that _orbits
+    replaced."""
+    entry = weights(p, m).entries[weight]
+    out = []
+    for word in _necklaces(entry.i, entry.j, p.a, p.b):
+        for g0 in range(m):
+            exps = [g0]
+            for step in word[:-1]:
+                exps.append((exps[-1] + step) % m)
+            out.append((word, tuple(exps)))
+    return out
+
+
+def oracle_orbits(p, m):
+    """The polytopes of every index function, deduplicated and sorted, then
+    regrouped into dihedral orbits by looking up the 2m images of each
+    representative, as (exponents, s, g) triples."""
+    sets = sorted({tuple(sorted(exps))
+                   for n in weights(p, m).closed_weights
+                   for _, exps in index_functions(p, m, n)})
+    placed = set()
+    out = []
+    for rep in sets:
+        if rep in placed:
+            continue
+        orbit = []
+        for s in (1, -1):
+            for g in range(m):
+                image = tuple(sorted((s * e + g) % m for e in rep))
+                assert image in sets
+                if image not in placed:
+                    placed.add(image)
+                    orbit.append((image, s, g))
+        out.append(sorted(orbit))
+    return out
+
+
+def cyclic_gaps(exps, m):
+    return [y - x for x, y in zip(exps, exps[1:])] + [exps[0] + m - exps[-1]]
+
+
 class TestIndexFunctions:
     def test_pentagon_weight(self):
-        fns = index_functions(P23, 5, 3)
-        assert len(fns) == 5
-        assert all(f.alpha == 1 and f.beta == 1 for f in fns)
-        assert sorted(f.vertex_exponents for f in fns) == [
-            (0, 2), (1, 3), (2, 4), (3, 0), (4, 1)]
+        # the one weight 3 has alpha = beta = 1: one orbit of five
+        # translates, each of its reflections one of them
+        assert _orbits(P23, 5) == [[((0, 2), 1, 0), ((0, 3), 1, 3),
+                                    ((1, 3), 1, 1), ((1, 4), 1, 4),
+                                    ((2, 4), 1, 2)]]
 
     def test_single_increment(self):
-        fns = index_functions(P23, 2, 1)
-        assert [(f.word, f.vertex_exponents) for f in fns] == [
-            ((2,), (0,)), ((2,), (1,))]
+        assert _orbits(P23, 2) == [[((0,), 1, 0), ((1,), 1, 1)]]
 
     def test_endpoint_weight_is_pure_a(self):
-        # weight c*m/a has beta = 0, so the word is a repeated
-        fns = index_functions(P23, 8, 4)
-        assert {f.word for f in fns} == {(2, 2, 2, 2)}
-        assert all(f.alpha == 4 and f.beta == 0 for f in fns)
+        # weight c*m/a has beta = 0, so its word is a repeated
+        data = weights(P23, 8)
+        [pure] = [data.entries[n] for n in data.closed_weights
+                  if data.entries[n].j == 0]
+        assert pure.i == 4
+        orbits = [o for o in _orbits(P23, 8) if len(o[0][0]) == pure.i]
+        assert orbits == [[((0, 2, 4, 6), 1, 0), ((1, 3, 5, 7), 1, 1)]]
+        assert all(cyclic_gaps(E, 8) == [2] * 4 for E, _, _ in orbits[0])
 
     def test_word_content(self):
+        # the cyclic gaps of every member are alpha a-steps and beta
+        # b-steps of the weight whose word has its length, summing to m
         for m in (5, 6, 8, 12):
             data = weights(P23, m)
-            for n in data.closed_weights:
-                for f in index_functions(P23, m, n):
-                    assert f.word.count(2) == f.alpha
-                    assert f.word.count(3) == f.beta
-                    assert sum(f.word) == m
-                    assert len(f.vertex_exponents) == f.alpha + f.beta
-
-    def test_out_of_range(self):
-        with pytest.raises(WeightOutOfRange):
-            index_functions(P23, 5, 2)
+            counts = {e.i + e.j: (e.i, e.j) for e in
+                      (data.entries[n] for n in data.closed_weights)}
+            assert len(counts) == len(data.closed_weights)
+            for orbit in _orbits(P23, m):
+                for E, _, _ in orbit:
+                    alpha, beta = counts[len(E)]
+                    gaps = cyclic_gaps(E, m)
+                    assert sorted(gaps) == [2] * alpha + [3] * beta
+                    assert sum(gaps) == m
 
 
 class TestQUnion:
@@ -105,6 +151,15 @@ class TestDihedralOrbits:
                 for g in range(m):
                     assert frozenset((s * e + g) % m for e in S) in sets
 
+    @pytest.mark.parametrize("p", [P23, P25, P34, Params(3, 5), Params(2, 7),
+                                   Params(4, 5)])
+    def test_orbits_match_the_oracle(self, p):
+        for m in range(1, 31):
+            expected = oracle_orbits(p, m)
+            assert _orbits(p, m) == expected, m
+            assert [Q.vertex_exponents for Q in q_union(p, m)] == \
+                sorted(E for orbit in expected for E, _, _ in orbit), m
+
     @pytest.mark.parametrize("p", [P23, P34])
     def test_orbit_verdicts_match_every_polytope(self, p):
         for m in range(1, 13):
@@ -128,16 +183,17 @@ class TestDihedralOrbits:
                     continue
                 others = [n for n in weights(p, m).closed_weights if n != n0]
                 roots = {(k * (m // div)) % m: k for k in range(div)}
-                direct = []
+                direct = {}
                 found = {}
                 for Q in polys:
                     je, failure = _summand_hit(Q.vertex_exponents, m, others,
                                                n0, roots)
                     assert failure is None, (m, key, Q)
-                    direct.append(je)
                     if je is not None:
+                        direct[Q.vertex_exponents] = je
                         found.setdefault(str(roots[je]), list(Q.vertex_exponents))
-                assert _summand_hits(polys, m, others, n0, roots) == (direct, None)
+                assert _summand_hits(_orbits(p, m), m, others, n0, roots) == \
+                    (direct, None)
                 assert parts[key]["status"] == HOLDS
                 assert parts[key]["intersections"] == dict(sorted(found.items()))
 
@@ -146,20 +202,23 @@ class TestDihedralOrbits:
         # stand in a chiral orbit in Z/7 whose "LP" pins the centroid
         # 3^-1 * sum(E): it moves under e -> s*e + g as a root with n0 = 1
         m, n0 = 7, 1
-        sets = {tuple(sorted((s * e + g) % m for e in (0, 1, 3)))
-                for s in (1, -1) for g in range(m)}
-        polys = [ExponentPolytope(m=m, weights=(n0,), vertex_exponents=E)
-                 for E in sorted(sets)]
-        assert len(polys) == 2 * m
+        rep = (0, 1, 3)
+        members = {}
+        for s in (1, -1):
+            for g in range(m):
+                image = tuple(sorted((s * e + g) % m for e in rep))
+                members.setdefault(image, (s, g))
+        assert len(members) == 2 * m and min(members) == rep
+        orbit = sorted((E, s, g) for E, (s, g) in members.items())
 
         def centroid(exps, *args):
             return 5 * sum(exps) % m, None
 
         monkeypatch.setattr(polytopelab, "_summand_hit", centroid)
         roots = {j: j for j in range(m)}
-        hits, failure = _summand_hits(polys, m, [], n0, roots)
+        hits, failure = _summand_hits([orbit], m, [], n0, roots)
         assert failure is None
-        assert hits == [centroid(Q.vertex_exponents)[0] for Q in polys]
+        assert hits == {E: centroid(E)[0] for E in members}
 
     @pytest.mark.parametrize("p,m", [(P23, 5), (P23, 12), (P25, 14), (P34, 12)])
     def test_transferred_witnesses_map_representatives(self, p, m):
