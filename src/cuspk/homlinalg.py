@@ -3,13 +3,15 @@
 Provides the machinery every homology computation in the toolkit runs on:
 sparse integer matrices, Smith normal form with the unimodular
 transforms of one side, chain complexes with integral homology (ranks,
-torsion and generator lifts) and mapping cones.  A cone takes its map as
-degreewise matrices and needs no separate chain-map check: its own d ∘ d
-check is that check.  The LP helpers at the end (`lp_separate`,
-`lp_optimize`, `feasibility_certificate` and `SeparationResult`) wrap the
-simplex tableau of `cuspk.exactlp`, imported on first use, as `fractions`
-is, so that the homology suites load neither.  Nothing under `src/` calls
-them; they stay only as targets of `perfbench/tracer.py` until the next
+torsion and generator lifts) and mapping cones.  A complex is a basis of
+labels and a face map, the rule that gives the boundary of a label, and
+it builds its boundary matrices from them; a cone takes its map on labels
+too, and needs no separate chain-map check: its own d ∘ d check is that
+check.  The LP helpers at the end (`lp_separate`, `lp_optimize`,
+`feasibility_certificate` and `SeparationResult`) wrap the simplex
+tableau of `cuspk.exactlp`, imported on first use, as `fractions` is, so
+that the homology suites load neither.  Nothing under `src/` calls them;
+they stay only as targets of `perfbench/tracer.py` until the next
 benchmark change.
 
 A transform is kept as the elimination's own operations, one flat log per
@@ -123,9 +125,6 @@ class SparseIntMatrix:
                     else:
                         row.pop(c, None)
         return cls._from_rows(len(rows), len(cols), out)
-
-    def row(self, r: int) -> dict:
-        return self._rows[r]
 
     @property
     def nnz(self) -> int:
@@ -419,49 +418,46 @@ def smith_normal_form(matrix: SparseIntMatrix,
 class ChainComplex:
     """A bounded complex of free Z-modules with labelled bases.
 
-    basis maps a degree q to the list of basis labels of C_q; boundaries
-    maps q to the matrix of d_q : C_q -> C_{q-1} in those bases.  Degrees
-    not present are zero.  Construction factors each boundary once, by
-    ascending degree on the reduced complex of the module docstring, and
-    keeps the result of d_q in smith[q]; it checks d ∘ d = 0 on the rows
-    of each d_q that the factoring finds to span all of them.
+    basis maps a degree q to the list of basis labels of C_q, and
+    faces(label) yields the (label, coeff) pairs of the boundary of a
+    label, as `SparseIntMatrix.of_map` reads them: labels outside the basis
+    one degree down are dropped.  Degrees not present are zero.
+    Construction builds each d_q once, by ascending degree, factors it on
+    the reduced complex of the module docstring and keeps the result in
+    smith[q]; it checks d ∘ d = 0 on the rows of each d_q that the
+    factoring finds to span all of them, with only d_q and d_{q+1} built
+    at a time.  No matrix is kept: boundary(q) builds d_q again from the
+    labels, the same matrix every time, row key order included.
     """
 
-    def __init__(self, basis: dict, boundaries: dict):
+    def __init__(self, basis: dict, faces):
         self.basis = {q: list(lbls) for q, lbls in basis.items() if lbls}
-        self.boundaries = {}
-        for q, mat in boundaries.items():
-            want = (self.dim(q - 1), self.dim(q))
-            if (mat.nrows, mat.ncols) != want:
-                raise DimensionMismatch(
-                    f"boundary at degree {q} is {mat.nrows}x{mat.ncols}, expected {want}")
-            self.boundaries[q] = mat
+        self.faces = faces
         self.smith: dict[int, SNFResult] = {}
         split = ()
+        upper = None
         for q in sorted(set(self.basis) | {q + 1 for q in self.basis}):
-            mat = self.boundaries.get(q)
-            if mat is None:
+            # d_q is the previous degree's d_{q+1} when that was built
+            mat, upper = upper, None
+            if q not in self.basis or q - 1 not in self.basis:
                 self.smith[q] = SNFResult([])
                 split = ()
                 continue
+            if mat is None:
+                mat = self.boundary(q)
             self.smith[q], spanning = _factor_reduced(mat, split)
             split = self.smith[q].split
-            upper = self.boundaries.get(q + 1)
-            if upper is not None and not _annihilates(spanning, upper):
-                raise ComplexInvalid(f"d_{q} ∘ d_{q + 1} != 0")
+            if q + 1 in self.basis:
+                upper = self.boundary(q + 1)
+                if not _annihilates(spanning, upper):
+                    raise ComplexInvalid(f"d_{q} ∘ d_{q + 1} != 0")
 
     def dim(self, q: int) -> int:
         return len(self.basis.get(q, ()))
 
-    @property
-    def degrees(self) -> list:
-        return sorted(self.basis)
-
     def boundary(self, q: int) -> SparseIntMatrix:
-        mat = self.boundaries.get(q)
-        if mat is None:
-            mat = SparseIntMatrix(self.dim(q - 1), self.dim(q))
-        return mat
+        return SparseIntMatrix.of_map(self.basis.get(q - 1, []),
+                                      self.basis.get(q, []), self.faces)
 
 
 class HomologySummary(NamedTuple):
@@ -574,7 +570,7 @@ def homology(C: ChainComplex) -> HomologySummary:
     H_q has free rank dim C_q - rank d_q - rank d_{q+1} and torsion the
     invariant factors > 1 of d_{q+1}: the factors of the inclusion of the
     image into the kernel are those of the matrix itself.  The Smith forms
-    are those C took of its reduced boundaries when it was built.
+    are those C took of its reduced boundary matrices when it was built.
     """
     out = {}
     for q in C.basis:
@@ -674,9 +670,12 @@ class HomologyEngine:
         return [y[i] % order if order else y[i] for i, order in data["keep"]]
 
 
-def mapping_cone(dom: ChainComplex, cod: ChainComplex, maps: dict) -> ChainComplex:
+def mapping_cone(dom: ChainComplex, cod: ChainComplex, f) -> ChainComplex:
     """Cone(f)_q = A_{q-1} + B_q with d(a, b) = (-dA a, dB b - f a), for
-    A = dom, B = cod and f_q = maps[q] : A_q -> B_q (0 where q is absent).
+    A = dom, B = cod and the chain map f given on labels: f(a) yields the
+    (label, coeff) pairs of the image of a in B, in the degree of a.  A
+    target outside B's basis in that degree is dropped, as `of_map` drops
+    the faces outside a relative complex's basis.
 
     Labels are ("dom", original label) for the shifted copy of the domain
     and ("cod", original label) for the codomain.  The convention makes
@@ -685,36 +684,29 @@ def mapping_cone(dom: ChainComplex, cod: ChainComplex, maps: dict) -> ChainCompl
 
     d(d(a, b)) = (dA dA a, dB dB b - (dB f - f dA) a), so the cone's own
     d ∘ d check is the chain-map check: it fails exactly when f does not
-    commute with the boundaries, and raises NotAChainMap.  A map of the
-    wrong shape raises DimensionMismatch.
+    commute with the boundary maps, and raises NotAChainMap.
     """
     A, B = dom, cod
-    for q, f_q in maps.items():
-        want = (B.dim(q), A.dim(q))
-        if (f_q.nrows, f_q.ncols) != want:
-            raise DimensionMismatch(f"map at degree {q} is {f_q.nrows}x{f_q.ncols},"
-                                    f" expected {want}")
-    degs = set(q + 1 for q in A.basis) | set(B.basis)
     basis = {}
-    for q in degs:
+    for q in set(q + 1 for q in A.basis) | set(B.basis):
         basis[q] = [("dom", lbl) for lbl in A.basis.get(q - 1, ())] + \
                    [("cod", lbl) for lbl in B.basis.get(q, ())]
-    boundaries = {}
-    for q in degs:
-        na = A.dim(q - 1)
-        # the rows of A_{q-2} hold -dA; those of B_{q-1} hold -f, then dB
-        # shifted past A's na columns
-        rows = [{c: -v for c, v in row.items()} for row in A.boundary(q - 1)._rows]
-        f = maps.get(q - 1)
-        for r, row in enumerate(B.boundary(q)._rows):
-            out = {} if f is None else {c: -v for c, v in f.row(r).items()}
-            out.update((na + c, v) for c, v in row.items())
-            rows.append(out)
-        boundaries[q] = SparseIntMatrix._from_rows(len(rows), na + B.dim(q), rows)
+
+    def faces(lbl):
+        side, x = lbl
+        if side == "cod":
+            for y, c in B.faces(x):
+                yield ("cod", y), c
+            return
+        for y, c in A.faces(x):
+            yield ("dom", y), -c
+        for y, c in f(x):
+            yield ("cod", y), -c
+
     try:
-        return ChainComplex(basis, boundaries)
+        return ChainComplex(basis, faces)
     except ComplexInvalid as exc:
-        raise NotAChainMap(f"the maps do not commute with the boundaries: {exc}") from None
+        raise NotAChainMap(f"the map and the boundary do not commute: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

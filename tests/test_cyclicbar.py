@@ -62,7 +62,7 @@ def cone_homology(p, m):
 
 
 def to_dense(M):
-    return [[M.row(r).get(c, 0) for c in range(M.ncols)] for r in range(M.nrows)]
+    return [[M._rows[r].get(c, 0) for c in range(M.ncols)] for r in range(M.nrows)]
 
 
 # reference implementations on part tuples (m_0, ..., m_q); cyclicbar
@@ -115,7 +115,7 @@ def entries_matrix(rows, cols, image):
 
 
 def row_lists(M):
-    return [list(M.row(r).items()) for r in range(M.nrows)]
+    return [list(row.items()) for row in M._rows]
 
 
 class TestBarComplex:
@@ -291,11 +291,15 @@ class TestSmallModel:
         # check; a wrong one-form coefficient fails it
         for m in range(1, 13):
             relative_cone(P23, m)
-        curve = small_complex_curve(P23, 6)
-        maps = parametrization_map(P23, curve)
-        maps[1] = SparseIntMatrix(1, curve.dim(1), {k: v + 1 for k, v in entries(maps[1])})
+        f = parametrization_map(P23, 6)
+
+        def wrong(lbl):
+            for tgt, coeff in f(lbl):
+                yield tgt, coeff + 1 if tgt[0] == "dt" else coeff
+
         with pytest.raises(NotAChainMap):
-            mapping_cone(curve, small_complex_line(P23, 6), maps)
+            mapping_cone(small_complex_curve(P23, 6), small_complex_line(P23, 6),
+                         wrong)
 
     def test_cone_homology_frozen(self):
         assert cone_homology(P23, 4) == H({1: (0, (2,))})
