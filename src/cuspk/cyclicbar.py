@@ -53,7 +53,7 @@ from cuspk.homlinalg import (
     homology,
     mapping_cone,
 )
-from cuspk.semigroup import Params, ell, mask_vertices, member_table, rotate_mask
+from cuspk.semigroup import Params, ell, member_table
 
 
 def _bar_cells(p: Params, m: int, budget: int) -> dict:
@@ -97,16 +97,25 @@ def relative_bar_complex(p: Params, m: int,
     to m and not entirely inside <a, b>, in the sorted order of the tuples.
     Face d_i (i < q) drops the cut c_{i+1} with sign (-1)^i; the cyclic
     face d_q drops the top cut c_q and rotates the rest by m - c_q.  A
-    cell of degree 0 has no cut and no face."""
+    cell of degree 0 has no cut and no face.
+
+    The faces are bit arithmetic on the mask: d_0, d_1, ... clear its set
+    bits from the lowest up, flipping the sign each time, and the cyclic
+    face shifts the rest up by m - c_q, which wraps no cut since every
+    one lies below c_q."""
     basis = _bar_cells(p, m, budget)
 
     def faces(mask):
-        cuts = mask_vertices(mask)
-        for i, c in enumerate(cuts):
-            yield mask ^ (1 << c), -1 if i & 1 else 1
-        if cuts:
-            top = cuts[-1]
-            yield rotate_mask(mask ^ (1 << top), m, m - top), -1 if len(cuts) & 1 else 1
+        if not mask:
+            return
+        bits, sign = mask, 1
+        while bits:
+            low = bits & -bits
+            yield mask ^ low, sign
+            bits ^= low
+            sign = -sign
+        top = mask.bit_length() - 1
+        yield (mask ^ (1 << top)) << (m - top), sign
 
     return ChainComplex(basis, faces)
 
@@ -119,6 +128,9 @@ def connes_matrix(bar: ChainComplex, m: int, q: int) -> SparseIntMatrix:
     with a unit in an interior slot are degenerate and dropped, which
     kills everything when x_0 = 0.  On cut sets: the i-th term rotates
     the points {0, c_1, ..., c_q} so that the i-th of them sits at 0.
+    Bitwise, the term of the cut c = c_i shifts the points from c up down
+    by c and those below c up by m - c, and the cuts are read lowest bit
+    first.
     """
     sign = -1 if q & 1 else 1
 
@@ -127,8 +139,13 @@ def connes_matrix(bar: ChainComplex, m: int, q: int) -> SparseIntMatrix:
             return
         points = mask | 1
         yield points, 1
-        for i, c in enumerate(mask_vertices(mask), 1):
-            yield rotate_mask(points, m, m - c), sign if i & 1 else 1
+        bits, s = mask, sign
+        while bits:
+            low = bits & -bits
+            c = low.bit_length() - 1
+            yield (points >> c) | ((points & (low - 1)) << (m - c)), s
+            bits ^= low
+            s *= sign
 
     return SparseIntMatrix.of_map(bar.basis.get(q + 1, []), bar.basis.get(q, []),
                                   image)
@@ -371,7 +388,7 @@ def _operator_factor(C: ChainComplex, op: SparseIntMatrix, q: int, name: str,
                 f"H_{d} = {eng.group(d)} is not infinite cyclic as required")
     ((_, g),) = eng.generators(q)
     image = op.matvec(g)
-    if any(C.boundary(q + 1).matvec(image)):
+    if any(eng.boundary(q + 1).matvec(image)):
         raise TheoremViolation(f"{name} image is not a cycle in degree {q + 1}")
     (c,) = eng.coordinates(q + 1, image)
     if abs(c) != m:

@@ -98,9 +98,14 @@ def build_sigma(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> CmComplex:
 
 def _face_boundary(mask: int):
     """(face, sign) of the simplicial boundary of a face mask: dropping
-    the i-th least vertex has sign (-1)^i."""
-    return ((mask ^ (1 << e), -1 if i % 2 else 1)
-            for i, e in enumerate(mask_vertices(mask)))
+    the i-th least vertex has sign (-1)^i.  The vertices are cleared as
+    bits, lowest first, with the sign flipped after each."""
+    bits, sign = mask, 1
+    while bits:
+        low = bits & -bits
+        yield mask ^ low, sign
+        bits ^= low
+        sign = -sign
 
 
 def x_complex(sigma: CmComplex) -> ChainComplex:

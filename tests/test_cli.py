@@ -190,15 +190,10 @@ class TestVerify:
         assert cli.cmd_verify("prop51", cfg) == 0
         assert stub_pool == {"sizes": [1], "mapped": [0]}
 
-    @pytest.mark.parametrize("key", ["kgroups --a 3 --b 5 --r-max 20",
-                                     "semigroup --a 3 --b 5 --r-max 24",
-                                     "witt", "prop51 --a 2 --b 5 --m-max 12",
-                                     "prop51 --a 2 --b 3 --m-max 12",
-                                     "prop51 --a 3 --b 4 --m-max 12",
-                                     "prop51 --a 3 --b 5 --m-max 12",
-                                     "conjB --a 3 --b 5 --m-max 12",
-                                     "conjB --a 2 --b 3 --m-max 12"])
+    @pytest.mark.parametrize("key", sorted(json.loads(BENCH_REFS.read_text())))
     def test_reports_match_benchmark_refs(self, tmp_path, key):
+        # every key of the benchmark's references, so tier-1 checks the
+        # same bytes the benchmark does
         ref = json.loads(BENCH_REFS.read_text())[key]
         code, out = run(tmp_path, "verify", *key.split())
         assert code == 0

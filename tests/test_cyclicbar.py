@@ -10,9 +10,10 @@ from itertools import combinations
 import pytest
 from test_homlinalg import entries, product
 
-from cuspk.errors import (NotAChainMap, PreconditionViolation, ResourceBound,
-                          TheoremViolation)
-from cuspk.homlinalg import HomologySummary, SparseIntMatrix, homology, mapping_cone
+from cuspk.errors import (ComplexInvalid, NotAChainMap, PreconditionViolation,
+                          ResourceBound, TheoremViolation)
+from cuspk.homlinalg import (ChainComplex, HomologySummary, SparseIntMatrix,
+                             homology, mapping_cone)
 from cuspk.semigroup import Params, ell, is_member
 from cuspk.cyclicbar import (
     _koszul_image,
@@ -184,8 +185,9 @@ class TestBarComplex:
 
     @pytest.mark.parametrize("a,b", README_PAIRS + [(2, 7), (4, 5)])
     def test_boundaries_match_an_entries_dict(self, a, b):
+        # the bitwise faces against the tuple faces, row key order included
         p = Params(a, b)
-        for m in range(1, 9):
+        for m in range(1, 11):
             C = relative_bar_complex(p, m)
             basis = tuple_basis(C, m)
             for q in basis:
@@ -198,12 +200,28 @@ class TestBarComplex:
                 assert got == want
                 assert row_lists(got) == row_lists(want)
 
+    @pytest.mark.parametrize("a,b", README_PAIRS)
+    def test_a_sign_mutant_fails_the_square_check(self, a, b):
+        # the top non-cyclic face d_{q-1} keeps the sign of d_{q-2}
+        p = Params(a, b)
+        for m in range(3, 11):
+            bar = relative_bar_complex(p, m)
+
+            def mutant(mask):
+                out = list(bar.faces(mask))
+                if len(out) >= 3:
+                    out[-2] = out[-2][0], out[-3][1]
+                return out
+
+            with pytest.raises(ComplexInvalid, match=r"^d_\d+ ∘ d_\d+ != 0$"):
+                ChainComplex(bar.basis, mutant)
+
 
 class TestConnesOperator:
     @pytest.mark.parametrize("a,b", README_PAIRS)
     def test_matches_the_tuple_rotations(self, a, b):
         p = Params(a, b)
-        for m in range(1, 9):
+        for m in range(1, 11):
             C = relative_bar_complex(p, m)
             basis = tuple_basis(C, m)
             for q in range(-1, m + 1):

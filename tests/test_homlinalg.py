@@ -30,7 +30,9 @@ from cuspk.homlinalg import (
     HomologyEngine,
     HomologySummary,
     SparseIntMatrix,
+    _annihilates,
     _coreduce,
+    _factor_reduced,
     _replay,
     feasibility_certificate,
     homology,
@@ -744,6 +746,63 @@ class TestConstructionOracle:
             assert failing_square(boundaries_of(model_complex(*key))) is None
 
 
+def annihilates_reference(rows, upper):
+    """The d ∘ d check as it was, one dict per row."""
+    for row in rows:
+        acc = {}
+        for c, v in row.items():
+            for c2, w in upper._rows[c].items():
+                acc[c2] = acc.get(c2, 0) + v * w
+        if any(acc.values()):
+            return False
+    return True
+
+
+@st.composite
+def row_products(draw):
+    """Rows against an upper matrix whose rows come in pairs u, -u, so a
+    row with equal weights on a pair cancels there; the rest are free."""
+    half = draw(st.integers(1, 3))
+    ncols = draw(st.integers(1, 4))
+    small = st.integers(-2, 2)
+    upper = []
+    for _ in range(half):
+        u = {c: v for c in range(ncols) if (v := draw(small))}
+        upper += [u, {c: -v for c, v in u.items()}]
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        row = {}
+        for k in range(half):
+            v = draw(small)
+            w = v if draw(st.booleans()) else draw(small)
+            row.update({c: x for c, x in ((2 * k, v), (2 * k + 1, w)) if x})
+        rows.append(row)
+    return rows, SparseIntMatrix._from_rows(2 * half, ncols, upper)
+
+
+class TestAnnihilates:
+    @given(row_products())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_dict_per_row_reference(self, case):
+        # every prefix, so a failing row comes after cancelling ones and
+        # before passing ones
+        rows, upper = case
+        for k in range(len(rows) + 1):
+            assert _annihilates(rows[:k], upper) == \
+                annihilates_reference(rows[:k], upper)
+
+    def test_a_cancelling_row_does_not_hide_a_later_one(self):
+        # coreduction pairs row 0 of d_2 first: its product with d_3 cancels
+        # in column 0, and row 1's, checked next, is 1 there
+        d2 = from_dense([[1, 0, 1, 0], [0, 1, 0, 1]])
+        d3 = from_dense([[1], [1], [-1], [0]])
+        spanning = _factor_reduced(d2, ())[1]
+        assert spanning == [{0: 1, 2: 1}, {1: 1, 3: 1}]
+        basis = {1: ["a0", "a1"], 2: ["b0", "b1", "b2", "b3"], 3: ["c0"]}
+        with pytest.raises(ComplexInvalid, match="^d_2 ∘ d_3 != 0$"):
+            complex_of(basis, {2: d2, 3: d3})
+
+
 class TestFaceMaps:
     def test_a_built_complex_keeps_no_matrix(self):
         # the Smith forms and the bases stay, the boundaries do not: 3.34 MiB
@@ -802,6 +861,23 @@ class TestEngineOracle:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
+
+    def test_connes_factor_builds_each_boundary_once(self, monkeypatch):
+        # d_q, d_{q+1} and d_{q+2}, each built once and kept by the engine;
+        # rebuilt on every read they took 7 builds, four of them d_{q+1}
+        p = Params(2, 3)
+        bar = model_complex("bar", p, 13)
+        built = []
+        real = ChainComplex.boundary
+
+        def counted(C, q):
+            built.append(q)
+            return real(C, q)
+
+        monkeypatch.setattr(ChainComplex, "boundary", counted)
+        connes_factor_bar(p, 13, bar)
+        q = 2 * ell(p, 13)
+        assert sorted(built) == [q, q + 1, q + 2]
 
 
 def identity_map(lbl):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from test_homlinalg import chain_vector
 
 import cuspk.simplicialx as sx
-from cuspk.errors import (DEFAULT_BUDGET, PreconditionViolation, ResourceBound,
-                          TheoremViolation)
+from cuspk.errors import (DEFAULT_BUDGET, ComplexInvalid, PreconditionViolation,
+                          ResourceBound, TheoremViolation)
 from cuspk.homlinalg import ChainComplex, HomologySummary, homology
 from cuspk.semigroup import Params, ell, is_member, member_table
 from cuspk.simplicialx import (CmComplex, build_sigma,
@@ -98,6 +98,13 @@ class TestMasks:
         with pytest.raises(ValueError):
             cyclic_gaps(0, 5)
 
+    def test_face_boundary_matches_the_vertex_rule(self):
+        # dropping the i-th least vertex has sign (-1)^i, in that order
+        for mask in range(1 << 12):
+            assert list(sx._face_boundary(mask)) == [
+                (mask ^ (1 << e), (-1) ** i)
+                for i, e in enumerate(mask_vertices(mask))]
+
     @given(st.integers(min_value=1, max_value=12), st.data())
     def test_gaps_sum_to_m_and_rotate(self, m, data):
         mask = data.draw(st.integers(min_value=1, max_value=(1 << m) - 1))
@@ -180,6 +187,17 @@ class TestXHomology:
             assert x_homology(build_sigma(p, m)) == want
         # m = 1 is not representable: the subcomplex is empty
         assert x_homology(build_sigma(p, 1)) == H({0: (1, ())})
+
+    @pytest.mark.parametrize("p", [P23, P25, P34, P35], ids=pair_id)
+    def test_a_sign_mutant_fails_the_square_check(self, p):
+        # the sign flip after the least vertex is skipped
+        def mutant(mask):
+            return [(face, s if i == 0 else -s)
+                    for i, (face, s) in enumerate(sx._face_boundary(mask))]
+
+        for m in range(8, 13):
+            with pytest.raises(ComplexInvalid, match=r"^d_\d+ ∘ d_\d+ != 0$"):
+                ChainComplex(x_complex(build_sigma(p, m)).basis, mutant)
 
     def test_euler_characteristic_consistent(self):
         for m in range(1, 10):
