@@ -406,18 +406,19 @@ def cmd_report(inputs, out_dir) -> int:
     results = {}
     for path in inputs:
         try:
-            fh = open(path, encoding="utf-8")
+            fh = open(path, "rb")
         except OSError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return 3
         with fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+            # decoded per line, so a line that is not UTF-8 is located too
+            for lineno, raw in enumerate(fh, start=1):
                 try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
                     row = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:
                     print(f"{path}:{lineno}: {exc}", file=sys.stderr)
                     return 3
                 if not _is_row(row):

@@ -1,7 +1,8 @@
 """Exact linear algebra over the integers and the rationals.
 
 Provides the machinery every homology computation in the toolkit runs on:
-sparse integer matrices, Smith normal form with the unimodular
+sparse integer matrices, built from their row dicts or, by `of_map`, from
+a map between labelled bases, Smith normal form with the unimodular
 transforms of one side, chain complexes with integral homology (ranks,
 torsion and generator lifts) and mapping cones.  A complex is a basis of
 labels and a face map, the rule that gives the boundary of a label, and
@@ -83,31 +84,13 @@ from cuspk.errors import (ComplexInvalid, DimensionMismatch, NotAChainMap,
 
 
 class SparseIntMatrix:
-    """Immutable sparse integer matrix stored row-major."""
+    """Immutable sparse integer matrix stored row-major: rows[r] is the
+    {column: value} dict of the nonzero entries of row r, kept as given."""
 
     __slots__ = ("nrows", "ncols", "_rows")
 
-    def __init__(self, nrows: int, ncols: int, entries=None):
-        if nrows < 0 or ncols < 0:
-            raise DimensionMismatch("negative dimensions")
-        rows = [dict() for _ in range(nrows)]
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < nrows and 0 <= c < ncols):
-                    raise DimensionMismatch(f"entry ({r},{c}) outside {nrows}x{ncols}")
-                if type(v) is not int:
-                    raise ValueError(f"entry ({r},{c}) = {v!r} is not an int")
-                if v:
-                    rows[r][c] = v
-        self.nrows = nrows
-        self.ncols = ncols
-        self._rows = rows
-
-    @classmethod
-    def _from_rows(cls, nrows, ncols, rows):
-        m = cls.__new__(cls)
-        m.nrows, m.ncols, m._rows = nrows, ncols, rows
-        return m
+    def __init__(self, nrows: int, ncols: int, rows: list) -> None:
+        self.nrows, self.ncols, self._rows = nrows, ncols, rows
 
     @classmethod
     def of_map(cls, rows: list, cols: list, image) -> "SparseIntMatrix":
@@ -133,7 +116,7 @@ class SparseIntMatrix:
                         row[c] = v
                     else:
                         row.pop(c, None)
-        return cls._from_rows(len(rows), len(cols), out)
+        return cls(len(rows), len(cols), out)
 
     @property
     def nnz(self) -> int:
@@ -552,7 +535,7 @@ def _factor_reduced(mat: SparseIntMatrix, drop: tuple) -> tuple:
     drop = set(drop)
     rows = [row for i, row in enumerate(mat._rows) if i not in drop]
     pairs, rest = _coreduce(rows, mat.ncols)
-    remainder = smith_normal_form(SparseIntMatrix._from_rows(
+    remainder = smith_normal_form(SparseIntMatrix(
         len(rest), mat.ncols, [rows[i] for i in rest]))
     spanning = [rows[r] for r, _ in pairs] + \
         [rows[rest[i]] for i in remainder.spanning]
@@ -637,7 +620,7 @@ class HomologyEngine:
                 _axpy(image[i], image[j], t)
         if any(image[c] for c in lower.order[:r]):
             raise ComplexInvalid("boundary image is not a cycle")
-        rel = smith_normal_form(SparseIntMatrix._from_rows(
+        rel = smith_normal_form(SparseIntMatrix(
             len(kernel), upper.ncols, [image[c] for c in kernel]),
             transforms="left")
         # the kept indices i of the relation diagonal (order != 1), torsion
@@ -674,18 +657,20 @@ class HomologyEngine:
         """Coordinates of the cycle vec in the generator basis of H_q: U V^-1
         applied to it, on the kernel columns.
 
-        Torsion coordinates are reduced into [0, order).  Raises if vec is
-        not a cycle.  The logs are replayed on a copy, so vec is left as it
-        is.
+        Torsion coordinates are reduced into [0, order).  Raises ValueError
+        if vec is not a cycle: U d_q V = D holds for the logged operations,
+        so d_q vec = 0 exactly when V^-1 vec is zero on the pivot columns,
+        and no product with d_q is needed.  The logs are replayed on a
+        copy, so vec is left as it is.
         """
-        if any(self.boundary(q).matvec(vec)):
-            raise ValueError("chain is not a cycle")
+        if len(vec) != self.C.dim(q):
+            raise DimensionMismatch("vector length != dim C_q")
         data = self._data(q)
         lower, rel = data["lower"], data["rel"]
         vec = list(vec)
         _replay(lower.col_log, vec)
         if any(vec[c] for c in lower.order[:lower.rank]):
-            raise TheoremViolation("cycle has image in nonkernel part")
+            raise ValueError("chain is not a cycle")
         y = [vec[c] for c in data["kernel"]]
         _replay(rel.row_log, y)
         y = [y[i] for i in rel.order]

@@ -579,7 +579,7 @@ def _divisor_statement(p: Params, m: int, div: int):
                    "intersections": {str(k): found[k] for k in sorted(found)}}
 
 
-def check_c2_c3(p: Params, m: int) -> Verdict:
+def check_c2_c3(p: Params, m: int) -> dict:
     """Statements two and three, whichever divisibilities apply.
 
     For each of a and b that divides m, decides whether the union meets
@@ -595,22 +595,20 @@ def check_c2_c3(p: Params, m: int) -> Verdict:
     are Q-linear bijections of Q(zeta_m), so feasibility and pinning
     carry over and the pinned root moves by e -> s*e + g*n0.  The unit
     action is not used, because c1 and the real form of this statement
-    need isometries (see the module docstring).  Exact, so the verdict
-    reports precision_bits 0; the witness holds one entry per divisor,
-    "a" and/or "b", each with its own status.
+    need isometries (see the module docstring).
+
+    Returns one exact Verdict (precision_bits 0) per divisor of m among a
+    and b, keyed "c2" for a and "c3" for b; raises PreconditionViolation
+    when neither divides m.
     """
-    parts = {}
-    if m % p.a == 0:
-        parts["a"] = _divisor_statement(p, m, p.a)
-    if m % p.b == 0:
-        parts["b"] = _divisor_statement(p, m, p.b)
-    if not parts:
+    out = {}
+    for stmt, div in (("c2", p.a), ("c3", p.b)):
+        if m % div == 0:
+            status, detail = _divisor_statement(p, m, div)
+            out[stmt] = Verdict(status, 0, witness=detail)
+    if not out:
         raise PreconditionViolation("neither a nor b divides m")
-    status = HOLDS
-    if any(s == FAILS_CANDIDATE for s, _ in parts.values()):
-        status = FAILS_CANDIDATE
-    witness = {key: {"status": s, **detail} for key, (s, detail) in parts.items()}
-    return Verdict(status, 0, witness=witness)
+    return out
 
 
 def check_c4(p: Params, m: int) -> Verdict:
@@ -659,9 +657,5 @@ def run_conjecture_checks(p: Params, m: int,
     if m % p.a and m % p.b:
         out["c4"] = check_c4(p, m)
         return out
-    parts = check_c2_c3(p, m).witness
-    for key, stmt in (("a", "c2"), ("b", "c3")):
-        if key in parts:
-            detail = dict(parts[key])
-            out[stmt] = Verdict(detail.pop("status"), 0, witness=detail)
+    out.update(check_c2_c3(p, m))
     return out

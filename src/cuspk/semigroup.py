@@ -12,8 +12,8 @@ is what makes the Witt-group computations in :mod:`cuspk.wittlab` finite.
 
 The bar complex of :mod:`cuspk.cyclicbar` and the gap complex of
 :mod:`cuspk.simplicialx` both hold a cell as a set of points of Z/m, an
-int mask; the two mask helpers live here, beside `member_table`, which
-both complexes read.
+int mask, and both read `member_table`; the two mask helpers beside it
+serve the gap complex, as the bar complex reads its mask bits directly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import PreconditionViolation, TheoremViolation
+from .errors import TheoremViolation
 
 
 class Params:
@@ -214,9 +214,7 @@ class WeightEntry(NamedTuple):
 
     With (c, d) the canonical Bezout pair, i = d*m - b*n and j = a*n - c*m
     recover the representation m = a*i + b*j, q = gcd(m, n) = gcd(i, j),
-    and the primed quantities are the quotients by q.  The pair (k, l)
-    solves k*m' + l*n' = 1 with l = a*s - b*r for the canonical (r, s)
-    solving r*i' + s*j' = 1.
+    and m' = m/q, n' = n/q.
     """
 
     n: int
@@ -225,12 +223,6 @@ class WeightEntry(NamedTuple):
     n_prime: int
     i: int
     j: int
-    i_prime: int
-    j_prime: int
-    r: int
-    s: int
-    k: int
-    l: int
 
 
 class WeightData(NamedTuple):
@@ -240,34 +232,13 @@ class WeightData(NamedTuple):
     entries: dict[int, WeightEntry]
 
 
-def _canonical_rs(i_prime: int, j_prime: int) -> tuple[int, int]:
-    # Solve r*i' + s*j' = 1.  Interior weights have i', j' >= 1 and the
-    # canonical choice satisfies 1 <= s <= i' and 0 <= -r <= j' - 1; the
-    # boundary weights (j' = 0 or i' = 0) take the degenerate solutions.
-    if i_prime * j_prime == 0 and i_prime + j_prime != 1:
-        raise PreconditionViolation(f"({i_prime}, {j_prime}) is not coprime")
-    if j_prime == 0:
-        return 1, 0
-    if i_prime == 0:
-        return 0, 1
-    s = pow(j_prime, -1, i_prime) if i_prime > 1 else 1
-    if s == 0:
-        s = i_prime
-    r = (1 - s * j_prime) // i_prime
-    if (r * i_prime + s * j_prime != 1 or not 1 <= s <= i_prime
-            or not 0 <= -r <= j_prime - 1):
-        raise TheoremViolation(f"({r}, {s}) is no canonical solution")
-    return r, s
-
-
 def weights(p: Params, m: int) -> WeightData:
     """All weights of (a, b) at level m, with their exact invariants.
 
     The closed weights are the integers n in [c*m/a, d*m/b]; they
     correspond to representations m = a*i + b*j with i, j >= 0.  The open
-    weights are those with i, j >= 1.  For each closed weight the entry
-    records the congruence data used by the polytope checks; in particular
-    l satisfies l*n' = 1 mod m'.
+    weights are those with i, j >= 1.  Each closed weight's entry holds
+    its representation (i, j), q = gcd(m, n) and the quotients by q.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -288,14 +259,7 @@ def weights(p: Params, m: int) -> WeightData:
         q = math.gcd(m, n)
         if q != math.gcd(i, j):
             raise TheoremViolation(f"gcd(m, n) != gcd(i, j) at weight {n}")
-        m_p, n_p = m // q, n // q
-        i_p, j_p = i // q, j // q
-        r, s = _canonical_rs(i_p, j_p)
-        k = r * bz.d - s * bz.c
-        l = s * a - r * b
-        if k * m_p + l * n_p != 1:
-            raise TheoremViolation(f"l is no inverse of n' mod m' at weight {n}")
-        entries[n] = WeightEntry(n=n, q=q, m_prime=m_p, n_prime=n_p, i=i, j=j,
-                                 i_prime=i_p, j_prime=j_p, r=r, s=s, k=k, l=l)
+        entries[n] = WeightEntry(n=n, q=q, m_prime=m // q, n_prime=n // q,
+                                 i=i, j=j)
     return WeightData(m=m, open_weights=tuple(opens), closed_weights=closed,
                       entries=entries)

@@ -239,7 +239,11 @@ def generator_cycle(p: Params, m: int, budget: int = DEFAULT_BUDGET) -> dict:
     if len(data.open_weights) != 1:
         raise TheoremViolation(f"ell = 1 but {len(data.open_weights)} open weights")
     entry = data.entries[data.open_weights[0]]
-    mp, l = entry.m_prime, entry.l
+    mp = entry.m_prime
+    # The paper's l = a*s - b*r, for the solution of r*i' + s*j' = 1 with
+    # 1 <= s <= i' and 0 <= -r <= j' - 1, satisfies l*n' = 1 mod m' and
+    # a <= l <= a*i' + b*(j' - 1) = m' - b < m', so it is this inverse.
+    l = pow(entry.n_prime, -1, mp)
     if not a <= l <= mp - b:
         raise TheoremViolation(f"l = {l} lies outside [{a}, {mp - b}]")
     sigma = build_sigma(p, m, budget)

@@ -14,12 +14,12 @@ from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
-from test_homlinalg import entries
+from test_homlinalg import entries, from_entries
 
 import cuspk.cli as cli
 from cuspk import cyclicbar, polytopelab, simplicialx, wittlab
 from cuspk.errors import IntegralityViolation, ResourceBound, TheoremViolation
-from cuspk.homlinalg import HomologySummary, SparseIntMatrix
+from cuspk.homlinalg import HomologySummary
 from cuspk.polytopelab import UNDECIDED, Verdict
 from cuspk.simplicialx import ConjectureBReport
 
@@ -200,6 +200,19 @@ class TestVerify:
         for ext in ("jsonl", "csv"):
             data = (out / f"report.{ext}").read_bytes()
             assert hashlib.sha256(data).hexdigest() == ref[ext], ext
+
+    def test_default_grid_bytes(self, tmp_path):
+        # every suite on its default grid, through the real process pool;
+        # a change to these digests is a change to the reports
+        code, out = run(tmp_path, "verify", "all", "--jobs", "2")
+        assert code == 0
+        for name, want in (
+                ("report.jsonl", "3dab42d117f9105481e89bfd9d7204b3"
+                                 "517d35a5d18c06771e7d70d7f9cc00af"),
+                ("report.csv", "f4513b07ae108d4ae69dc6c1d92f71c7"
+                               "8b43df82decbb2bf81d1933802170b0e")):
+            data = (out / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == want, name
 
     def test_prop51_models_live_one_cell(self, tmp_path, monkeypatch):
         # each cell builds its bar complex and its cone once, for all of its
@@ -399,7 +412,7 @@ class TestExitCodes:
                 nonzero = dict(entries(M))
                 if M.nrows:
                     nonzero.update({(0, c): 1 for c in range(M.ncols)})
-                return SparseIntMatrix(M.nrows, M.ncols, nonzero)
+                return from_entries(M.nrows, M.ncols, nonzero)
             return op
 
         for name, error in [
@@ -675,6 +688,20 @@ class TestReport:
         code = cli.main(["report", str(bad), "--out", str(tmp_path / "m")])
         assert code == 3
         assert "bad.jsonl:1" in capsys.readouterr().err
+
+    def test_undecodable_line_reports_location(self, tmp_path, capsys,
+                                               monkeypatch):
+        # a line that is not UTF-8 is located like one that is not JSON
+        _, out = run(tmp_path / "v", "verify", "semigroup", "--a", "2",
+                     "--b", "3", "--m-max", "4")
+        first = (out / "report.jsonl").read_bytes().splitlines()[0]
+        (tmp_path / "bad.jsonl").write_bytes(first + b"\n\xff\n")
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        code = cli.main(["report", "bad.jsonl", "--out", "m"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("bad.jsonl:2: ")
+        assert list((tmp_path / "m").iterdir()) == []
 
     def test_incomplete_row_reports_location(self, tmp_path, capsys):
         bad = tmp_path / "partial.jsonl"

@@ -8,12 +8,11 @@ a sweep, which is the real cross-check.
 from itertools import combinations
 
 import pytest
-from test_homlinalg import entries, product
+from test_homlinalg import entries, from_entries, product
 
 from cuspk.errors import (ComplexInvalid, NotAChainMap, PreconditionViolation,
                           ResourceBound, TheoremViolation)
-from cuspk.homlinalg import (ChainComplex, HomologySummary, SparseIntMatrix,
-                             homology, mapping_cone)
+from cuspk.homlinalg import ChainComplex, HomologySummary, homology, mapping_cone
 from cuspk.semigroup import Params, ell, is_member
 from cuspk.cyclicbar import (
     _koszul_image,
@@ -112,7 +111,7 @@ def entries_matrix(rows, cols, image):
             if face in index:
                 key = (index[face], c)
                 entries[key] = entries.get(key, 0) + coeff
-    return SparseIntMatrix(len(rows), len(cols), entries)
+    return from_entries(len(rows), len(cols), entries)
 
 
 def row_lists(M):

@@ -175,10 +175,10 @@ class TestDihedralOrbits:
                         assert entry == detail
             if m % p.a and m % p.b:
                 continue
-            parts = check_c2_c3(p, m).witness
+            verdicts = check_c2_c3(p, m)
             bz = bezout(p)
-            for key, div, n0 in (("a", p.a, bz.c * m // p.a),
-                                 ("b", p.b, bz.d * m // p.b)):
+            for key, div, n0 in (("c2", p.a, bz.c * m // p.a),
+                                 ("c3", p.b, bz.d * m // p.b)):
                 if m % div:
                     continue
                 others = [n for n in weights(p, m).closed_weights if n != n0]
@@ -194,8 +194,9 @@ class TestDihedralOrbits:
                         found.setdefault(str(roots[je]), list(Q.vertex_exponents))
                 assert _summand_hits(_orbits(p, m), m, others, n0, roots) == \
                     (direct, None)
-                assert parts[key]["status"] == HOLDS
-                assert parts[key]["intersections"] == dict(sorted(found.items()))
+                assert verdicts[key].status == HOLDS
+                assert verdicts[key].witness["intersections"] == \
+                    dict(sorted(found.items()))
 
     def test_summand_hits_follow_the_reflection(self, monkeypatch):
         # no summand LP on the conjC grid pins a root moved by e -> -e, so
@@ -421,27 +422,28 @@ class TestOriginCheck:
 class TestSummandChecks:
     def test_degenerate_a_case(self):
         v = check_c2_c3(P23, 2)
-        assert v.status == HOLDS
-        assert v.precision_bits == 0
-        assert sorted(v.witness["a"]["intersections"]) == ["0", "1"]
+        assert set(v) == {"c2"}
+        assert v["c2"].status == HOLDS
+        assert v["c2"].precision_bits == 0
+        assert sorted(v["c2"].witness["intersections"]) == ["0", "1"]
 
     @pytest.mark.parametrize("m", [4, 8, 10])
     def test_a_divides(self, m):
         v = check_c2_c3(P23, m)
-        assert v.status == HOLDS
-        assert set(v.witness) == {"a"}
-        assert len(v.witness["a"]["intersections"]) == 2
+        assert set(v) == {"c2"}
+        assert v["c2"].status == HOLDS
+        assert len(v["c2"].witness["intersections"]) == 2
 
     def test_b_divides(self):
         v = check_c2_c3(P23, 9)
-        assert v.status == HOLDS
-        assert set(v.witness) == {"b"}
-        assert len(v.witness["b"]["intersections"]) == 3
+        assert set(v) == {"c3"}
+        assert v["c3"].status == HOLDS
+        assert len(v["c3"].witness["intersections"]) == 3
 
     def test_both_divide(self):
         v = check_c2_c3(P23, 6)
-        assert v.status == HOLDS
-        assert set(v.witness) == {"a", "b"}
+        assert set(v) == {"c2", "c3"}
+        assert all(verdict.status == HOLDS for verdict in v.values())
 
     def test_precondition(self):
         with pytest.raises(PreconditionViolation):
@@ -514,8 +516,8 @@ class TestDriver:
         assert v.precision_bits in (64, 128)
 
     def test_summand_rows_carry_the_bare_detail(self, monkeypatch):
-        # c2/c3 verdicts come from check_c2_c3; the per-divisor status is
-        # lifted out of the witness, not repeated inside it
+        # c2/c3 verdicts come from check_c2_c3, one per divisor statement;
+        # the status is the verdict's, not repeated inside the witness
         def fake(p, m, div):
             if div == p.a:
                 return FAILS_CANDIDATE, {"missing_roots": [1], "reason": "r"}

@@ -24,6 +24,16 @@ from cuspk.semigroup import (
 )
 
 
+def canonical_rs(i_prime: int, j_prime: int) -> tuple[int, int]:
+    """Oracle: the solution of r*i' + s*j' = 1 with 1 <= s <= i' and
+    0 <= -r <= j' - 1, for coprime i', j' >= 1 (the paper's choice)."""
+    s = pow(j_prime, -1, i_prime) or i_prime
+    r = (1 - s * j_prime) // i_prime
+    assert r * i_prime + s * j_prime == 1
+    assert 1 <= s <= i_prime and 0 <= -r <= j_prime - 1
+    return r, s
+
+
 def ell_brute(a: int, b: int, m: int) -> int:
     """Oracle: enumerate positive representations m = a*i + b*j."""
     count = 0
@@ -260,17 +270,17 @@ class TestWeights:
         e = wd.entries[3]
         assert (e.q, e.m_prime, e.n_prime) == (1, 5, 3)
         assert (e.i, e.j) == (1, 1)
-        assert (e.r, e.s) == (0, 1)
-        assert e.l == 2
-        assert (e.l * e.n_prime) % e.m_prime == 1
+        # the generator's l = a*s - b*r = 2 for (r, s) = (0, 1)
+        assert canonical_rs(e.i, e.j) == (0, 1)
+        assert pow(e.n_prime, -1, e.m_prime) == 2
 
     def test_frozen_values_m6(self):
         wd = weights(Params(2, 3), 6)
         assert wd.open_weights == ()
         assert wd.closed_weights == (3, 4)
         # endpoint entries: j = 0 at n = c*m/a, i = 0 at n = d*m/b
-        assert wd.entries[3].j == 0 and wd.entries[3].l == -3
-        assert wd.entries[4].i == 0 and wd.entries[4].l == 2
+        assert wd.entries[3].j == 0
+        assert wd.entries[4].i == 0
 
     @given(pair_st, st.integers(min_value=1, max_value=200))
     def test_interval_counts(self, ab, m):
@@ -289,10 +299,23 @@ class TestWeights:
             assert (a * n - e.j) % m == 0
             assert (b * n + e.i) % m == 0
             assert e.q == math.gcd(m, n) == math.gcd(e.i, e.j)
-            assert (e.l * e.n_prime) % e.m_prime == 1 % e.m_prime
-            assert e.k * e.m_prime + e.l * e.n_prime == 1
-            if n in wd.open_weights:
-                assert a <= e.l <= e.m_prime - b
+            assert (e.m_prime, e.n_prime) == (m // e.q, n // e.q)
+
+    @pytest.mark.parametrize("a,b", [(2, 3), (2, 5), (3, 4), (3, 5),
+                                     (2, 7), (4, 5)])
+    def test_canonical_l_is_the_inverse(self, a, b):
+        # the paper's l = a*s - b*r, from the canonical (r, s), is the
+        # inverse of n' mod m' that generator_cycle computes, and lies in
+        # [a, m' - b] on every interior weight
+        p = Params(a, b)
+        for m in range(1, 6 * a * b):
+            wd = weights(p, m)
+            for n in wd.open_weights:
+                e = wd.entries[n]
+                r, s = canonical_rs(e.i // e.q, e.j // e.q)
+                l = a * s - b * r
+                assert l == pow(e.n_prime, -1, e.m_prime), (m, n)
+                assert a <= l <= e.m_prime - b, (m, n)
 
     @given(pair_st, st.integers(min_value=1, max_value=150))
     def test_open_weights_bezout_invariance(self, ab, m):

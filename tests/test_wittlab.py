@@ -16,10 +16,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_homlinalg import from_entries
 
 import cuspk.wittlab as wittlab
 from cuspk.errors import IntegralityViolation, TheoremViolation
-from cuspk.homlinalg import SparseIntMatrix, smith_normal_form
+from cuspk.homlinalg import smith_normal_form
 from cuspk.semigroup import Params, TruncationSet, divide_set, truncation_S
 from cuspk.wittlab import (
     AbelianMap,
@@ -325,7 +326,7 @@ def stacked_snf_factors(orders, maps):
             if target is not None:
                 entries[(target[0], col + c)] = target[1]
         col += len(mp.dom)
-    diag = smith_normal_form(SparseIntMatrix(n, col, entries)).diag
+    diag = smith_normal_form(from_entries(n, col, entries)).diag
     assert len(diag) == n
     return [d for d in diag if d > 1]
 
