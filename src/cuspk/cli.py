@@ -400,8 +400,8 @@ def cmd_verify(suite, cfg: SuiteConfig) -> int:
 
 
 def cmd_report(inputs, out_dir) -> int:
-    if not _make_out_dir(out_dir):
-        return 3
+    # every input is read and checked before out_dir is made, so a refused
+    # report leaves nothing behind
     merged = {}
     results = {}
     for path in inputs:
@@ -428,6 +428,8 @@ def cmd_report(inputs, out_dir) -> int:
                 key = _row_key(row)
                 results.setdefault(key, set()).add(row["result"])
                 merged[key] = min(merged.get(key, row), row, key=_line)
+    if not _make_out_dir(out_dir):
+        return 3
     rows = sorted(merged.values(), key=_row_key)
     jsonl, digest = _write_reports(rows, out_dir, prefix="merged")
     conflicts = [row for row in rows if len(results[_row_key(row)]) > 1]

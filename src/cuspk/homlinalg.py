@@ -19,8 +19,9 @@ A transform is kept as the elimination's own operations, one flat log per
 Smith form, never as a matrix: generators and coordinates need U, U^-1,
 V and V^-1 on a few vectors only, and replaying the log applies each (the
 product form of the inverse of the revised simplex method).  At (2,3),
-m = 17 the Connes statement fell from 25 s and 1.44 GB with the four
-matrices to 10 s and 363 MB (2-vCPU Xeon, CPython 3.11).
+m = 17 the Connes statement takes 7-10 s and its process peaks at 222 MB
+VmHWM, where a set per column in the elimination's index took 9-11 s and
+325 MB (2-vCPU Xeon, CPython 3.11.7, the bar complex built first).
 
 The Smith form needs no divisibility repair: the elimination extracts
 its pivots in an order where each divides the next (unit pivots first,
@@ -198,32 +199,59 @@ def _replay(log: list, x: list, backward: bool = False) -> None:
 
 class _SnfWork:
     """Mutable elimination state.  log takes the row operations of a "left"
-    run, or the column operations of a "right" run as those of V^-1."""
+    run, or the column operations of a "right" run as those of V^-1.
+
+    The column index is two lists.  count[c] is the number of entries in
+    column c, exact after every operation.  cols[c] lists every row that
+    holds an entry in column c, and may also list a row twice or a row that
+    has lost the entry: a row is appended when it gains the entry and
+    removed only when `column` reads c, which keeps the rows that still
+    hold c, once each.  Every pivot choice reads count, and only a pivot's
+    column is read, so the pivots are those a set per column would give.
+    A set takes 216 bytes for up to four entries and 45-85 bytes an entry
+    past that, a list slot takes 8, and an entry that cancels costs no
+    removal; at (2,3), m = 17 the working state of the Connes statement's
+    Smith forms was most of its 325 MB peak with sets.
+    """
 
     def __init__(self, matrix: SparseIntMatrix, left: bool, right: bool):
         self.m, self.n = matrix.nrows, matrix.ncols
         self.rows = [dict(row) for row in matrix._rows]
-        self.cols: dict[int, set] = {}
+        self.cols: list[list] = [[] for _ in range(self.n)]
         for r, row in enumerate(self.rows):
             for c in row:
-                self.cols.setdefault(c, set()).add(r)
+                self.cols[c].append(r)
+        self.count = [len(rows) for rows in self.cols]
         self.left, self.right = left, right
         self.log = []
+
+    def column(self, c: int) -> list:
+        """The rows that hold an entry in column c, each once; cols[c] is
+        compacted to them."""
+        held = self.cols[c]
+        if len(held) != self.count[c]:
+            # every row that holds c is listed, so a list as long as the
+            # count has no duplicate and no stale row
+            rows = self.rows
+            held = [r for r in dict.fromkeys(held) if c in rows[r]]
+            self.cols[c] = held
+        return held
 
     def row_add(self, r1: int, r2: int, t: int) -> None:
         # row r1 += t * row r2
         row2 = self.rows[r2]
         row1 = self.rows[r1]
-        cols = self.cols
+        cols, count = self.cols, self.count
         for c, v in row2.items():
             nv = row1.get(c, 0) + t * v
             if nv:
                 if c not in row1:
-                    cols[c].add(r1)
+                    cols[c].append(r1)
+                    count[c] += 1
                 row1[c] = nv
             elif c in row1:
                 del row1[c]
-                cols[c].discard(r1)
+                count[c] -= 1
         if self.left and t:
             self.log += (r1, r2, t)
 
@@ -240,7 +268,7 @@ def _snf_work_run(work: _SnfWork):
     number of leading pivots taken before the first general-phase step,
     and the rows still nonzero at that step.
     """
-    rows, cols = work.rows, work.cols
+    rows, count = work.rows, work.count
     heap = [(len(row), r) for r, row in enumerate(rows) if row]
     heapq.heapify(heap)
     pivots = []
@@ -275,11 +303,13 @@ def _snf_work_run(work: _SnfWork):
         if v < 0:
             work.row_negate(r0)
             v = -v
-        for r in list(cols[c0]):
+        # each operation adds a multiple of row r0 to a different row, so
+        # they commute and the order of the column read changes nothing
+        for r in work.column(c0):
             if r != r0:
                 work.row_add(r, r0, -(rows[r][c0] // v))
         # with |v| == 1 all column entries clear exactly; then clear the row
-        if all(r == r0 for r in cols[c0]):
+        if count[c0] == 1:
             row = rows[r0]
             for c in list(row):
                 if c == c0:
@@ -294,9 +324,17 @@ def _snf_work_run(work: _SnfWork):
                     row[c] = rem
                 else:
                     del row[c]
-                    cols[c].discard(r0)
+                    count[c] -= 1
             return all(c == c0 for c in row)
         return False
+
+    def extract(r0, c0):
+        # the pivot's row and column are spent: nothing enters either again
+        v = rows[r0][c0]
+        rows[r0] = {}
+        count[c0] = 0
+        work.cols[c0] = []
+        pivots.append((r0, c0, abs(v)))
 
     while True:
         skip = set()
@@ -309,7 +347,7 @@ def _snf_work_run(work: _SnfWork):
             best = None
             for c, v in rows[r0].items():
                 if v == 1 or v == -1:
-                    k = len(cols[c])
+                    k = count[c]
                     if best is None or k < best[0]:
                         best = (k, c)
             if best is not None:
@@ -324,10 +362,7 @@ def _snf_work_run(work: _SnfWork):
             if not eliminate(r0, c0):
                 raise TheoremViolation("a unit pivot did not clear its row "
                                        "and column")
-            v = rows[r0].pop(c0)
-            cols[c0].discard(r0)
-            pivots.append((r0, c0, abs(v)))
-            push(r0)
+            extract(r0, c0)
             continue
         # no unit entries anywhere: general phase on the smallest-magnitude
         # entry, rescanned after every step because a remainder may undercut it
@@ -348,9 +383,7 @@ def _snf_work_run(work: _SnfWork):
             offender = next((r for r, row in enumerate(rows)
                              for w in row.values() if w % v), None)
             if offender is None:
-                pivots.append((r0, c0, v))
-                del rows[r0][c0]
-                cols[c0].discard(r0)
+                extract(r0, c0)
                 break
             work.row_add(r0, offender, 1)
         heap = [(len(row), r) for r, row in enumerate(rows) if row]
@@ -438,11 +471,14 @@ class ChainComplex:
             if mat is None:
                 mat = self.boundary(q)
             self.smith[q], spanning = _factor_reduced(mat, split)
+            # d_q's last reader is done; spanning keeps only its own rows
+            mat = None
             split = self.smith[q].split
             if q + 1 in self.basis:
                 upper = self.boundary(q + 1)
                 if not _annihilates(spanning, upper):
                     raise ComplexInvalid(f"d_{q} ∘ d_{q + 1} != 0")
+            spanning = None
 
     def dim(self, q: int) -> int:
         return len(self.basis.get(q, ()))
@@ -609,38 +645,31 @@ class HomologyEngine:
         lower = smith_normal_form(self.boundary(q), transforms="right")
         r = lower.rank
         kernel = lower.order[r:]
-        # V^-1 d_{q+1}, the column log replayed on the rows of d_{q+1};
-        # d_q ∘ d_{q+1} = 0 forces the pivot rows to vanish, and the kernel
-        # rows are the relations on the kernel
+        # V^-1 d_{q+1}, the column log replayed on the rows of d_{q+1}, a
+        # row copied only when the log first writes to it; d_q ∘ d_{q+1} = 0
+        # forces the pivot rows to vanish, and the kernel rows are the
+        # relations on the kernel
         upper = self.boundary(q + 1)
-        image = [dict(row) for row in upper._rows]
+        image = list(upper._rows)
         it = iter(lower.col_log)
         for i, j, t in zip(it, it, it):
             if image[j]:
+                if image[i] is upper._rows[i]:
+                    image[i] = dict(image[i])
                 _axpy(image[i], image[j], t)
         if any(image[c] for c in lower.order[:r]):
             raise ComplexInvalid("boundary image is not a cycle")
-        rel = smith_normal_form(SparseIntMatrix(
-            len(kernel), upper.ncols, [image[c] for c in kernel]),
-            transforms="left")
+        relations = SparseIntMatrix(len(kernel), upper.ncols,
+                                    [image[c] for c in kernel])
+        # the emptied pivot rows keep their dicts' tables; free them first
+        image = None
+        rel = smith_normal_form(relations, transforms="left")
         # the kept indices i of the relation diagonal (order != 1), torsion
         # by increasing order first, then the free ones
         orders = rel.diag + [0] * (len(kernel) - rel.rank)
         keep = sorted(((i, o) for i, o in enumerate(orders) if o != 1),
                       key=lambda g: (g[1] == 0, g[1]))
-        # generator i is V applied to U^-1 e_i, placed on the kernel columns
-        gens = []
-        for i, order in keep:
-            z = [0] * len(kernel)
-            z[rel.order[i]] = 1
-            _replay(rel.row_log, z, backward=True)
-            vec = [0] * self.C.dim(q)
-            for t, v in enumerate(z):
-                vec[kernel[t]] = v
-            _replay(lower.col_log, vec, backward=True)
-            gens.append((order, vec))
-        data = {"lower": lower, "rel": rel, "kernel": kernel, "keep": keep,
-                "generators": gens}
+        data = {"lower": lower, "rel": rel, "kernel": kernel, "keep": keep}
         self._deg[q] = data
         return data
 
@@ -650,8 +679,27 @@ class HomologyEngine:
                 tuple(order for _, order in keep if order))
 
     def generators(self, q: int) -> list:
-        """List of (order, vector) pairs; order 0 means infinite."""
-        return [(order, list(vec)) for order, vec in self._data(q)["generators"]]
+        """List of (order, vector) pairs; order 0 means infinite.
+
+        The vectors are computed on the first call for q, not by `_data`: a
+        Connes statement reads the generators of one of its two degrees.
+        Generator i is V applied to U^-1 e_i, placed on the kernel columns.
+        """
+        data = self._data(q)
+        if "generators" not in data:
+            lower, rel, kernel = data["lower"], data["rel"], data["kernel"]
+            gens = []
+            for i, order in data["keep"]:
+                z = [0] * len(kernel)
+                z[rel.order[i]] = 1
+                _replay(rel.row_log, z, backward=True)
+                vec = [0] * self.C.dim(q)
+                for t, v in enumerate(z):
+                    vec[kernel[t]] = v
+                _replay(lower.col_log, vec, backward=True)
+                gens.append((order, vec))
+            data["generators"] = gens
+        return [(order, list(vec)) for order, vec in data["generators"]]
 
     def coordinates(self, q: int, vec) -> list:
         """Coordinates of the cycle vec in the generator basis of H_q: U V^-1

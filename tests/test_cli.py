@@ -701,7 +701,7 @@ class TestReport:
         code = cli.main(["report", "bad.jsonl", "--out", "m"])
         assert code == 3
         assert capsys.readouterr().err.startswith("bad.jsonl:2: ")
-        assert list((tmp_path / "m").iterdir()) == []
+        assert not (tmp_path / "m").exists()
 
     def test_incomplete_row_reports_location(self, tmp_path, capsys):
         bad = tmp_path / "partial.jsonl"
@@ -742,3 +742,4 @@ class TestReport:
         code = cli.main(["report", str(tmp_path / "nothing.jsonl"),
                          "--out", str(tmp_path / "m")])
         assert code == 3
+        assert not (tmp_path / "m").exists()

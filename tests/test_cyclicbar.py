@@ -398,10 +398,20 @@ class TestConnesFactor:
         (3, 4, 7, 7, -7), (3, 4, 10, -10, -10), (3, 4, 11, 11, -11),
         (3, 5, 1, 1, -1), (3, 5, 2, 2, -2), (3, 5, 4, 4, -4),
         (3, 5, 7, 7, -7), (3, 5, 8, -8, 8), (3, 5, 11, -11, 11),
+        # past the benchmark's reports: m = 13 at the README pairs, and
+        # every weight up to 13 at two pairs outside them
+        (2, 3, 13, 13, -13), (2, 5, 13, 13, -13), (3, 4, 13, 13, -13),
+        (3, 5, 13, 13, 13),
+        (2, 7, 1, 1, -1), (2, 7, 3, 3, -3), (2, 7, 5, 5, -5),
+        (2, 7, 9, -9, -9), (2, 7, 11, 11, -11), (2, 7, 13, -13, -13),
+        (4, 5, 1, 1, -1), (4, 5, 2, 2, -2), (4, 5, 3, 3, -3),
+        (4, 5, 6, -6, -6), (4, 5, 7, 7, -7), (4, 5, 9, 9, -9),
+        (4, 5, 11, 11, -11), (4, 5, 13, 13, -13),
     ])
     def test_signed_factors_frozen(self, a, b, m, bar, small):
-        # the signs depend on the generators the engines pick; the prop51
-        # report rows carry them, so a flip changes the report
+        # the signs depend on the generators the engines pick, and so on
+        # the pivot order of every Smith form; the prop51 report rows carry
+        # them, so a flip changes the report
         p = Params(a, b)
         got = (connes_factor_bar(p, m, relative_bar_complex(p, m)),
                connes_factor_small(p, m, relative_cone(p, m)))

@@ -20,7 +20,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspk import cyclicbar
+from cuspk import cyclicbar, homlinalg
 from cuspk.cyclicbar import (connes_factor_bar, connes_factor_small,
                              relative_bar_complex, relative_cone)
 from cuspk.errors import ComplexInvalid, DimensionMismatch, NotAChainMap
@@ -34,6 +34,8 @@ from cuspk.homlinalg import (
     _coreduce,
     _factor_reduced,
     _replay,
+    _snf_work_run,
+    _SnfWork,
     feasibility_certificate,
     homology,
     lp_optimize,
@@ -345,6 +347,52 @@ class TestSmithNormalForm:
         sub = [dense[r] for r in res.spanning]
         assert len(set(res.spanning)) == len(res.spanning)
         assert (smith_normal_form(from_dense(sub)).rank if sub else 0) == res.rank
+
+
+def holders(work, c):
+    """The rows of the elimination state work that hold column c."""
+    return [r for r, row in enumerate(work.rows) if c in row]
+
+
+class CheckedWork(_SnfWork):
+    """_SnfWork that checks its column index after every row operation
+    and on every column read: each count is exact, cols[c] lists every row
+    that holds c, and a read returns exactly those rows, each once."""
+
+    def row_add(self, r1, r2, t):
+        super().row_add(r1, r2, t)
+        for c in range(self.n):
+            assert self.count[c] == len(holders(self, c))
+            assert set(holders(self, c)) <= set(self.cols[c])
+
+    def column(self, c):
+        held = super().column(c)
+        assert sorted(held) == holders(self, c)
+        return held
+
+
+SPARSE = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3])
+ROW_OPS = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                             st.integers(-2, 2)), max_size=12)
+
+
+class TestColumnIndex:
+    @given(dense_matrices(max_dim=7, entries=SPARSE), ROW_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_counts_and_column_reads_are_exact(self, dense, ops):
+        # arbitrary row operations, which cancel entries and re-add them,
+        # then the elimination itself, in all three modes
+        M = from_dense(dense)
+        pivots = []
+        for left, right in ((False, False), (True, False), (False, True)):
+            work = CheckedWork(M, left, right)
+            for r1, r2, t in ops:
+                if r1 % M.nrows != r2 % M.nrows:
+                    work.row_add(r1 % M.nrows, r2 % M.nrows, t)
+            pivots.append(_snf_work_run(work))
+            for c in range(M.ncols):
+                assert work.count[c] == len(holders(work, c)) == 0
+        assert pivots[0] == pivots[1] == pivots[2]
 
 
 def coreduced_factors(M):
@@ -819,6 +867,17 @@ class TestAnnihilates:
 
 
 class TestFaceMaps:
+    def test_construction_memory(self):
+        # each d_q is dropped once factored, and the spanning rows once
+        # checked; the per-column sets of the Smith form peaked at 2.38 MiB
+        tracemalloc.start()
+        try:
+            relative_bar_complex(Params(2, 3), 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
     def test_a_built_complex_keeps_no_matrix(self):
         # the Smith forms and the bases stay, the boundaries do not: 3.34 MiB
         # when the complex kept every d_q, 0.52 MiB without
@@ -875,7 +934,31 @@ class TestEngineOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        assert peak < 5 * 2 ** 20
+
+    def test_connes_statement_lifts_only_the_generators_it_reads(
+            self, monkeypatch):
+        # each generator read replays both logs backwards once; no other
+        # backward replay runs, so the degree q+1 lifts nothing
+        p = Params(2, 3)
+        bar = model_complex("bar", p, 13)
+        directions, read = [], []
+        real_generators = HomologyEngine.generators
+
+        def replay(log, x, backward=False):
+            directions.append(backward)
+            _replay(log, x, backward)
+
+        def generators(eng, q):
+            gens = real_generators(eng, q)
+            read.extend(gens)
+            return gens
+
+        monkeypatch.setattr(homlinalg, "_replay", replay)
+        monkeypatch.setattr(HomologyEngine, "generators", generators)
+        connes_factor_bar(p, 13, bar)
+        assert len(read) == 1
+        assert directions.count(True) == 2 * len(read)
 
     def test_connes_factor_builds_each_boundary_once(self, monkeypatch):
         # d_q, d_{q+1} and d_{q+2}, each built once and kept by the engine;
