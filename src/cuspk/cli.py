@@ -4,8 +4,8 @@ deterministic JSON-lines and CSV reports.
 Exit codes: 0 all hard assertions pass, 1 theorem-level violation,
 2 undecided interval verdicts remain at maximum precision, 3 usage or
 parse errors, or an --out directory that cannot be made, 4 some
-statements were skipped (a cell hit a resource limit or another toolkit
-error) and every other row passed.
+statements were skipped (a cell hit a resource limit, ran out of memory
+or raised another toolkit error) and every other row passed.
 Reports are byte-deterministic for a fixed configuration:
 rows are sorted, JSON keys are sorted, and randomized batteries run from
 fixed seeds.
@@ -75,22 +75,24 @@ def _row_key(row):
 # its toolkit module itself, so that a suite loads only what it runs.  A
 # cell that builds models shares them among its statements through a
 # `_memo` local to the cell, so nothing outlives the cell.  The memo keeps
-# a refused build's error too, so a model past the budget is built once
-# per cell, and every statement that reads it skips with the same reason
+# a refused build's error too, so a model past the budget or past the
+# memory is built once per cell, and every statement that reads it skips
+# with the same reason
 
 
 def _memo(build):
-    """build, run once per argument tuple.  A toolkit error that it raises
-    is kept as its class and arguments and raised afresh on each later
-    call: kept as an object, its traceback would hold this frame and so the
-    memo, and the cell's models would outlive the cell in a cycle."""
+    """build, run once per argument tuple.  A toolkit error or a
+    MemoryError that it raises is kept as its class and arguments and
+    raised afresh on each later call: kept as an object, its traceback
+    would hold this frame and so the memo, and the cell's models would
+    outlive the cell in a cycle."""
     kept = {}
 
     def get(*args):
         if args not in kept:
             try:
                 kept[args] = build(*args), None
-            except CuspkError as exc:
+            except (CuspkError, MemoryError) as exc:
                 kept[args] = None, (type(exc), exc.args)
         model, error = kept[args]
         if error:
@@ -155,14 +157,14 @@ def _attempt(rows, suite, statement, compute, **coords):
     computation decides several statements, a dict mapping each of them
     to its (result, details).  A proved statement that fails is one
     "fail" row named `statement`.  Any other toolkit error, such as a
-    resource limit, becomes one "skipped" row carrying the reason, so one
-    cell never ends the sweep.
+    resource limit, and a MemoryError become one "skipped" row carrying
+    the reason, so one cell never ends the sweep.
     """
     try:
         decided = compute()
     except TheoremViolation as exc:
         decided = "fail", {"error": str(exc)}
-    except CuspkError as exc:
+    except (CuspkError, MemoryError) as exc:
         decided = SKIPPED, {"error": type(exc).__name__, "reason": str(exc)}
     if isinstance(decided, tuple):
         decided = {statement: decided}

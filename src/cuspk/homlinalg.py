@@ -49,21 +49,17 @@ to that row.  So these pivots are split pivots by the argument above;
 the rows they leave go through smith_normal_form, and the split of d_q is
 the paired columns followed by the split of that remainder.
 
-d ∘ d = 0 is checked on a spanning set of rows of each d_q only, which is
-exact.  A row of d_q emptied during the unit phase of the elimination is
-a combination of the pivot rows, since each row operation of that phase
-adds a multiple of a pivot row, so the coreduction rows, the unit-pivot
-rows and the rows still nonzero when the general phase starts span every
-row that survived the drop.  A dropped row lies in the span of the rows
-kept: with V the column transform of the reduced d_{q-1}, the rows of
-V^-1 d_q at its split vanish, the others are the kept rows of d_q, and V
-is invertible.  That needs d_{q-1} ∘ d_q = 0, so the degrees run in
-ascending order, each checked before the next drops rows, and a failing
-complex names the least q with d_q ∘ d_{q+1} != 0.  Each row's product
-accumulates in one dense list of the width of d_{q+1}, allocated once per
-degree; only the columns the row reaches are read back, and a row that
-passes leaves the list all zero, so nothing is reset.  The dict per row
-it replaces took about 1.3 times as long on the checks of the prop51
+d ∘ d = 0 is checked on the rows of each d_q that survive the drop.  A
+dropped row lies in their span: with V the column transform of the
+reduced d_{q-1}, the rows of V^-1 d_q at its split vanish, the others are
+the kept rows of d_q, and V is invertible.  That needs d_{q-1} ∘ d_q = 0,
+so the degrees run in ascending order, each checked before the next drops
+rows, and a failing complex names the least q with d_q ∘ d_{q+1} != 0.
+Skipping the kept rows that the unit phase empties, about one per
+homology class, would save 0.34% of the multiply-adds on the default grid
+and under 0.02% at m = 16.  Each row's product accumulates in one dense
+list of the width of d_{q+1}, and a row that passes leaves it all zero,
+so it is never reset; a dict per row took 1.3 times as long on the prop51
 cells of the README pairs, m <= 12.
 
 `HomologyEngine` builds each boundary it reads once and keeps it for its
@@ -146,9 +142,7 @@ class SNFResult:
 
     diag holds the nonzero invariant factors d_1 | d_2 | ... (positive).
     split holds the columns of the leading pivots, those taken before the
-    first general-phase step (see the module docstring).  spanning holds
-    rows of M whose span contains every row of M: the rows of the leading
-    pivots and the rows still nonzero at the first general-phase step.
+    first general-phase step (see the module docstring).
 
     row_log ("left") and col_log ("right") are flat lists of (i, j, t), the
     row operations x[i] += t * x[j] ((r, r, -1) negates x[r]) in the order
@@ -158,14 +152,13 @@ class SNFResult:
     pivots in extraction order, then the rest.  None marks an untracked side.
     """
 
-    __slots__ = ("diag", "split", "spanning", "row_log", "col_log", "order")
+    __slots__ = ("diag", "split", "row_log", "col_log", "order")
 
-    def __init__(self, diag: list, split: tuple = (), spanning: tuple = (),
+    def __init__(self, diag: list, split: tuple = (),
                  row_log: list | None = None, col_log: list | None = None,
                  order: list | None = None) -> None:
         self.diag = diag
         self.split = split
-        self.spanning = spanning
         self.row_log = row_log
         self.col_log = col_log
         self.order = order
@@ -264,16 +257,14 @@ class _SnfWork:
 def _snf_work_run(work: _SnfWork):
     """Eliminate to diagonal form.
 
-    Returns the (row, col, value) pivots in extraction order, the
-    number of leading pivots taken before the first general-phase step,
-    and the rows still nonzero at that step.
+    Returns the (row, col, value) pivots in extraction order and the
+    number of leading pivots taken before the first general-phase step.
     """
     rows, count = work.rows, work.count
     heap = [(len(row), r) for r, row in enumerate(rows) if row]
     heapq.heapify(heap)
     pivots = []
     split = None
-    live = []
 
     def push(r):
         if rows[r]:
@@ -368,7 +359,6 @@ def _snf_work_run(work: _SnfWork):
         # entry, rescanned after every step because a remainder may undercut it
         if split is None:
             split = len(pivots)
-            live = [r for r, row in enumerate(rows) if row]
         while True:
             r0, c0, v0 = None, None, None
             for r, row in enumerate(rows):
@@ -388,7 +378,7 @@ def _snf_work_run(work: _SnfWork):
             work.row_add(r0, offender, 1)
         heap = [(len(row), r) for r, row in enumerate(rows) if row]
         heapq.heapify(heap)
-    return pivots, len(pivots) if split is None else split, live
+    return pivots, len(pivots) if split is None else split
 
 
 def smith_normal_form(matrix: SparseIntMatrix,
@@ -419,7 +409,7 @@ def smith_normal_form(matrix: SparseIntMatrix,
                          f"or 'right'")
     left, right = transforms == "left", transforms == "right"
     work = _SnfWork(matrix, left, right)
-    pivots, split, live = _snf_work_run(work)
+    pivots, split = _snf_work_run(work)
     diag = [v for _, _, v in pivots]
     if any(b % a for a, b in zip(diag, diag[1:])):
         raise TheoremViolation(f"Smith diagonal {diag} is no divisibility chain")
@@ -429,9 +419,7 @@ def smith_normal_form(matrix: SparseIntMatrix,
         order = [p[0 if left else 1] for p in pivots]
         taken = set(order)
         order += [i for i in range(work.m if left else work.n) if i not in taken]
-    lead = pivots[:split]
-    return SNFResult(diag, tuple(c for _, c, _ in lead),
-                     tuple(r for r, _, _ in lead) + tuple(live),
+    return SNFResult(diag, tuple(c for _, c, _ in pivots[:split]),
                      work.log if left else None, work.log if right else None,
                      order)
 
@@ -449,10 +437,10 @@ class ChainComplex:
     one degree down are dropped.  Degrees not present are zero.
     Construction builds each d_q once, by ascending degree, factors it on
     the reduced complex of the module docstring and keeps the result in
-    smith[q]; it checks d ∘ d = 0 on the rows of each d_q that the
-    factoring finds to span all of them, with only d_q and d_{q+1} built
-    at a time.  No matrix is kept: boundary(q) builds d_q again from the
-    labels, the same matrix every time, row key order included.
+    smith[q]; it checks d ∘ d = 0 on the rows of each d_q outside the
+    split of d_{q-1}, with only d_q and d_{q+1} built at a time.  No
+    matrix is kept: boundary(q) builds d_q again from the labels, the same
+    matrix every time, row key order included.
     """
 
     def __init__(self, basis: dict, faces):
@@ -470,15 +458,19 @@ class ChainComplex:
                 continue
             if mat is None:
                 mat = self.boundary(q)
-            self.smith[q], spanning = _factor_reduced(mat, split)
-            # d_q's last reader is done; spanning keeps only its own rows
-            mat = None
+            # d_q and the drop set are freed before d_{q+1} is built, and a
+            # tuple holds the kept rows without spare slots
+            drop = set(split)
+            rows = tuple(row for i, row in enumerate(mat._rows)
+                         if i not in drop)
+            mat = drop = None
+            self.smith[q] = _factor_rows(rows, self.dim(q))
             split = self.smith[q].split
             if q + 1 in self.basis:
                 upper = self.boundary(q + 1)
-                if not _annihilates(spanning, upper):
+                if not _annihilates(rows, upper):
                     raise ComplexInvalid(f"d_{q} ∘ d_{q + 1} != 0")
-            spanning = None
+            rows = None
 
     def dim(self, q: int) -> int:
         return len(self.basis.get(q, ()))
@@ -559,24 +551,15 @@ def _coreduce(rows: list, ncols: int) -> tuple:
     return pairs, [r for r, keep in enumerate(alive) if keep]
 
 
-def _factor_reduced(mat: SparseIntMatrix, drop: tuple) -> tuple:
-    """Smith form of d_q = mat outside the rows drop (the split of d_{q-1}),
-    and rows of d_q whose span holds every row of d_q.
-
-    Coreduction pairs come first, as unit pivots, and the rows they leave
-    go through smith_normal_form.  The result's diagonal and split put the
-    pairs before the remainder's, and the spanning rows are the pair rows
-    and the remainder's spanning rows (see the module docstring).
-    """
-    drop = set(drop)
-    rows = [row for i, row in enumerate(mat._rows) if i not in drop]
-    pairs, rest = _coreduce(rows, mat.ncols)
+def _factor_rows(rows: tuple, ncols: int) -> SNFResult:
+    """Smith form of the matrix with the given rows and ncols columns:
+    coreduction pairs first, as unit pivots, then smith_normal_form, which
+    copies the rows the pairs leave, so rows is left as it is."""
+    pairs, rest = _coreduce(rows, ncols)
     remainder = smith_normal_form(SparseIntMatrix(
-        len(rest), mat.ncols, [rows[i] for i in rest]))
-    spanning = [rows[r] for r, _ in pairs] + \
-        [rows[rest[i]] for i in remainder.spanning]
+        len(rest), ncols, [rows[i] for i in rest]))
     return SNFResult([1] * len(pairs) + remainder.diag,
-                     tuple(c for _, c in pairs) + remainder.split), spanning
+                     tuple(c for _, c in pairs) + remainder.split)
 
 
 def _annihilates(rows: list, upper: SparseIntMatrix) -> bool:

@@ -389,6 +389,32 @@ class TestExitCodes:
         assert str(budget) in rows[0]["details"]["reason"]
         assert built.count(m) == 1
 
+    def test_running_out_of_memory_skips_the_cell(self, tmp_path,
+                                                  monkeypatch):
+        # both statements at m = 7 read the bar complex, whose one build
+        # runs out of memory; the sweep goes on and writes its report
+        built = []
+        real = cyclicbar.relative_bar_complex
+
+        def exhausted(p, m, budget):
+            built.append(m)
+            if m == 7:
+                raise MemoryError
+            return real(p, m, budget)
+
+        monkeypatch.setattr(cyclicbar, "relative_bar_complex", exhausted)
+        code, out = run(tmp_path, "verify", "prop51", "--a", "2", "--b", "3",
+                        "--m-max", "8")
+        assert code == 4
+        rows = rows_of(out)
+        hit = [r for r in rows if r["m"] == 7]
+        assert sorted(r["statement"] for r in hit) == ["connes-factor",
+                                                       "triple-agreement"]
+        assert all(r["result"] == "skipped"
+                   and r["details"]["error"] == "MemoryError" for r in hit)
+        assert built.count(7) == 1
+        assert all(r["result"] == "pass" for r in rows if r["m"] != 7)
+
     def test_conjb_computes_past_the_old_guard(self, tmp_path):
         # Σ(3,5,21) has few faces, though 2^21 exceeds the default budget
         code, out = run(tmp_path, "verify", "conjB", "--a", "3", "--b", "5",

@@ -6,7 +6,7 @@ invariant factors as quotients D_k / D_{k-1}.  Homology examples are
 hand-checkable complexes (circle, sphere, projective plane), and random
 direct sums of Z and Z --d--> Z conjugated by unimodular matrices, whose
 homology is known from the summands.  Construction, which checks d ∘ d = 0
-only on spanning rows of a reduced complex, is checked against the full
+only on the rows of a reduced complex, is checked against the full
 products d_q d_{q+1} and the Smith forms of the unreduced boundaries.
 """
 
@@ -32,7 +32,6 @@ from cuspk.homlinalg import (
     SparseIntMatrix,
     _annihilates,
     _coreduce,
-    _factor_reduced,
     _replay,
     _snf_work_run,
     _SnfWork,
@@ -298,9 +297,9 @@ class TestSmithNormalForm:
     @settings(max_examples=300, deadline=None)
     def test_transforms_are_exact(self, dense):
         # the U of a left run's log and the V of a right run's diagonalize
-        # M; both runs return the diagonal, split and spanning rows of the
-        # factor-only run, since the matrix evolves the same way in every
-        # mode, and None for the side they do not log
+        # M; both runs return the diagonal and split of the factor-only run,
+        # since the matrix evolves the same way in every mode, and None for
+        # the side they do not log
         M = from_dense(dense)
         left = smith_normal_form(M, transforms="left")
         right = smith_normal_form(M, transforms="right")
@@ -315,8 +314,7 @@ class TestSmithNormalForm:
             assert left.diag[i + 1] % left.diag[i] == 0
         factor_only = smith_normal_form(M)
         for one in (left, right):
-            assert (one.diag, one.split, one.spanning) == \
-                (factor_only.diag, factor_only.split, factor_only.spanning)
+            assert (one.diag, one.split) == (factor_only.diag, factor_only.split)
         assert (left.col_log, right.row_log) == (None, None)
         assert (factor_only.row_log, factor_only.col_log, factor_only.order) == \
             (None, None, None)
@@ -337,16 +335,6 @@ class TestSmithNormalForm:
     def test_unknown_transforms_rejected(self, transforms):
         with pytest.raises(ValueError, match="transforms="):
             smith_normal_form(identity(2), transforms=transforms)
-
-    @given(st.one_of(dense_matrices(), dense_matrices(entries=NON_UNIT)))
-    @settings(max_examples=200, deadline=None)
-    def test_spanning_rows_span_the_row_space(self, dense):
-        # the spanning rows are rows of M, so equal rank means equal span
-        M = from_dense(dense)
-        res = smith_normal_form(M)
-        sub = [dense[r] for r in res.spanning]
-        assert len(set(res.spanning)) == len(res.spanning)
-        assert (smith_normal_form(from_dense(sub)).rank if sub else 0) == res.rank
 
 
 def holders(work, c):
@@ -855,20 +843,45 @@ class TestAnnihilates:
                 annihilates_reference(rows[:k], upper)
 
     def test_a_cancelling_row_does_not_hide_a_later_one(self):
-        # coreduction pairs row 0 of d_2 first: its product with d_3 cancels
-        # in column 0, and row 1's, checked next, is 1 there
+        # the rows of d_2 reach the check in order: row 0's product with d_3
+        # cancels in column 0, and row 1's, checked next, is 1 there
         d2 = from_dense([[1, 0, 1, 0], [0, 1, 0, 1]])
         d3 = from_dense([[1], [1], [-1], [0]])
-        spanning = _factor_reduced(d2, ())[1]
-        assert spanning == [{0: 1, 2: 1}, {1: 1, 3: 1}]
         basis = {1: ["a0", "a1"], 2: ["b0", "b1", "b2", "b3"], 3: ["c0"]}
         with pytest.raises(ComplexInvalid, match="^d_2 ∘ d_3 != 0$"):
             complex_of(basis, {2: d2, 3: d3})
 
+    def test_every_row_that_survives_the_drop_is_checked(self, monkeypatch):
+        # every kept row reaches the check, the rows that the unit phase of
+        # the elimination empties included
+        checked = []
+        real = homlinalg._annihilates
+
+        def recorded(rows, upper):
+            checked.append(len(rows))
+            return real(rows, upper)
+
+        monkeypatch.setattr(homlinalg, "_annihilates", recorded)
+        C = relative_bar_complex(Params(2, 3), 5)
+        assert checked == [C.dim(q - 1) - len(C.smith[q - 1].split)
+                           for q in sorted(C.basis)
+                           if q - 1 in C.basis and q + 1 in C.basis]
+        assert len(checked) > 1
+
+    def test_a_failing_product_on_a_dropped_row_is_found_on_a_kept_one(self):
+        # d_2 ∘ d_3 is nonzero on both rows of d_2, and the split of d_1
+        # drops one of them
+        basis = {0: ["v"], 1: ["e1", "e2"], 2: ["f"], 3: ["g"]}
+        d1 = from_dense([[1, 1]])
+        d2 = from_dense([[1], [-1]])
+        d3 = from_dense([[1]])
+        with pytest.raises(ComplexInvalid, match="^d_2 ∘ d_3 != 0$"):
+            complex_of(basis, {1: d1, 2: d2, 3: d3})
+
 
 class TestFaceMaps:
     def test_construction_memory(self):
-        # each d_q is dropped once factored, and the spanning rows once
+        # each d_q is dropped once its kept rows are taken, and those once
         # checked; the per-column sets of the Smith form peaked at 2.38 MiB
         tracemalloc.start()
         try:
