@@ -465,14 +465,11 @@ def _build_parser() -> tuple:
     ver.add_argument("--p", type=int, action="append", default=None,
                      help="prime, repeatable; default 2 3 5 7")
     ver.add_argument("--r-max", type=int, default=3)
-    ver.add_argument("--q-max", type=int, default=None,
-                     help="cap on the K-group degree; overrides --r-max")
     ver.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="the most cells a complex builder may build")
     ver.add_argument("--out", default=".")
-    ver.add_argument("--jobs", type=int, default=None,
-                     help="worker processes; default CUSPK_JOBS or 1")
+    ver.add_argument("--jobs", type=int, default=1, help="worker processes")
     rep = sub.add_parser("report", help="merge verification reports")
     rep.add_argument("inputs", nargs="+")
     rep.add_argument("--out", default=".")
@@ -492,22 +489,11 @@ def _config_from_args(parser, args) -> SuiteConfig:
         pairs = DEFAULT_PAIRS
     if args.r_max < 0:
         parser.error("--r-max must be non-negative")
-    r_max = args.r_max
-    if args.q_max is not None:
-        if args.q_max < 0:
-            parser.error("--q-max must be non-negative")
-        r_max = args.q_max // 2
     if not 8 <= args.precision <= MAX_PRECISION:
         parser.error(f"--precision must be 8 to {MAX_PRECISION} bits")
     if args.budget < 2:
         parser.error("--budget must be at least 2")
-    jobs = args.jobs
-    if jobs is None:
-        try:
-            jobs = int(os.environ.get("CUSPK_JOBS", "1"))
-        except ValueError:
-            parser.error("CUSPK_JOBS must be an integer")
-    if jobs < 1:
+    if args.jobs < 1:
         parser.error("--jobs must be at least 1")
     if args.m_max is not None and args.m_max < 1:
         parser.error("--m-max must be at least 1")
@@ -517,8 +503,8 @@ def _config_from_args(parser, args) -> SuiteConfig:
         if prime < 2 or any(prime % d == 0 for d in range(2, isqrt(prime) + 1)):
             parser.error(f"--p {prime} is not a prime")
     return SuiteConfig(pairs=pairs, m_max=args.m_max, primes=primes,
-                       r_max=r_max, precision_bits=args.precision,
-                       budget=args.budget, out=args.out, jobs=jobs)
+                       r_max=args.r_max, precision_bits=args.precision,
+                       budget=args.budget, out=args.out, jobs=args.jobs)
 
 
 def main(argv=None) -> int:

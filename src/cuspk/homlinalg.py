@@ -431,20 +431,20 @@ def smith_normal_form(matrix: SparseIntMatrix,
 class ChainComplex:
     """A bounded complex of free Z-modules with labelled bases.
 
-    basis maps a degree q to the list of basis labels of C_q, and
-    faces(label) yields the (label, coeff) pairs of the boundary of a
-    label, as `SparseIntMatrix.of_map` reads them: labels outside the basis
-    one degree down are dropped.  Degrees not present are zero.
-    Construction builds each d_q once, by ascending degree, factors it on
-    the reduced complex of the module docstring and keeps the result in
-    smith[q]; it checks d ∘ d = 0 on the rows of each d_q outside the
-    split of d_{q-1}, with only d_q and d_{q+1} built at a time.  No
-    matrix is kept: boundary(q) builds d_q again from the labels, the same
-    matrix every time, row key order included.
+    basis maps a degree q to the list of labels of C_q, which the complex
+    holds as given and never mutates; faces(label) yields the (label,
+    coeff) pairs of a label's boundary, as `SparseIntMatrix.of_map` reads
+    them: labels outside the basis one degree down are dropped.  Degrees
+    not present are zero.  Construction builds each d_q once, by
+    ascending degree, factors it on the reduced complex of the module
+    docstring and keeps the result in smith[q]; it checks d ∘ d = 0 on
+    the rows of each d_q outside the split of d_{q-1}, with only d_q and
+    d_{q+1} built at a time.  No matrix is kept: boundary(q) rebuilds d_q
+    from the labels, the same matrix every time, row key order included.
     """
 
     def __init__(self, basis: dict, faces):
-        self.basis = {q: list(lbls) for q, lbls in basis.items() if lbls}
+        self.basis = {q: lbls for q, lbls in basis.items() if lbls}
         self.faces = faces
         self.smith: dict[int, SNFResult] = {}
         split = ()
@@ -594,7 +594,7 @@ def homology(C: ChainComplex) -> HomologySummary:
     for q in C.basis:
         lower, upper = C.smith[q], C.smith[q + 1]
         r = C.dim(q) - lower.rank - upper.rank
-        out[q] = (r, tuple(t for t in upper.diag if t > 1))
+        out[q] = (r, upper.diag)
     return HomologySummary.of(out)
 
 

@@ -112,12 +112,6 @@ class TestVerify:
         assert {r["m"] for r in rows} == set(range(1, 7))
         assert all(r["result"] != "skipped" for r in rows)
 
-    def test_q_max_overrides_r_max(self, tmp_path):
-        code, out = run(tmp_path, "verify", "kgroups", "--a", "2", "--b", "3",
-                        "--p", "5", "--q-max", "4")
-        assert code == 0
-        assert [r["q"] for r in rows_of(out)] == [0, 2, 4]
-
     def test_byte_determinism(self, tmp_path):
         _, out1 = run(tmp_path / "r1", "verify", "conjC", "--a", "2", "--b",
                       "3", "--m-max", "6")
@@ -270,14 +264,13 @@ class TestVerify:
 
 
 class TestExitCodes:
-    def test_usage_errors_exit_three(self, tmp_path, monkeypatch, capsys):
+    def test_usage_errors_exit_three(self, tmp_path, capsys):
         # each error prints the usage line of the command it belongs to
         for argv in (["verify", "nope"],
                      ["verify", "semigroup", "--a", "2"],
                      ["verify", "semigroup", "--a", "2", "--b", "4"],
                      ["verify", "conjC", "--precision", "4"],
                      ["verify", "conjC", "--precision", "1025"],
-                     ["verify", "kgroups", "--q-max", "-1"],
                      ["verify", "kgroups", "--a", "2", "--b", "3",
                       "--r-max", "-1"],
                      ["verify", "kgroups", "--p", "4"],
@@ -292,12 +285,24 @@ class TestExitCodes:
             assert exc.value.code == 3
             assert capsys.readouterr().err.startswith(
                 f"usage: cuspk {argv[0]} "), argv
-        for value in ("two", "0"):
+
+    def test_one_channel_per_value(self, tmp_path, monkeypatch, capsys):
+        # --r-max alone bounds the degree, and only argv sets --jobs
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "kgroups", "--q-max", "4",
+                      "--out", str(tmp_path)])
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --q-max" in capsys.readouterr().err
+        argv = ["verify", "semigroup", "--a", "2", "--b", "3", "--m-max", "4",
+                "--r-max", "1"]
+        code, plain = run(tmp_path / "plain", *argv)
+        assert code == 0
+        for i, value in enumerate(("two", "")):
             monkeypatch.setenv("CUSPK_JOBS", value)
-            with pytest.raises(SystemExit) as exc:
-                cli.main(["verify", "semigroup", "--out", str(tmp_path)])
-            assert exc.value.code == 3
-            assert capsys.readouterr().err.startswith("usage: cuspk verify ")
+            code, out = run(tmp_path / str(i), *argv)
+            assert code == 0
+            for name in ("report.jsonl", "report.csv"):
+                assert (out / name).read_bytes() == (plain / name).read_bytes()
 
     def test_theorem_violation_exits_one(self, tmp_path, monkeypatch):
         def boom(p, m, bar, cone):
@@ -541,12 +546,11 @@ class TestExitCodes:
            m_max=st.sampled_from([3, 1, 5, 0]),
            primes=st.lists(st.sampled_from([2, 3, 5, 4]), max_size=1),
            r_max=st.integers(-1, 2),
-           q_max=st.one_of(st.none(), st.integers(-1, 4)),
            precision=st.sampled_from([8, 16, 64, 4]),
            budget=st.sampled_from([8, 16, 4096, 1]))
     @settings(max_examples=60, deadline=None)
     def test_small_arguments_never_raise(self, suite, pair, m_max, primes,
-                                         r_max, q_max, precision, budget):
+                                         r_max, precision, budget):
         argv = ["verify", suite, "--m-max", str(m_max), "--r-max", str(r_max),
                 "--precision", str(precision), "--budget", str(budget),
                 "--jobs", "1"]
@@ -554,8 +558,6 @@ class TestExitCodes:
             argv += ["--a", str(pair[0]), "--b", str(pair[1])]
         for prime in primes:
             argv += ["--p", str(prime)]
-        if q_max is not None:
-            argv += ["--q-max", str(q_max)]
         with tempfile.TemporaryDirectory() as out:
             try:
                 code = cli.main(argv + ["--out", out])
@@ -597,7 +599,7 @@ def loaded_modules(tmp_path, argvs, names):
         print(sorted(name for name in names if name in sys.modules))
         """)
     src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items() if k != "CUSPK_JOBS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path),

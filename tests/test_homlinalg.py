@@ -902,6 +902,18 @@ class TestFaceMaps:
             tracemalloc.stop()
         assert bar.basis and current < 1.5 * 2 ** 20
 
+    def test_a_built_complex_holds_its_callers_basis_lists(self):
+        # no copy of a list the caller already holds; an empty degree is
+        # still left out, and the lists come back unchanged
+        basis = {0: ["v0", "v1", "v2"], 1: ["e01", "e02", "e12"], 2: []}
+        C = complex_of(basis, {1: from_dense([[-1, -1, 0], [1, 0, -1],
+                                              [0, 1, 1]])})
+        assert set(C.basis) == {0, 1}
+        assert all(C.basis[q] is basis[q] for q in C.basis)
+        assert basis[0] == ["v0", "v1", "v2"] and basis[1] == ["e01", "e02", "e12"]
+        homology(C)
+        assert basis[0] == ["v0", "v1", "v2"] and basis[1] == ["e01", "e02", "e12"]
+
     def test_boundaries_are_rebuilt_identically(self):
         # the Connes signs depend on the pivots, so on the row key order
         p = Params(2, 3)

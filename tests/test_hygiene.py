@@ -3,8 +3,9 @@ it never uses, or holds a Cyrillic letter (such as the look-alike of the
 composition sign that once stood for it), no toolkit module imports a
 sibling, no package module imports anything outside the standard library
 and the package itself, no package module holds an `assert` statement, which
-`python -O` strips: its re-checks raise toolkit errors instead, and every
-top-level function or class of the package, and every public method, is
+`python -O` strips: its re-checks raise toolkit errors instead, no package
+module reads an environment variable, so a command is configured by its
+arguments alone, and every top-level function or class of the package, and every public method, is
 named somewhere in the package outside its own definition: the package
 keeps only what its commands run.  The names that `perfbench/tracer.py`
 wraps are exempt, since the tracer needs them to exist.
@@ -189,6 +190,43 @@ def test_no_assert(path):
     # a re-check that `python -O` strips leaves a certificate unchecked, and
     # a failing one is an AssertionError, which no sweep turns into a row
     assert assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+ENVIRON = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source):
+    """(name, line) of every read of the environment: an `environ` or
+    `getenv` attribute of a name bound to `os`, or either name imported
+    from `os`, sorted by line."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or "os" for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name.split(".")[0] == "os"
+               and (alias.asname is None or alias.name == "os")}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRON \
+                and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            found.append((f"{node.value.id}.{node.attr}", node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(alias.name, node.lineno) for alias in node.names
+                      if alias.name in ENVIRON]
+    return sorted(found, key=lambda hit: hit[1])
+
+
+def test_scan_flags_an_environment_read():
+    source = ("import os\nimport os as system\nimport os.path\n"
+              "from os import environ, path\nfrom os import getenv as ge\n"
+              "jobs = os.environ.get('JOBS', '1')\nhome = system.getenv('HOME')\n"
+              "cwd = os.getcwd()\nname = os.path.join('os.environ', path.sep)\n")
+    assert environment_reads(source) == [("environ", 4), ("getenv", 5),
+                                         ("os.environ", 6), ("system.getenv", 7)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_environment_read(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
 
 
 def identifiers(node):
