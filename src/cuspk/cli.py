@@ -3,11 +3,11 @@ deterministic JSON-lines and CSV reports.
 
 Exit codes: 0 all hard assertions pass, 1 theorem-level violation,
 2 undecided interval verdicts remain at maximum precision, 3 usage or
-parse errors, or an --out directory that cannot be made, 4 some
-statements were skipped (a cell hit a resource limit, ran out of memory
-or raised another toolkit error) and every other row passed.
-Reports are byte-deterministic for a fixed configuration:
-rows are sorted, JSON keys are sorted, and randomized batteries run from
+parse errors, or an --out directory or report file that cannot be made
+or written, 4 some statements were skipped (a cell hit a resource limit,
+ran out of memory or raised another toolkit error) and every other row
+passed.  Reports are byte-deterministic for a fixed configuration: rows
+are sorted, JSON keys are sorted, and randomized batteries run from
 fixed seeds.
 
 A suite imports its toolkit modules when its first cell runs, and the
@@ -380,7 +380,11 @@ def cmd_verify(suite, cfg: SuiteConfig) -> int:
     else:
         batches = [_run_cell(t) for t in tasks]
     rows = sorted((r for batch in batches for r in batch), key=_row_key)
-    jsonl, digest = _write_reports(rows, cfg.out)
+    try:
+        jsonl, digest = _write_reports(rows, cfg.out)
+    except OSError as exc:
+        print(f"{exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        return 3
     for row in rows:
         if row["result"] == "MISMATCH":
             print(f"FINDING: homology mismatch at (a,b,m)="
@@ -433,7 +437,11 @@ def cmd_report(inputs, out_dir) -> int:
     if not _make_out_dir(out_dir):
         return 3
     rows = sorted(merged.values(), key=_row_key)
-    jsonl, digest = _write_reports(rows, out_dir, prefix="merged")
+    try:
+        jsonl, digest = _write_reports(rows, out_dir, prefix="merged")
+    except OSError as exc:
+        print(f"{exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        return 3
     conflicts = [row for row in rows if len(results[_row_key(row)]) > 1]
     for row in conflicts:
         where = ",".join(f"{f}={row[f]}" for f in COORDS

@@ -227,16 +227,6 @@ def _de_rham_image(p: Params, lbl: tuple) -> dict:
     return out
 
 
-def small_complex_curve(p: Params, m: int) -> ChainComplex:
-    return ChainComplex(curve_basis(p, m), lambda lbl: _koszul_image(p, lbl).items())
-
-
-def small_complex_line(p: Params, m: int) -> ChainComplex:
-    if m < 1:
-        raise ValueError("weight must be positive")
-    return ChainComplex({0: [("t", m)], 1: [("dt", m - 1)]}, lambda _: ())
-
-
 def parametrization_map(p: Params, m: int):
     """f : curve model -> line model in weight m, as a map on labels:
     x^i y^j -> t^m, the dx and dy one-forms -> a resp. b times t^{m-1} dt,
@@ -254,10 +244,12 @@ def parametrization_map(p: Params, m: int):
 
 
 def relative_cone(p: Params, m: int) -> ChainComplex:
-    """The cone of the parametrization; building it checks that f is a
-    chain map (see `mapping_cone`)."""
-    return mapping_cone(small_complex_curve(p, m), small_complex_line(p, m),
-                        parametrization_map(p, m))
+    """The cone of the parametrization, built once from the cells of the
+    curve model (Koszul faces) and of the line (t^m and t^{m-1} dt, no
+    faces); building it checks that f is a chain map (see `mapping_cone`)."""
+    curve = (curve_basis(p, m), lambda lbl: _koszul_image(p, lbl).items())
+    line = ({0: [("t", m)], 1: [("dt", m - 1)]}, lambda _: ())
+    return ChainComplex(*mapping_cone(curve, line, parametrization_map(p, m)))
 
 
 def cone_de_rham_matrix(p: Params, cone: ChainComplex, q: int) -> SparseIntMatrix:
@@ -282,12 +274,8 @@ def cone_de_rham_matrix(p: Params, cone: ChainComplex, q: int) -> SparseIntMatri
 # expected answer, two ways
 
 
-def _corner_complex(tag: int, low: int, high: int) -> ChainComplex:
-    return ChainComplex({low: [("x", tag)], high: [("y", tag)]}, lambda _: ())
-
-
-def _zero_complex() -> ChainComplex:
-    return ChainComplex({}, lambda _: ())
+def _corner_complex(tag: int, low: int, high: int) -> tuple:
+    return {low: [("x", tag)], high: [("y", tag)]}, lambda _: ()
 
 
 def _corner_map(tag: int, ratio: int):
@@ -316,7 +304,8 @@ def expected_ty_homology(p: Params, m: int) -> HomologySummary:
     2l+1 when neither a nor b divides m, Z/a (resp. Z/b) in degree 2l+1
     when exactly a (resp. b) divides m, and 0 when ab divides m.  The
     same groups are recomputed as an iterated mapping cone over the
-    corners {m/ab, m/a, m/b, m} and the two answers are compared.
+    corners {m/ab, m/a, m/b, m}, of which only the outer cone is built,
+    and the two answers are compared.
     """
     if m < 1:
         raise ValueError("weight must be positive")
@@ -332,16 +321,17 @@ def expected_ty_homology(p: Params, m: int) -> HomologySummary:
         closed = HomologySummary.of({2 * l: (1, ()), 2 * l + 1: (1, ())})
 
     low, high = 2 * l, 2 * l + 1
+    absent = ({}, lambda _: ())
     Z = _corner_complex(m, low, high)
-    W = _corner_complex(m // (a * b), low, high) if m % (a * b) == 0 else _zero_complex()
-    U = _corner_complex(m // a, low, high) if m % a == 0 else _zero_complex()
-    V = _corner_complex(m // b, low, high) if m % b == 0 else _zero_complex()
+    W = _corner_complex(m // (a * b), low, high) if m % (a * b) == 0 else absent
+    U = _corner_complex(m // a, low, high) if m % a == 0 else absent
+    V = _corner_complex(m // b, low, high) if m % b == 0 else absent
     top = mapping_cone(W, U, _corner_map(m // a, b))
     bot = mapping_cone(V, Z, _corner_map(m, b))
     # vertical maps multiply y by a; the square commutes exactly since ab = ba
     induced = _induced_cone_map({"x": 1, "y": a},
                                 {"dom": m // b if m % b == 0 else 0, "cod": m})
-    cone_answer = homology(mapping_cone(top, bot, induced))
+    cone_answer = homology(ChainComplex(*mapping_cone(top, bot, induced)))
     if cone_answer != closed:
         raise TheoremViolation(f"iterated cone gives {cone_answer}, the closed "
                                f"form {closed} at (a,b,m)=({a},{b},{m})")

@@ -40,10 +40,6 @@ class ComplexInvalid(CuspkError):
     """Boundary maps of a chain complex do not square to zero."""
 
 
-class NotAChainMap(CuspkError):
-    """Per-degree matrices fail to commute with the boundary maps."""
-
-
 class DimensionMismatch(CuspkError):
     """Matrix or vector shapes are inconsistent."""
 

@@ -6,14 +6,15 @@ a map between labelled bases, Smith normal form with the unimodular
 transforms of one side, chain complexes with integral homology (ranks,
 torsion and generator lifts) and mapping cones.  A complex is a basis of
 labels and a face map, the rule that gives the boundary of a label, and
-it builds its boundary matrices from them; a cone takes its map on labels
-too, and needs no separate chain-map check: its own d ∘ d check is that
-check.  The LP helpers at the end (`lp_separate`, `lp_optimize`,
-`feasibility_certificate` and `SeparationResult`) wrap the simplex
-tableau of `cuspk.exactlp`, imported on first use, as `fractions` is, so
-that the homology suites load neither.  Nothing under `src/` calls them;
-they stay only as targets of `perfbench/tracer.py` until the next
-benchmark change.
+it builds its boundary matrices from them.  A cone is cells too: it maps
+the (basis, faces) pairs of its sides and a chain map on labels to its
+own pair and builds nothing, so cones nest and only the outermost is
+built, whose d ∘ d check is the chain-map check.  The LP helpers at the
+end (`lp_separate`, `lp_optimize`, `feasibility_certificate` and
+`SeparationResult`) wrap the simplex tableau of `cuspk.exactlp`,
+imported on first use, as `fractions` is, so that the homology suites
+load neither.  Nothing under `src/` calls them; they stay only as
+targets of `perfbench/tracer.py` until the next benchmark change.
 
 A transform is kept as the elimination's own operations, one flat log per
 Smith form, never as a matrix: generators and coordinates need U, U^-1,
@@ -76,8 +77,7 @@ import heapq
 from collections import deque
 from typing import NamedTuple
 
-from cuspk.errors import (ComplexInvalid, DimensionMismatch, NotAChainMap,
-                          TheoremViolation)
+from cuspk.errors import ComplexInvalid, DimensionMismatch, TheoremViolation
 
 
 class SparseIntMatrix:
@@ -708,43 +708,43 @@ class HomologyEngine:
         return [y[i] % order if order else y[i] for i, order in data["keep"]]
 
 
-def mapping_cone(dom: ChainComplex, cod: ChainComplex, f) -> ChainComplex:
+def mapping_cone(dom: tuple, cod: tuple, f) -> tuple:
     """Cone(f)_q = A_{q-1} + B_q with d(a, b) = (-dA a, dB b - f a), for
-    A = dom, B = cod and the chain map f given on labels: f(a) yields the
-    (label, coeff) pairs of the image of a in B, in the degree of a.  A
-    target outside B's basis in that degree is dropped, as `of_map` drops
-    the faces outside a relative complex's basis.
+    the (basis, faces) pairs dom = (A, dA) and cod = (B, dB) and the chain
+    map f given on labels: f(a) yields the (label, coeff) pairs of the
+    image of a in B, in the degree of a.  A target outside B's basis in
+    that degree is dropped, as `of_map` drops the faces outside a relative
+    complex's basis.  Returns the cone's (basis, faces) pair and builds
+    nothing: cones nest, and only the outermost is built, ChainComplex(*cone).
 
     Labels are ("dom", original label) for the shifted copy of the domain
     and ("cod", original label) for the codomain.  The convention makes
     cone(identity) acyclic and cone(Z --n--> Z in degree k) have homology
     Z/n in degree k.
 
-    d(d(a, b)) = (dA dA a, dB dB b - (dB f - f dA) a), so the cone's own
-    d ∘ d check is the chain-map check: it fails exactly when f does not
-    commute with the boundary maps, and raises NotAChainMap.
+    d(d(a, b)) = (dA dA a, dB dB b - (dB f - f dA) a), so the built cone's
+    d ∘ d check checks both sides and the chain map: a side that is no
+    complex, or an f that does not commute with the boundaries, raises
+    ComplexInvalid naming the cone's least failing degree.
     """
-    A, B = dom, cod
+    (A, dA), (B, dB) = dom, cod
     basis = {}
-    for q in set(q + 1 for q in A.basis) | set(B.basis):
-        basis[q] = [("dom", lbl) for lbl in A.basis.get(q - 1, ())] + \
-                   [("cod", lbl) for lbl in B.basis.get(q, ())]
+    for q in set(q + 1 for q in A) | set(B):
+        basis[q] = [("dom", lbl) for lbl in A.get(q - 1, ())] + \
+                   [("cod", lbl) for lbl in B.get(q, ())]
 
     def faces(lbl):
         side, x = lbl
         if side == "cod":
-            for y, c in B.faces(x):
+            for y, c in dB(x):
                 yield ("cod", y), c
             return
-        for y, c in A.faces(x):
+        for y, c in dA(x):
             yield ("dom", y), -c
         for y, c in f(x):
             yield ("cod", y), -c
 
-    try:
-        return ChainComplex(basis, faces)
-    except ComplexInvalid as exc:
-        raise NotAChainMap(f"the map and the boundary do not commute: {exc}") from None
+    return basis, faces
 
 
 # ---------------------------------------------------------------------------

@@ -290,8 +290,8 @@ def _check_generator(p: Params, m: int, chain: dict, sigma: CmComplex) -> None:
     if homology(X).group(2) != (1, ()):
         raise TheoremViolation(f"degree-2 homology at (a,b,m)=({a},{b},{m}) "
                                "is not free of rank one")
-    cone = mapping_cone(ChainComplex({2: ["cycle"]}, lambda _: ()), X,
+    cone = mapping_cone(({2: ["cycle"]}, lambda _: ()), (X.basis, X.faces),
                         lambda _: edges.items())
-    if homology(cone).group(2) != (0, ()):
+    if homology(ChainComplex(*cone)).group(2) != (0, ()):
         raise TheoremViolation(f"chain at (a,b,m)=({a},{b},{m}) does not "
                                "generate the degree-2 homology")

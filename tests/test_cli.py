@@ -523,6 +523,16 @@ class TestExitCodes:
         assert code == 3 and ran == []
         assert capsys.readouterr().err.startswith(f"{blocker / 'sub'}: ")
 
+    def test_unwritable_report_file_exits_three(self, tmp_path, capsys):
+        # the sweep runs, then report.jsonl, a directory, cannot be opened
+        out = tmp_path / "od"
+        (out / "report.jsonl").mkdir(parents=True)
+        code = cli.main(["verify", "semigroup", "--a", "2", "--b", "3",
+                         "--m-max", "3", "--r-max", "0", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"{out / 'report.jsonl'}: Is a directory\n"
+        assert not (out / "report.csv").exists()
+
     def test_unbounded_summand_lp_is_a_fail_row(self, tmp_path, monkeypatch):
         # only the summand LPs of c2/c3 maximize, so c1 runs unchanged
         class Unbounded(polytopelab.SimplexTableau):
@@ -765,6 +775,18 @@ class TestReport:
                          "--out", str(blocker / "sub")])
         assert code == 3
         assert capsys.readouterr().err.startswith(f"{blocker / 'sub'}: ")
+
+    def test_unwritable_merged_file_exits_three(self, tmp_path, capsys):
+        # merged.jsonl is written before merged.csv, a directory, fails
+        _, out = run(tmp_path / "v", "verify", "semigroup", "--a", "2",
+                     "--b", "3", "--m-max", "4")
+        od = tmp_path / "od2"
+        (od / "merged.csv").mkdir(parents=True)
+        capsys.readouterr()
+        code = cli.main(["report", str(out / "report.jsonl"), "--out", str(od)])
+        assert code == 3
+        assert capsys.readouterr().err == f"{od / 'merged.csv'}: Is a directory\n"
+        assert (od / "merged.jsonl").read_bytes() == (out / "report.jsonl").read_bytes()
 
     def test_missing_input_exits_three(self, tmp_path):
         code = cli.main(["report", str(tmp_path / "nothing.jsonl"),

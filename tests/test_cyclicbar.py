@@ -10,10 +10,12 @@ from itertools import combinations
 import pytest
 from test_homlinalg import entries, from_entries, product
 
-from cuspk.errors import (ComplexInvalid, NotAChainMap, PreconditionViolation,
-                          ResourceBound, TheoremViolation)
+from cuspk.errors import (ComplexInvalid, PreconditionViolation, ResourceBound,
+                          TheoremViolation)
 from cuspk.homlinalg import ChainComplex, HomologySummary, homology, mapping_cone
+from cuspk.cli import DEFAULT_PAIRS
 from cuspk.semigroup import Params, ell, is_member
+from cuspk.simplicialx import _check_generator, build_sigma, generator_cycle
 from cuspk.cyclicbar import (
     _koszul_image,
     cone_de_rham_matrix,
@@ -25,8 +27,6 @@ from cuspk.cyclicbar import (
     parametrization_map,
     relative_bar_complex,
     relative_cone,
-    small_complex_curve,
-    small_complex_line,
     ty_agreement_check,
 )
 
@@ -277,7 +277,8 @@ class TestSmallModel:
 
     def test_koszul_boundary_frozen(self):
         # z^[1] at weight 6 peels to 3 x^2 dx - 2 y dy
-        C = small_complex_curve(P23, 6)
+        C = ChainComplex(curve_basis(P23, 6),
+                         lambda lbl: _koszul_image(P23, lbl).items())
         col = to_dense(C.boundary(2))
         # degree-1 basis order: (0,1,0,1,0) = y dy, (2,0,1,0,0) = x^2 dx
         assert col == [[-2], [3]]
@@ -314,9 +315,10 @@ class TestSmallModel:
             for tgt, coeff in f(lbl):
                 yield tgt, coeff + 1 if tgt[0] == "dt" else coeff
 
-        with pytest.raises(NotAChainMap):
-            mapping_cone(small_complex_curve(P23, 6), small_complex_line(P23, 6),
-                         wrong)
+        curve = (curve_basis(P23, 6), lambda lbl: _koszul_image(P23, lbl).items())
+        line = ({0: [("t", 6)], 1: [("dt", 5)]}, lambda _: ())
+        with pytest.raises(ComplexInvalid, match="^d_2 ∘ d_3 != 0$"):
+            ChainComplex(*mapping_cone(curve, line, wrong))
 
     def test_cone_homology_frozen(self):
         assert cone_homology(P23, 4) == H({1: (0, (2,))})
@@ -349,6 +351,45 @@ class TestExpectedHomology:
                            match=rf"^{model} homology .* at \(a,b,m\)=\(2,3,5\)"):
             ty_agreement_check(P23, 5, relative_bar_complex(P23, bar_m),
                                relative_cone(P23, cone_m))
+
+
+class TestConeBuilds:
+    """A cone's sides and inner cones stay cells: each cone builds one
+    ChainComplex, its outermost."""
+
+    @staticmethod
+    def builds(monkeypatch):
+        calls = []
+        real = ChainComplex.__init__
+
+        def counted(self, *args):
+            calls.append(1)
+            real(self, *args)
+
+        monkeypatch.setattr(ChainComplex, "__init__", counted)
+        return calls
+
+    def test_relative_cone(self, monkeypatch):
+        calls = self.builds(monkeypatch)
+        for m in range(1, 13):
+            relative_cone(P23, m)
+            assert len(calls) == 1, m
+            calls.clear()
+
+    def test_expected_ty_homology(self, monkeypatch):
+        calls = self.builds(monkeypatch)
+        for a, b in DEFAULT_PAIRS:
+            for m in range(1, 13):
+                expected_ty_homology(Params(a, b), m)
+                assert len(calls) == 1, (a, b, m)
+                calls.clear()
+
+    def test_check_generator(self, monkeypatch):
+        # the 2-skeleton complex X and the cone of Z -> X
+        chain, sigma = generator_cycle(P23, 5), build_sigma(P23, 5)
+        calls = self.builds(monkeypatch)
+        _check_generator(P23, 5, chain, sigma)
+        assert len(calls) == 2
 
 
 class TestConnesFactor:

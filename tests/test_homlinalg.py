@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from cuspk import cyclicbar, homlinalg
 from cuspk.cyclicbar import (connes_factor_bar, connes_factor_small,
                              relative_bar_complex, relative_cone)
-from cuspk.errors import ComplexInvalid, DimensionMismatch, NotAChainMap
+from cuspk.errors import ComplexInvalid, DimensionMismatch
 from cuspk.exactlp import SimplexTableau
 from cuspk.homlinalg import (
     ChainComplex,
@@ -1023,29 +1023,59 @@ def identity_map(lbl):
     yield lbl, 1
 
 
+def built_cone(A, B, f):
+    """The cone of f : A -> B from the cells of two built complexes."""
+    return ChainComplex(*mapping_cone((A.basis, A.faces), (B.basis, B.faces), f))
+
+
 class TestMappingCone:
     def test_cone_of_identity_is_acyclic(self):
         for C in (circle_complex(), sphere_complex()):
-            assert homology(mapping_cone(C, C, identity_map)) == HomologySummary.of({})
+            assert homology(built_cone(C, C, identity_map)) == HomologySummary.of({})
 
     @pytest.mark.parametrize("n,k", [(2, 0), (5, 3), (12, 1)])
     def test_cone_of_multiplication(self, n, k):
         A = ChainComplex({k: ["a"]}, lambda _: ())
         B = ChainComplex({k: ["b"]}, lambda _: ())
-        cone = mapping_cone(A, B, lambda _: [("b", n)])
+        cone = built_cone(A, B, lambda _: [("b", n)])
         assert homology(cone) == HomologySummary.of({k: (0, (n,))})
 
     def test_cone_euler_characteristic(self):
         C = sphere_complex()
-        assert euler_characteristic(mapping_cone(C, C, identity_map)) == 0
+        assert euler_characteristic(built_cone(C, C, identity_map)) == 0
 
     def test_chain_map_validation(self):
         # the cone's d ∘ d check is the chain-map check: e02 -> e02 + e12
-        # does not commute with the circle's boundary
+        # does not commute with the circle's boundary, and the failure
+        # lands in the cone's d_1 ∘ d_2, from the shifted edges to vertices
         C = circle_complex()
         bad = {"e02": [("e02", 1), ("e12", 1)]}
-        with pytest.raises(NotAChainMap, match="do not commute"):
-            mapping_cone(C, C, lambda lbl: bad.get(lbl, [(lbl, 1)]))
+        with pytest.raises(ComplexInvalid, match="^d_1 ∘ d_2 != 0$"):
+            built_cone(C, C, lambda lbl: bad.get(lbl, [(lbl, 1)]))
+
+    @pytest.mark.parametrize("side,degree", [("dom", 2), ("cod", 1)])
+    def test_a_side_that_is_no_complex_is_rejected(self, side, degree):
+        # v <- e <- t with d(t) = e and d(e) = v fails its own d_1 ∘ d_2;
+        # the domain sits one degree up in the cone, the codomain does not
+        broken = ({0: ["v"], 1: ["e"], 2: ["t"]},
+                  lambda lbl: {"e": [("v", 1)], "t": [("e", 1)]}.get(lbl, ()))
+        point = ({0: ["p"]}, lambda _: ())
+        dom, cod = (broken, point) if side == "dom" else (point, broken)
+        cone = mapping_cone(dom, cod, lambda _: ())
+        with pytest.raises(ComplexInvalid,
+                           match=f"^d_{degree} ∘ d_{degree + 1} != 0$"):
+            ChainComplex(*cone)
+
+    def test_cone_is_cells(self):
+        # the cone is a (basis, faces) pair, not a built complex
+        C = circle_complex()
+        basis, faces = mapping_cone((C.basis, C.faces), (C.basis, C.faces),
+                                    identity_map)
+        assert basis == {q: [("dom", x) for x in C.basis.get(q - 1, [])]
+                         + [("cod", x) for x in C.basis.get(q, [])]
+                         for q in (0, 1, 2)}
+        assert sorted(faces(("dom", "e01"))) == sorted(
+            [(("dom", "v0"), 1), (("dom", "v1"), -1), (("cod", "e01"), -1)])
 
     def test_targets_outside_the_codomain_are_dropped(self):
         # a label in no basis, and one of the codomain's in another degree,
@@ -1057,7 +1087,7 @@ class TestMappingCone:
             yield "nowhere", 5
             yield ("v0" if lbl[0] == "e" else "e01"), 7
 
-        want, got = mapping_cone(C, C, identity_map), mapping_cone(C, C, stray)
+        want, got = built_cone(C, C, identity_map), built_cone(C, C, stray)
         assert got.basis == want.basis
         for q in range(-1, 4):
             assert got.boundary(q) == want.boundary(q)

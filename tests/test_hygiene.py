@@ -8,7 +8,9 @@ module reads an environment variable, so a command is configured by its
 arguments alone, and every top-level function or class of the package, and every public method, is
 named somewhere in the package outside its own definition: the package
 keeps only what its commands run.  The names that `perfbench/tracer.py`
-wraps are exempt, since the tracer needs them to exist.
+wraps are exempt, since the tracer needs them to exist.  Every subclass
+of `CuspkError` in `errors.py` is raised somewhere in the package, so an
+error class that nothing raises any more leaves with its last raise.
 
 Package ``__init__.py`` files are skipped, because their imports are
 re-exports.  A name counts as used when it appears as an identifier
@@ -370,3 +372,45 @@ def test_every_public_name_is_named():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     exempt = tracer_targets() | {("simplicialx", "generator_cycle")}
     assert unnamed_public(sources, exempt) == []
+
+
+def unraised_errors(errors_source, sources, base="CuspkError"):
+    """(name, line) of every class of errors_source that derives from base,
+    directly or through another such class, and that no `raise` statement
+    of the sources names, called or bare, as a name or as an attribute."""
+    derived, found = {base}, []
+    for stmt in ast.parse(errors_source).body:
+        if isinstance(stmt, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in derived for b in stmt.bases):
+            derived.add(stmt.name)
+            found.append((stmt.name, stmt.lineno))
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    return [(name, line) for name, line in found if name not in raised]
+
+
+def test_scan_flags_an_unraised_error_class():
+    errors = ("class Base(Exception):\n    pass\n\n"
+              "class Called(Base):\n    pass\n\n"
+              "class Bare(Called):\n    pass\n\n"
+              "class Caught(Base):\n    pass\n\n"
+              "class Other(ValueError):\n    pass\n")
+    source = ("import errors\nfrom errors import Called, Caught\n\n"
+              "def f(x):\n    try:\n        raise Called('x')\n"
+              "    except Caught:\n        raise errors.Bare from None\n")
+    assert unraised_errors(errors, [source], base="Base") == [("Caught", 10)]
+    assert unraised_errors(errors, [], base="Base") == [
+        ("Called", 4), ("Bare", 7), ("Caught", 10)]
+
+
+def test_every_error_class_is_raised():
+    errors = (ROOT / "src" / "cuspk" / "errors.py").read_text(encoding="utf-8")
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE]
+    assert unraised_errors(errors, sources) == []
